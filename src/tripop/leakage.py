@@ -28,8 +28,11 @@ import numpy as np
 
 from .conditions import TransferCondition
 from .dressed import CouplingRatios
-from .propagate import IntegratorConfig, LevelEnergies, integrate
+from .propagate import IntegratorConfig, LevelEnergies, integrate_batch, require_traces
 from .pulses import Pulse, harmonic_for_condition
+
+# The two-level atom as a 3x3 problem: level 3 has no coupling, so it stays empty.
+_TWO_LEVEL_COUPLING = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -112,11 +115,7 @@ def measured_deficit(
     omega: float = 1.0,
 ) -> float:
     """1 - P2(t0) measured by RK4 with the condition's harmonic drive."""
-    pulse = harmonic_for_condition(cond, omega)
-    energies = LevelEnergies.from_splittings(omega12_ratio * omega, omega13_ratio * omega)
-    t0 = math.pi / (2.0 * omega)
-    trace = integrate(cond.ratios(beta=beta), energies, pulse, t0, config)
-    return float(1.0 - trace.p2[-1])
+    return leakage_scan(cond, beta, [(omega12_ratio, omega13_ratio)], config=config, omega=omega)[0][1]
 
 
 def measured_delta_p2(
@@ -128,8 +127,12 @@ def measured_delta_p2(
     config: IntegratorConfig = IntegratorConfig(),
 ) -> float:
     """Dual-RK4 difference P2_degenerate(t) - P2_split(t); the estimate oracle."""
-    deg = integrate(ratios, LevelEnergies.degenerate(), pulse, t, config)
-    split = integrate(ratios, LevelEnergies.from_splittings(omega12, omega13), pulse, t, config)
+    k = ratios.coupling_matrix()
+    runs = [
+        (k, LevelEnergies.degenerate(), pulse, t),
+        (k, LevelEnergies.from_splittings(omega12, omega13), pulse, t),
+    ]
+    deg, split = require_traces(integrate_batch(runs, config))
     return float(deg.p2[-1] - split.p2[-1])
 
 
@@ -140,11 +143,20 @@ def leakage_scan(
     config: IntegratorConfig = IntegratorConfig(),
     omega: float = 1.0,
 ) -> list[tuple[tuple[float, float], float]]:
-    """Measured deficits 1 - P2(t0) over a list of (w12/w, w13/w) pairs."""
-    return [
-        ((r12, r13), measured_deficit(cond, beta, r12, r13, config=config, omega=omega))
+    """Measured deficits 1 - P2(t0) over a list of (w12/w, w13/w) pairs.
+
+    The RK4 runs share the condition's harmonic drive and so a step count;
+    they are advanced together as one batch.
+    """
+    pulse = harmonic_for_condition(cond, omega)
+    k = cond.ratios(beta=beta).coupling_matrix()
+    t0 = math.pi / (2.0 * omega)
+    runs = [
+        (k, LevelEnergies.from_splittings(r12 * omega, r13 * omega), pulse, t0)
         for r12, r13 in omega_ratios
     ]
+    traces = require_traces(integrate_batch(runs, config))
+    return [((r12, r13), float(1.0 - trace.p2[-1])) for (r12, r13), trace in zip(omega_ratios, traces)]
 
 
 def export_scan_csv(rows, estimates, path) -> None:
@@ -205,25 +217,14 @@ def measured_two_level_deficit(
 ) -> float:
     """1 - P2(t0) for the harmonic two-level atom with v0/omega = pi/2.
 
-    Direct 2x2 RK4 with E = (0, -omega12); the reference scaling is
-    dP2(t0) ~ (1/4)(pi/2)^6 (omega12/omega)^2 for small splittings.
+    RK4 with E = (0, -omega12) and ``steps`` steps to t0, run through the
+    common integrator with the two-level coupling embedded in a 3x3 matrix;
+    the reference scaling is dP2(t0) ~ (1/4)(pi/2)^6 (omega12/omega)^2 for
+    small splittings.
     """
-    v0 = 0.5 * math.pi * omega
-    omega12 = omega12_ratio * omega
     t0 = math.pi / (2.0 * omega)
-    dt = t0 / steps
-    e_diag = np.array([0.0, -omega12], dtype=complex)
-
-    def deriv(t: float, a: np.ndarray) -> np.ndarray:
-        v = v0 * math.cos(omega * t)
-        return -1j * (e_diag * a + v * np.array([a[1], a[0]]))
-
-    a = np.array([1.0 + 0.0j, 0.0j])
-    for step in range(steps):
-        t = step * dt
-        k1 = deriv(t, a)
-        k2 = deriv(t + 0.5 * dt, a + 0.5 * dt * k1)
-        k3 = deriv(t + 0.5 * dt, a + 0.5 * dt * k2)
-        k4 = deriv(t + dt, a + dt * k3)
-        a = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return float(1.0 - abs(a[1]) ** 2)
+    pulse = Pulse.harmonic(0.5 * math.pi * omega, omega)
+    energies = LevelEnergies.from_splittings(omega12_ratio * omega, 0.0)
+    config = IntegratorConfig(dt=t0 / steps, record_every=steps)
+    (trace,) = require_traces(integrate_batch([(_TWO_LEVEL_COUPLING, energies, pulse, t0)], config))
+    return float(1.0 - trace.p2[-1])

@@ -8,12 +8,30 @@ solutions.  It integrates
 directly in the bare basis (no interaction-picture transformation), for
 degenerate or split level energies, and it applies ideal kicks spectrally
 since a delta function cannot enter a time stepper.
+
+The right-hand side is -i H(t) a with H = diag(E) + V(t) K real, so one
+classical RK4 step of size h is exactly the linear map a <- P a, where H0,
+Hh and H1 are H at t, t + h/2 and t + h:
+
+    P = I - h^2/6 (Hh H0 + Hh^2 + H1 Hh) + h^4/24 H1 Hh^2 H0
+          - i [h/6 (H0 + 4 Hh + H1) - h^3/12 (Hh^2 H0 + H1 Hh^2)].
+
+This is the four stages k1..k4 multiplied out, not a different scheme: the
+same stage times, the same weights and the same fourth-order error, with
+no eigen-decomposition, dressed basis or analytic action involved.  Only
+the rounding order differs from a stage-by-stage loop.  The core samples V
+once on the half-step grid, builds P with real stacked matrix products for
+a chunk of steps of N configurations at once, and then applies P step by
+step.  ``_CHUNK_CONFIG_STEPS`` bounds the configuration-steps in a chunk,
+and so the working memory of the stacked matrices, whatever the run length
+or the number of configurations.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,64 +164,147 @@ def integrate(
 
     Populations are squared magnitudes taken at sample times, never
     accumulated.  The run is rejected (NormDriftExceededError) when
-    max |1 - sum |a_i|^2| exceeds 1e-6.
+    max |1 - sum |a_i|^2| exceeds 1e-6 or is not finite.
     """
-    if pulse.shape == "ideal_kick":
-        raise InvalidConfigError("an ideal kick cannot be time-stepped; use propagate_kick")
-    if not t_end > 0:
-        raise InvalidConfigError("t_end must be positive")
+    run = (ratios.coupling_matrix(), energies, pulse, t_end)
+    (trace,) = require_traces(integrate_batch([run], config, record_amplitudes=record_amplitudes))
+    return trace
 
-    dt_nominal = config.resolve_dt(pulse, t_end)
-    n_steps = max(1, int(math.ceil(t_end / dt_nominal - 1e-12)))
-    dt = t_end / n_steps
 
-    k_matrix = ratios.coupling_matrix().astype(complex)
-    e_diag = np.asarray(energies.e, dtype=complex)
-    value = pulse.value
+def integrate_batch(
+    runs: Sequence[tuple[np.ndarray, LevelEnergies, Pulse, float]],
+    config: IntegratorConfig = IntegratorConfig(),
+    *,
+    record_amplitudes: bool = False,
+) -> list[PopulationTrace | NormDriftExceededError]:
+    """``integrate`` for several runs at once, advanced together by one RK4 core.
 
-    def deriv(t: float, a: np.ndarray) -> np.ndarray:
-        return -1j * (e_diag * a + value(t) * (k_matrix @ a))
+    Each run is (K, energies, pulse, t_end) with K a real symmetric 3x3
+    coupling matrix, such as ``CouplingRatios.coupling_matrix()``.  Each run
+    resolves its own step from ``config`` as ``integrate`` does, and all of
+    them must come to the same number of steps.
 
-    n_records = n_steps // config.record_every + 1 + (1 if n_steps % config.record_every else 0)
-    times = np.empty(n_records)
-    pops = np.empty((n_records, 3))
-    amps = np.empty((n_records, 3), dtype=complex) if record_amplitudes else None
+    Returns one result per run: its trace, or, when that run's norm drift
+    exceeds NORM_DRIFT_LIMIT or is not finite, the NormDriftExceededError
+    that ``integrate`` would raise for it.  The other runs are unaffected.
+    """
+    if not runs:
+        return []
+    k = np.empty((len(runs), 3, 3))
+    e = np.empty((len(runs), 3))
+    dt = np.empty(len(runs))
+    step_counts = set()
+    for i, (coupling, energies, pulse, t_end) in enumerate(runs):
+        if pulse.shape == "ideal_kick":
+            raise InvalidConfigError("an ideal kick cannot be time-stepped; use propagate_kick")
+        if not t_end > 0:
+            raise InvalidConfigError("t_end must be positive")
+        coupling = np.asarray(coupling, dtype=float)
+        if not (
+            coupling.shape == (3, 3)
+            and np.all(np.isfinite(coupling))
+            and np.array_equal(coupling, coupling.T)
+        ):
+            raise InvalidConfigError(f"coupling must be a finite symmetric 3x3 matrix, got {coupling}")
+        k[i] = coupling
+        e[i] = energies.e
+        n_steps = max(1, int(math.ceil(t_end / config.resolve_dt(pulse, t_end) - 1e-12)))
+        step_counts.add(n_steps)
+        dt[i] = t_end / n_steps
+    if len(step_counts) != 1:
+        raise InvalidConfigError(f"runs in one batch must share a step count, got {sorted(step_counts)}")
 
-    a = np.array([1.0 + 0.0j, 0.0j, 0.0j])
-    worst_drift = 0.0
-    idx = 0
+    pulses = [run[2] for run in runs]
+    record_steps, pops, amps = _rk4(k, e, pulses, dt, n_steps, config.record_every, record_amplitudes)
+    drifts = np.max(np.abs(1.0 - pops.sum(axis=2)), axis=1)
+    results: list[PopulationTrace | NormDriftExceededError] = []
+    for i, drift in enumerate(drifts):
+        if not drift <= NORM_DRIFT_LIMIT:
+            results.append(NormDriftExceededError(
+                f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT:g}; reduce the step"
+            ))
+            continue
+        results.append(PopulationTrace(
+            times=record_steps * dt[i],
+            populations=pops[i],
+            norm_drift=float(drift),
+            amplitudes=None if amps is None else amps[i],
+        ))
+    return results
 
-    def record(step: int, t: float) -> None:
-        nonlocal idx, worst_drift
-        p = np.abs(a) ** 2
-        worst_drift = max(worst_drift, abs(1.0 - float(p.sum())))
-        times[idx] = t
-        pops[idx] = p
-        if amps is not None:
-            amps[idx] = a
-        idx += 1
 
-    record(0, 0.0)
-    for step in range(n_steps):
-        t = step * dt
-        k1 = deriv(t, a)
-        k2 = deriv(t + 0.5 * dt, a + 0.5 * dt * k1)
-        k3 = deriv(t + 0.5 * dt, a + 0.5 * dt * k2)
-        k4 = deriv(t + dt, a + dt * k3)
-        a = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (step + 1) % config.record_every == 0 or step + 1 == n_steps:
-            record(step + 1, (step + 1) * dt)
+def require_traces(results: list[PopulationTrace | NormDriftExceededError]) -> list[PopulationTrace]:
+    """The traces of ``integrate_batch`` results; raises the first run's drift error, if any."""
+    for result in results:
+        if isinstance(result, NormDriftExceededError):
+            raise result
+    return results
 
-    times = times[:idx]
-    pops = pops[:idx]
+
+# Bigger chunks run faster but hold more memory: on the sweep benchmark, 2,048
+# configuration-steps took 0.19 s instead of 0.30 s but raised peak RSS by 12%
+# over the serial loop (the benchmark allows 10%); 256 raises it by 2.5%.
+_CHUNK_CONFIG_STEPS = 256
+
+
+def _rk4(
+    k: np.ndarray,
+    e: np.ndarray,
+    pulses: Sequence[Pulse],
+    dt: np.ndarray,
+    n_steps: int,
+    record_every: int,
+    record_amplitudes: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """RK4 for N runs from a(0) = (1, 0, ..., 0), all taking n_steps steps.
+
+    ``k`` is [N, n, n] and ``e`` is [N, n], both real; run i has step dt[i]
+    and drive pulses[i].  Records are taken at steps 0, record_every,
+    2 record_every, ... and at the last step.  Returns the record steps, the
+    populations [N, n_records, n] and, if asked for, the amplitudes in the
+    same shape (None otherwise).
+    """
+    n_runs, n = e.shape
+    record_steps = np.arange(0, n_steps + 1, record_every)
+    if record_steps[-1] != n_steps:
+        record_steps = np.append(record_steps, n_steps)
+    pops = np.empty((len(record_steps), n_runs, n))
+    amps = np.empty((len(record_steps), n_runs, n), dtype=complex) if record_amplitudes else None
+    a = np.zeros((n_runs, n, 1), dtype=complex)
+    a[:, 0] = 1.0
+    pops[0] = np.abs(a[..., 0]) ** 2
     if amps is not None:
-        amps = amps[:idx]
+        amps[0] = a[..., 0]
+    next_record = 1
 
-    if worst_drift > NORM_DRIFT_LIMIT:
-        raise NormDriftExceededError(
-            f"norm drift {worst_drift:.3e} exceeds {NORM_DRIFT_LIMIT:g}; reduce the step"
-        )
-    return PopulationTrace(times=times, populations=pops, norm_drift=worst_drift, amplitudes=amps)
+    eye = np.eye(n)
+    e_diag = e[:, :, None] * eye
+    h = dt[:, None, None]
+    half_dt = 0.5 * dt
+    chunk = max(1, _CHUNK_CONFIG_STEPS // n_runs)
+    # Overflow and NaN propagate into the amplitudes, where the drift gate catches them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, n_steps, chunk):
+            count = min(chunk, n_steps - first)
+            half_steps = np.arange(2 * first, 2 * (first + count) + 1)
+            v = np.stack([p.value(half_steps * hd) for p, hd in zip(pulses, half_dt)], axis=1)
+            hams = e_diag + v[:, :, None, None] * k  # [2 count + 1, N, n, n]
+            h0, hh, h1 = hams[0:-1:2], hams[1::2], hams[2::2]
+            hh2 = hh @ hh
+            hh_h0 = hh @ h0
+            h1_hh = h1 @ hh
+            h1_hh2 = h1_hh @ hh
+            real = eye - h * h / 6.0 * (hh_h0 + hh2 + h1_hh) + h**4 / 24.0 * (h1_hh2 @ h0)
+            imag = h**3 / 12.0 * (hh2 @ h0 + h1_hh2) - h / 6.0 * (h0 + 4.0 * hh + h1)
+            for step, p in enumerate(real + 1j * imag, start=first + 1):
+                a = p @ a
+                if step % record_every == 0 or step == n_steps:
+                    pops[next_record] = np.abs(a[..., 0]) ** 2
+                    if amps is not None:
+                        amps[next_record] = a[..., 0]
+                    next_record += 1
+    pops = pops.transpose(1, 0, 2)
+    return record_steps, pops, None if amps is None else amps.transpose(1, 0, 2)
 
 
 def propagate_kick(basis: DressedBasis, kick_area: float) -> AmplitudeState:

@@ -49,6 +49,9 @@ class Pulse:
     def __post_init__(self):
         if self.shape not in ("harmonic", "constant", "gaussian_kick", "ideal_kick", "tabulated"):
             raise ValueError(f"unknown pulse shape {self.shape!r}")
+        scalars = (self.v0, self.omega, self.kick_area, self.kick_center, self.kick_width)
+        if not all(math.isfinite(v) for v in scalars):
+            raise ValueError(f"pulse parameters must be finite, got {scalars}")
         if self.shape == "harmonic" and not self.omega > 0:
             raise ValueError("harmonic pulse requires omega > 0")
         if self.shape == "gaussian_kick" and not self.kick_width > 0:
@@ -97,29 +100,32 @@ class Pulse:
 
     # -- evaluation ----------------------------------------------------
 
-    def value(self, t: float) -> float:
-        """V(t).  Querying an ideal kick exactly at its firing time is an error."""
-        if not math.isfinite(t):
+    def value(self, t: float | np.ndarray) -> float | np.ndarray:
+        """V(t) at a time (returns a float) or an array of times (returns an array).
+
+        Querying an ideal kick exactly at its firing time is an error, as is
+        querying a tabulated pulse outside its table.
+        """
+        ts = np.asarray(t, dtype=float)
+        if not np.isfinite(ts).all():
             raise ValueError("time must be finite")
         if self.shape == "harmonic":
-            return self.v0 * math.cos(self.omega * t)
-        if self.shape == "constant":
-            return self.v0
-        if self.shape == "gaussian_kick":
-            u = (t - self.kick_center) / self.kick_width
-            return (
-                self.kick_area
-                * math.exp(-0.5 * u * u)
-                / (self.kick_width * math.sqrt(2.0 * math.pi))
-            )
-        if self.shape == "ideal_kick":
-            if t == self.kick_center:
+            v = self.v0 * np.cos(self.omega * ts)
+        elif self.shape == "constant":
+            v = np.full_like(ts, self.v0)
+        elif self.shape == "gaussian_kick":
+            u = (ts - self.kick_center) / self.kick_width
+            v = self.kick_area * np.exp(-0.5 * u * u) / (self.kick_width * math.sqrt(2.0 * math.pi))
+        elif self.shape == "ideal_kick":
+            if np.any(ts == self.kick_center):
                 raise IdealKickPointQueryError(
                     "an ideal kick has no pointwise value at its firing time; "
                     "use its action step instead"
                 )
-            return 0.0
-        return self._interp_tabulated(t)
+            v = np.zeros_like(ts)
+        else:
+            v = self._interp_tabulated(ts)
+        return float(v) if v.ndim == 0 else v
 
     def area(self, t: float) -> ActionValue:
         """Running action A(t) = integral of V from 0 to t (exact per shape)."""
@@ -149,11 +155,13 @@ class Pulse:
         vs = np.array([v for _, v in self.samples])
         return ts, vs
 
-    def _interp_tabulated(self, t: float) -> float:
+    def _interp_tabulated(self, t: np.ndarray) -> np.ndarray:
         ts, vs = self._table_arrays()
-        if t < ts[0] or t > ts[-1]:
-            raise OutOfRangeError(f"t={t} outside the table range [{ts[0]}, {ts[-1]}]")
-        return float(np.interp(t, ts, vs))
+        outside = (t < ts[0]) | (t > ts[-1])
+        if np.any(outside):
+            first = float(np.extract(outside, t)[0])
+            raise OutOfRangeError(f"t={first} outside the table range [{ts[0]}, {ts[-1]}]")
+        return np.interp(t, ts, vs)
 
     def _area_tabulated(self, t: float) -> float:
         # trapezoid sums are exact for the linear interpolant

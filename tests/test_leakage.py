@@ -216,6 +216,32 @@ class TestTwoLevel:
         p2_fine = max(two_level_populations(TwoLevelParams(0.0, 2.0, float(a)))[1] for a in fine)
         assert p2_fine == pytest.approx(0.5, abs=1e-9)
 
+    def test_measured_deficit_is_the_two_level_rk4(self):
+        """The 3x3 embedding gives what a direct 2x2 RK4 loop gives."""
+
+        def direct(ratio, omega, steps):
+            v0, t0 = 0.5 * math.pi * omega, math.pi / (2.0 * omega)
+            dt = t0 / steps
+            e_diag = np.array([0.0, -ratio * omega], dtype=complex)
+
+            def deriv(t, a):
+                return -1j * (e_diag * a + v0 * math.cos(omega * t) * np.array([a[1], a[0]]))
+
+            a = np.array([1.0 + 0.0j, 0.0j])
+            for step in range(steps):
+                t = step * dt
+                k1 = deriv(t, a)
+                k2 = deriv(t + 0.5 * dt, a + 0.5 * dt * k1)
+                k3 = deriv(t + 0.5 * dt, a + 0.5 * dt * k2)
+                k4 = deriv(t + dt, a + dt * k3)
+                a = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            return 1.0 - abs(a[1]) ** 2
+
+        for ratio, omega, steps in ((0.05, 1.0, 600), (0.3, 2.0, 257)):
+            assert measured_two_level_deficit(ratio, omega, steps) == pytest.approx(
+                direct(ratio, omega, steps), rel=0, abs=1e-13
+            )
+
     def test_harmonic_deficit_tracks_quadratic_law(self):
         """Measured two-level deficit scales as (omega12/omega)^2; its
         coefficient is 0.165 (the t0-truncation reference (1/4)(pi/2)^6

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 from helpers import count_returns
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripop import (
     CouplingRatios,
@@ -16,15 +18,20 @@ from tripop import (
     Pulse,
     TwoLevelParams,
     build_dressed_basis,
+    check_condition,
     compare_analytic_numeric,
     default_steps_per_period,
     dwell_time,
     export_trace_csv,
     harmonic_for_condition,
     integrate,
+    integrate_batch,
     propagate_kick,
+    require_traces,
     two_level_populations,
+    verify_conditions,
 )
+from tripop.propagate import _rk4
 
 RNG = np.random.default_rng(19)
 
@@ -92,6 +99,15 @@ class TestIntegrate:
                 IntegratorConfig(dt=0.3),
             )
 
+    def test_nan_drift_trips_the_guard(self):
+        """An overflowing drive gives NaN amplitudes; the guard must not read
+        their drift as zero."""
+        with pytest.raises(NormDriftExceededError):
+            integrate(
+                RATIOS_33, DEGENERATE, Pulse.constant(1e160), 1.0,
+                IntegratorConfig(steps_per_period=50),
+            )
+
     def test_nondegenerate_norm_conserved(self):
         """Splittings change populations but the evolution stays unitary."""
         energies = LevelEnergies.from_splittings(0.3, -0.2)
@@ -101,6 +117,130 @@ class TestIntegrate:
         assert trace.norm_drift < 1e-10
         assert energies.omega12 == pytest.approx(0.3)
         assert energies.omega13 == pytest.approx(-0.2)
+
+
+def stagewise_rk4(k, e, pulse, dt, n_steps):
+    """Amplitudes after every step of a plain four-stage RK4 loop."""
+
+    def deriv(t, a):
+        return -1j * (e * a + pulse.value(t) * (k @ a))
+
+    a = np.array([1.0, 0.0, 0.0], dtype=complex)
+    out = [a]
+    for step in range(n_steps):
+        t = step * dt
+        k1 = deriv(t, a)
+        k2 = deriv(t + 0.5 * dt, a + 0.5 * dt * k1)
+        k3 = deriv(t + 0.5 * dt, a + 0.5 * dt * k2)
+        k4 = deriv(t + dt, a + dt * k3)
+        a = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(a)
+    return np.array(out)
+
+
+_unit = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def rk4_runs(draw):
+    """N in 1..5 runs of random symmetric K, split E, pulse and step, sharing a step count."""
+    n_runs = draw(st.integers(1, 5))
+    n_steps = draw(st.integers(40, 300))
+    record_every = draw(st.integers(3, 17).filter(lambda r: n_steps % r))
+    runs = []
+    for _ in range(n_runs):
+        upper = np.array(draw(st.lists(_unit, min_size=6, max_size=6)))
+        k = np.zeros((3, 3))
+        k[np.triu_indices(3)] = upper
+        k = k + np.triu(k, 1).T
+        e = np.array(draw(st.lists(_unit, min_size=3, max_size=3)))
+        t_end = draw(st.floats(0.2, 2.0))
+        shape = draw(st.sampled_from(("harmonic", "gaussian_kick", "tabulated")))
+        if shape == "harmonic":
+            pulse = Pulse.harmonic(draw(_unit), draw(st.floats(0.5, 5.0)))
+        elif shape == "gaussian_kick":
+            pulse = Pulse.gaussian_kick(draw(_unit), draw(st.floats(0.0, t_end)), draw(st.floats(0.1, 1.0)))
+        else:
+            knots = np.linspace(-0.5, t_end + 0.5, draw(st.integers(2, 12)))
+            pulse = Pulse.tabulated(knots, draw(st.lists(_unit, min_size=len(knots), max_size=len(knots))))
+        runs.append((k, e, pulse, t_end / n_steps))
+    return runs, n_steps, record_every
+
+
+class TestBatchedCore:
+    @settings(max_examples=40, deadline=None)
+    @given(rk4_runs())
+    def test_core_matches_stagewise_rk4(self, case):
+        """The step-matrix core is the four-stage RK4, run by run, at every record."""
+        runs, n_steps, record_every = case
+        k = np.array([r[0] for r in runs])
+        e = np.array([r[1] for r in runs])
+        dt = np.array([r[3] for r in runs])
+        steps, pops, amps = _rk4(k, e, [r[2] for r in runs], dt, n_steps, record_every, True)
+        assert steps.tolist() == [*range(0, n_steps, record_every), n_steps]
+        for i, (ki, ei, pulse, dti) in enumerate(runs):
+            reference = stagewise_rk4(ki, ei, pulse, dti, n_steps)[steps]
+            np.testing.assert_allclose(amps[i], reference, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(pops[i], np.abs(amps[i]) ** 2)
+
+    def test_batch_matches_integrate(self, cond_15):
+        """Each run of a batch gives the times, record count and populations
+        of its own ``integrate`` call; the stride does not divide the step count."""
+        config = IntegratorConfig(steps_per_period=2002, record_every=7)
+        pulse = harmonic_for_condition(cond_15, 1.0)
+        cases = [
+            (cond_15.ratios(), DEGENERATE),
+            (cond_15.ratios(beta=-1), LevelEnergies.from_splittings(0.1, 0.05)),
+            (RATIOS_33, LevelEnergies.from_splittings(-0.3, 0.2)),
+        ]
+        runs = [(ratios.coupling_matrix(), energies, pulse, T / 4) for ratios, energies in cases]
+        batch = require_traces(integrate_batch(runs, config))
+        for (ratios, energies), trace in zip(cases, batch):
+            single = integrate(ratios, energies, pulse, T / 4, config)
+            assert len(trace.times) == len(single.times) == 501 // 7 + 2
+            np.testing.assert_array_equal(trace.times, single.times)
+            np.testing.assert_allclose(trace.populations, single.populations, rtol=0, atol=1e-14)
+
+    def test_one_run_over_the_drift_limit(self):
+        """A run that drifts fails alone; the others return their traces."""
+        config = IntegratorConfig(dt=0.05)
+        pulse = Pulse.harmonic(1.0, 1.0)
+        calm = RATIOS_33.coupling_matrix()
+        runs = [(calm, DEGENERATE, pulse, T), (8.0 * calm, DEGENERATE, pulse, T), (calm, DEGENERATE, pulse, T)]
+        results = integrate_batch(runs, config)
+        assert isinstance(results[1], NormDriftExceededError)
+        single = integrate(RATIOS_33, DEGENERATE, pulse, T, config)
+        for trace in (results[0], results[2]):
+            np.testing.assert_allclose(trace.populations, single.populations, rtol=0, atol=1e-14)
+        with pytest.raises(NormDriftExceededError):
+            require_traces(results)
+
+    def test_verify_fails_only_the_drifting_rows(self):
+        """At 500 steps per period the high-product conditions drift past the
+        limit and fail alone; every row equals its own single check."""
+        checks = verify_conditions(35, steps_per_period=500)
+        drifting = [c for c in checks if math.isinf(c.ode_deviation)]
+        assert 0 < len(drifting) < len(checks)
+        for c in checks:
+            single = check_condition(c.condition, steps_per_period=500)
+            assert single.passed == c.passed
+            if math.isinf(c.ode_deviation):
+                assert math.isinf(single.ode_deviation)
+            else:
+                assert single.ode_deviation == pytest.approx(c.ode_deviation, rel=0, abs=1e-14)
+
+    def test_rejects_unusable_batches(self):
+        k = RATIOS_33.coupling_matrix()
+        pulse = Pulse.harmonic(1.0, 1.0)
+        config = IntegratorConfig(steps_per_period=100)
+        with pytest.raises(InvalidConfigError):  # 25 vs 50 steps
+            integrate_batch([(k, DEGENERATE, pulse, T / 4), (k, DEGENERATE, pulse, T / 2)], config)
+        lopsided = k.copy()
+        lopsided[0, 1] = 3.0
+        for bad in (lopsided, k[:2, :2], np.full((3, 3), np.nan)):
+            with pytest.raises(InvalidConfigError):
+                integrate_batch([(bad, DEGENERATE, pulse, 1.0)], config)
+        assert integrate_batch([], config) == []
 
 
 class TestAnalyticAgreement:

@@ -54,6 +54,44 @@ class TestValue:
         with pytest.raises(OutOfRangeError):
             p.value(2.5)
 
+    @pytest.mark.parametrize(
+        "pulse",
+        [
+            Pulse.harmonic(V33, 1.3),
+            Pulse.constant(-0.7),
+            Pulse.gaussian_kick(2.0, 1.5, 0.4),
+            Pulse.ideal_kick(1.0, kick_center=2.0),
+            Pulse.tabulated([-1.0, 0.5, 2.0, 4.0], [0.0, 2.0, -1.0, 0.5]),
+        ],
+        ids=lambda p: p.shape,
+    )
+    def test_array_matches_scalar(self, pulse):
+        """An array query returns, element by element, the scalar values."""
+        ts = np.linspace(-0.9, 3.9, 37)
+        values = pulse.value(ts)
+        assert isinstance(values, np.ndarray) and values.shape == ts.shape
+        scalars = [pulse.value(float(t)) for t in ts]
+        assert all(isinstance(v, float) for v in scalars)
+        np.testing.assert_allclose(values, scalars, rtol=1e-15, atol=0)
+        assert pulse.value(ts.reshape(37, 1)).shape == (37, 1)
+
+    def test_array_query_errors(self):
+        """One bad time fails the whole array query, as it fails a scalar one."""
+        with pytest.raises(IdealKickPointQueryError):
+            Pulse.ideal_kick(1.0, kick_center=2.0).value(np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(OutOfRangeError, match="t=2.5"):
+            Pulse.tabulated([0.0, 1.0, 2.0], [0.0, 2.0, 0.0]).value(np.array([0.5, 2.5, 3.0]))
+        with pytest.raises(ValueError):
+            Pulse.constant(1.0).value(np.array([0.0, np.nan]))
+
+    @pytest.mark.parametrize("field", ["v0", "omega", "kick_area", "kick_center", "kick_width"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_parameters(self, field, bad):
+        shape = "harmonic" if field in ("v0", "omega") else "gaussian_kick"
+        params = {"omega": 1.0, "kick_width": 0.5, field: bad}
+        with pytest.raises(ValueError):
+            Pulse(shape=shape, **params)
+
     def test_tabulated_requires_increasing_times(self):
         with pytest.raises(ValueError):
             Pulse.tabulated([0.0, 1.0, 1.0], [0.0, 1.0, 2.0])
