@@ -7,38 +7,44 @@ element sharing one time profile V(t), the coupled amplitude equations
     i da2/dt = (alpha*a1 + eps2*a2 +      a3) V(t)
     i da3/dt = (beta*a1  +      a2 + eps3*a3) V(t)
 
-are solved exactly by linear combinations c = a1 + x*a2 + y*a3 that evolve
-by pure phases, c_j(t) = c_j(0) * exp(-i z_j A(t)), where A(t) is the action
-integral of V.  The admissible y are the roots of a cubic whose coefficients
-depend only on the dimensionless coupling ratios; x and z follow from the
-fixed-point relations
+are i da/dt = V(t) K a with K the real symmetric coupling-ratio matrix, so
+they are solved exactly by the eigenvectors u_j of K (the dressed states):
+each evolves by a pure phase exp(-i z_j A(t)), where A(t) is the action
+integral of V and z_j the eigenvalue.  ``build_dressed_basis`` takes them
+from ``numpy.linalg.eigh``, which gives a real spectrum and an orthonormal
+basis for every finite coupling (the Morris-Shore view of the problem:
+J. R. Morris and B. W. Shore, Phys. Rev. A 27, 906 (1983)).
+
+The paper reaches the same spectrum another way: it writes each dressed
+state as c = a1 + x*a2 + y*a3, the (1, x, y) gauge, whose y are the roots
+of a cubic with coefficients in the coupling ratios alone, and x and z
+follow from the fixed-point relations
 
     z = eps1 + alpha*x + beta*y
     x*z = alpha + eps2*x + y
     y*z = beta + x + eps3*y
 
-This module solves that eigenproblem and evaluates the resulting bare-state
-amplitudes and populations as functions of the accumulated action.
+``solve_cubic`` keeps that derivation.  The gauge is u_j scaled to a unit
+first component, so it exists unless a dressed state has no level-1
+component; ``DressedBasis`` derives it from the eigenvectors on request.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ComplexRootsError,
-    NoConsistentXError,
-    RepeatedRootError,
-    SingularBasisError,
-)
+from .errors import ComplexRootsError, RepeatedRootError
 
 ROOT_TOL = 1e-9
 RESIDUAL_TOL = 1e-9
-DET_TOL = 1e-9
-INVERSE_TOL = 1e-10
+# A double root of the cubic (it has one all along beta = 0, eps1 = eps3)
+# comes out split by up to 3.3e-7 of max(1, |y|), and roots that close, or
+# a cubic that nearly vanishes, are resolved only to about eps over that
+# gap; such roots count as repeated.
+REPEATED_ROOT_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -67,26 +73,55 @@ class CouplingRatios:
         return np.array([[e1, a, b], [a, e2, 1.0], [b, 1.0, e3]])
 
 
+def _has_gauge(m_inv: np.ndarray) -> bool:
+    """Whether every dressed state has a level-1 component, |u_j[0]| > ROOT_TOL.
+
+    m_inv[0, j] = u_j[0]^2, so the test needs no eigenvectors.
+    """
+    return bool(np.min(m_inv[0]) > ROOT_TOL**2)
+
+
 @dataclass(frozen=True)
 class DressedBasis:
-    """Eigen-structure of the coupling-ratio matrix in the (1, x, y) gauge.
+    """Dressed states of the coupling-ratio matrix K.
 
-    Row j of ``m`` is (1, x_j, y_j); ``m_inv`` is its exact inverse and
-    ``det`` the determinant.  The bare amplitudes at action A are
+    ``z`` holds the eigenvalues (phase rates) and ``m_inv[i, j]`` is
+    u_j[i] * u_j[0] for the orthonormal eigenvectors u_j, so the bare
+    amplitudes at action A, from a(0) = (1, 0, 0), are
     a_i(A) = sum_j m_inv[i, j] * exp(-i z_j A).
+
+    ``m``, ``x``, ``y`` and ``det`` give the paper's (1, x, y) gauge: row j
+    of ``m`` is (1, x_j, y_j), and ``m_inv`` is its exact inverse.  They
+    raise RepeatedRootError where the gauge does not exist.
     """
 
-    x: tuple[float, float, float]
-    y: tuple[float, float, float]
     z: tuple[float, float, float]
-    det: float
-    m: np.ndarray
     m_inv: np.ndarray
     ratios: CouplingRatios
 
     def __post_init__(self):
-        self.m.setflags(write=False)
         self.m_inv.setflags(write=False)
+
+    @property
+    def m(self) -> np.ndarray:
+        if not _has_gauge(self.m_inv):
+            raise RepeatedRootError(
+                "a dressed state has no level-1 component (as at |alpha| = |beta| with "
+                "equal diagonals); the (1, x, y) gauge does not exist"
+            )
+        return (self.m_inv / self.m_inv[0]).T
+
+    @property
+    def x(self) -> tuple[float, float, float]:
+        return tuple(float(v) for v in self.m[:, 1])
+
+    @property
+    def y(self) -> tuple[float, float, float]:
+        return tuple(float(v) for v in self.m[:, 2])
+
+    @property
+    def det(self) -> float:
+        return float(np.linalg.det(self.m))
 
 
 @dataclass(frozen=True)
@@ -198,10 +233,11 @@ def solve_cubic(ratios: CouplingRatios) -> tuple[float, float, float]:
     """
     a, b, c, d = cubic_coefficients(ratios)
     scale = max(abs(a), abs(b), abs(c), abs(d))
-    if scale == 0.0:
+    size = max(1.0, abs(ratios.alpha), abs(ratios.beta), *(abs(e) for e in ratios.eps)) ** 3
+    if scale <= REPEATED_ROOT_TOL * size:
         raise RepeatedRootError(
-            "eigenvalue cubic vanishes identically (|alpha| = |beta| = 1 with equal "
-            "diagonals); the dressed basis is degenerate"
+            "eigenvalue cubic vanishes (|alpha| = |beta| = 1 with equal diagonals, "
+            "or nearly so); the dressed basis is degenerate"
         )
     if abs(a) <= ROOT_TOL * scale:
         raise RepeatedRootError(
@@ -217,7 +253,7 @@ def solve_cubic(ratios: CouplingRatios) -> tuple[float, float, float]:
     ymax = max(abs(y) for y in roots)
     for i in range(3):
         for j in range(i + 1, 3):
-            if abs(roots[i] - roots[j]) < ROOT_TOL * max(1.0, ymax):
+            if abs(roots[i] - roots[j]) < REPEATED_ROOT_TOL * max(1.0, ymax):
                 raise RepeatedRootError(
                     f"cubic roots {roots[i]:.6g} and {roots[j]:.6g} coincide within "
                     "tolerance; the dressed basis is singular"
@@ -238,81 +274,21 @@ def solve_cubic(ratios: CouplingRatios) -> tuple[float, float, float]:
     return (roots[0], roots[1], roots[2])
 
 
-def _recover_x(ratios: CouplingRatios, y: float) -> float:
-    """x for a given cubic root y, from the fixed-point relations.
-
-    Eliminating z between z = eps1 + alpha*x + beta*y and y*z = beta + x + eps3*y
-    gives a relation linear in x; when its pivot alpha*y - 1 degenerates the
-    quadratic from the x relation is used instead, picking the branch that
-    satisfies the remaining constraint.
-    """
-    al, be = ratios.alpha, ratios.beta
-    e1, e2, e3 = ratios.eps
-    pivot = al * y - 1.0
-    if abs(pivot) > 1e-8 * (1.0 + abs(al * y)):
-        return (be * (1.0 - y * y) + (e3 - e1) * y) / pivot
-    # pivot degenerate requires alpha != 0, so the quadratic below is genuine
-    disc = (e1 + be * y - e2) ** 2 + 4.0 * al * (al + y)
-    if disc < 0.0:
-        raise NoConsistentXError(f"no real x for root y={y!r}")
-    sq = math.sqrt(disc)
-    candidates = [(-(e1 + be * y - e2) + sq) / (2.0 * al), (-(e1 + be * y - e2) - sq) / (2.0 * al)]
-
-    def y_residual(x: float) -> float:
-        z = e1 + al * x + be * y
-        return abs(y * z - (be + x + e3 * y))
-
-    return min(candidates, key=y_residual)
-
-
 def build_dressed_basis(ratios: CouplingRatios) -> DressedBasis:
-    """Full dressed basis: roots y_j, partners x_j, phase rates z_j, and the
-    basis matrix with its exact inverse.
+    """Dressed basis of the coupling-ratio matrix, for every finite coupling.
 
-    For eps = 0 and beta = +-1 this reproduces the sign pattern
-    x = (beta, beta, -beta) with y = (y+, y-, 0).
+    Where the paper's gauge exists the states are ordered as the cubic's
+    roots are: y descending, a zero root last.  For eps = 0 and beta = +-1
+    this reproduces the sign pattern x = (beta, beta, -beta) with
+    y = (y+, y-, 0).
     """
-    ys = solve_cubic(ratios)
-    al, be = ratios.alpha, ratios.beta
-    e1, e2, e3 = ratios.eps
-
-    xs: list[float] = []
-    zs: list[float] = []
-    for y in ys:
-        x = _recover_x(ratios, y)
-        z = e1 + al * x + be * y
-        r_x = abs(x * z - (al + e2 * x + y))
-        r_y = abs(y * z - (be + x + e3 * y))
-        if r_x >= RESIDUAL_TOL or r_y >= RESIDUAL_TOL:
-            raise NoConsistentXError(
-                f"fixed-point residuals ({r_x:.3e}, {r_y:.3e}) too large for root y={y!r}"
-            )
-        xs.append(x)
-        zs.append(z)
-
-    x1, x2, x3 = xs
-    y1, y2, y3 = ys
-    det = x1 * y2 + x2 * y3 + x3 * y1 - x1 * y3 - x2 * y1 - x3 * y2
-    if abs(det) <= DET_TOL:
-        raise SingularBasisError(f"dressed-basis determinant {det:.3e} below tolerance")
-
-    m = np.array([[1.0, x1, y1], [1.0, x2, y2], [1.0, x3, y3]])
-    m_inv = (
-        np.array(
-            [
-                [x2 * y3 - x3 * y2, x3 * y1 - x1 * y3, x1 * y2 - x2 * y1],
-                [y2 - y3, y3 - y1, y1 - y2],
-                [x3 - x2, x1 - x3, x2 - x1],
-            ]
-        )
-        / det
-    )
-    if float(np.max(np.abs(m @ m_inv - np.eye(3)))) > INVERSE_TOL:
-        raise SingularBasisError("basis matrix inversion failed the identity check")
-
-    return DressedBasis(
-        x=tuple(xs), y=tuple(ys), z=tuple(zs), det=det, m=m, m_inv=m_inv, ratios=ratios
-    )
+    z, u = np.linalg.eigh(ratios.coupling_matrix())
+    m_inv = u * u[0]
+    if _has_gauge(m_inv):
+        y = u[2] / u[0]
+        order = sorted(range(3), key=lambda j: (abs(y[j]) < ROOT_TOL, -y[j]))
+        z, m_inv = z[order], m_inv[:, order]
+    return DressedBasis(z=tuple(z.tolist()), m_inv=m_inv, ratios=ratios)
 
 
 def amplitudes_at(basis: DressedBasis, action: float) -> AmplitudeState:
@@ -326,44 +302,31 @@ def amplitudes_at(basis: DressedBasis, action: float) -> AmplitudeState:
     return AmplitudeState(action=float(action), a=(complex(a[0]), complex(a[1]), complex(a[2])))
 
 
-def _cofactor_rows(basis: DressedBasis) -> np.ndarray:
-    x1, x2, x3 = basis.x
-    y1, y2, y3 = basis.y
-    return np.array(
-        [
-            [x2 * y3 - x3 * y2, x3 * y1 - x1 * y3, x1 * y2 - x2 * y1],
-            [y2 - y3, y3 - y1, y1 - y2],
-            [x3 - x2, x1 - x3, x2 - x1],
-        ]
-    )
-
-
 def populations_general_array(basis: DressedBasis, actions: np.ndarray) -> np.ndarray:
     """Populations of all three levels on an array of action values, shape (N, 3).
 
     Evaluates the cosine-sum form
 
-        P_k(A) = [c1^2 + c2^2 + c3^2 + 2 c1 c2 cos((z1-z2)A)
-                  + 2 c1 c3 cos((z1-z3)A) + 2 c2 c3 cos((z2-z3)A)] / det^2
+        P_k(A) = c1^2 + c2^2 + c3^2 + 2 c1 c2 cos((z1-z2)A)
+                 + 2 c1 c3 cos((z1-z3)A) + 2 c2 c3 cos((z2-z3)A)
 
-    with (c1, c2, c3) the k-th cofactor row of the basis matrix.  All action
+    with (c1, c2, c3) = m_inv[k], the k-th row of the basis inverse.  All action
     dependence enters through cosines, so P_k(A) = P_k(-A) exactly.
     """
     actions = np.atleast_1d(np.asarray(actions, dtype=float))
     z1, z2, z3 = basis.z
-    cof = _cofactor_rows(basis)
     c12 = np.cos((z1 - z2) * actions)
     c13 = np.cos((z1 - z3) * actions)
     c23 = np.cos((z2 - z3) * actions)
     out = np.empty((actions.size, 3))
     for k in range(3):
-        c1, c2, c3 = cof[k]
+        c1, c2, c3 = basis.m_inv[k]
         out[:, k] = (
             c1 * c1 + c2 * c2 + c3 * c3
             + 2.0 * c1 * c2 * c12
             + 2.0 * c1 * c3 * c13
             + 2.0 * c2 * c3 * c23
-        ) / basis.det**2
+        )
     return out
 
 

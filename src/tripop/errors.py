@@ -6,19 +6,15 @@ class TripopError(Exception):
 
 
 class RepeatedRootError(TripopError):
-    """The eigenvalue cubic has a (near-)repeated root; the dressed basis is singular."""
+    """The eigenvalue cubic degenerates, or the paper's (1, x, y) gauge does not exist.
+
+    The cubic degenerates at a vanishing leading coefficient or a repeated
+    root; the gauge is missing where a dressed state has no level-1 component.
+    """
 
 
 class ComplexRootsError(TripopError):
     """The eigenvalue cubic produced complex roots; parameters lie outside the real-spectrum regime."""
-
-
-class SingularBasisError(TripopError):
-    """The dressed-basis matrix is singular (|det| below tolerance)."""
-
-
-class NoConsistentXError(TripopError):
-    """No x value satisfies both fixed-point relations for a cubic root."""
 
 
 class InvalidPairError(TripopError):

@@ -41,6 +41,7 @@ from .dressed import (
     CouplingRatios,
     DressedBasis,
     amplitudes_at,
+    build_dressed_basis,
     populations_general_array,
 )
 from .errors import InvalidConfigError, NormDriftExceededError
@@ -208,7 +209,9 @@ def integrate_batch(
             raise InvalidConfigError(f"coupling must be a finite symmetric 3x3 matrix, got {coupling}")
         k[i] = coupling
         e[i] = energies.e
-        n_steps = max(1, int(math.ceil(t_end / config.resolve_dt(pulse, t_end) - 1e-12)))
+        # t_end / dt can round to just above a whole count; the guard is
+        # relative because an ulp of the count outgrows any absolute one.
+        n_steps = max(1, int(math.ceil(t_end / config.resolve_dt(pulse, t_end) * (1.0 - 1e-12))))
         step_counts.add(n_steps)
         dt[i] = t_end / n_steps
     if len(step_counts) != 1:
@@ -330,8 +333,6 @@ def compare_analytic_numeric(
     """
     if ratios.eps != (0.0, 0.0, 0.0):
         raise InvalidConfigError("analytic comparison requires eps = (0, 0, 0)")
-    from .dressed import build_dressed_basis  # local import avoids a cycle at module load
-
     basis = build_dressed_basis(ratios)
     trace = integrate(ratios, LevelEnergies.degenerate(), pulse, t_end, config)
     actions = np.array([pulse.area(t).a for t in trace.times])

@@ -10,8 +10,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from tripop import OddPair, condition_from_odd_pair, verify_conditions
+from tripop import CouplingRatios, OddPair, condition_from_odd_pair, verify_conditions
 from tripop.cli import main
 
 TABLE_ROWS = {
@@ -141,6 +142,23 @@ class TestTrace:
         interior = p2[1:-1]
         peaks = int(np.sum((interior > p2[:-2]) & (interior > p2[2:])))
         assert peaks > 20
+
+    def test_equal_couplings(self, tmp_path):
+        """alpha = beta = 1 has a repeated dressed energy, where the paper's
+        cubic vanishes; the trace still runs and agrees with RK4."""
+        out = tmp_path / "trace.csv"
+        code = main(
+            [
+                "trace", "--alpha", "1", "--beta", "1", "--area", "1.5",
+                "--periods", "1", "--steps-per-period", "4000", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        rows = read_csv(out)
+        analytic = np.array([[float(r[k]) for k in ("p1", "p2", "p3")] for r in rows])
+        numeric = np.array([[float(r[k]) for k in ("p1_num", "p2_num", "p3_num")] for r in rows])
+        np.testing.assert_allclose(analytic.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(analytic, numeric, atol=1e-6)
 
 
 class TestVerify:
@@ -289,6 +307,22 @@ class TestKick:
         )
         rows = read_csv(out)
         assert float(rows[0]["p2"]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_equal_magnitude_couplings(self, tmp_path):
+        """alpha = beta = 2 leaves one dressed state without a level-1
+        component; the ideal row is the exact propagator's."""
+        out = tmp_path / "kick.csv"
+        code = main(
+            [
+                "kick", "--alpha", "2", "--beta", "2", "--area", "1.5",
+                "--widths", "0.1,0.05", "--steps-per-period", "4000", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        rows = read_csv(out)
+        k = CouplingRatios(2.0, 2.0).coupling_matrix()
+        exact = np.abs(expm(-1j * 1.5 * k)[:, 0]) ** 2
+        np.testing.assert_allclose([float(rows[0][p]) for p in ("p1", "p2", "p3")], exact, atol=1e-12)
 
     def test_increasing_widths_rejected(self, tmp_path):
         out = tmp_path / "kick.csv"

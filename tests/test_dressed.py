@@ -9,12 +9,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from tripop import (
     ComplexRootsError,
     CouplingRatios,
-    NoConsistentXError,
     RepeatedRootError,
+    TripopError,
     amplitudes_at,
     build_dressed_basis,
     cubic_coefficients,
@@ -67,6 +70,15 @@ class TestSolveCubic:
             solve_cubic(CouplingRatios(2.0, 2.0))
         with pytest.raises(RepeatedRootError):
             solve_cubic(CouplingRatios(1.0, 1.0))
+
+    def test_repeated_roots_raise(self):
+        """beta = 0 gives the double root y = 1/alpha, which floating point
+        splits by ~1e-8; a cubic that vanishes but for a 1e-194 diagonal
+        term is degenerate too."""
+        with pytest.raises(RepeatedRootError):
+            solve_cubic(CouplingRatios(1.0, 0.0))
+        with pytest.raises(RepeatedRootError):
+            solve_cubic(CouplingRatios(1.0, 1.0, eps=(0.0, 0.0, 1e-194)))
 
     def test_roots_match_companion_matrix_oracle(self):
         """Closed-form roots agree with numpy's companion-matrix eigenvalues."""
@@ -150,6 +162,13 @@ class TestBuildDressedBasis:
                 assert abs(y * z - (be + x + e3 * y)) < 1e-9
                 assert z == pytest.approx(e1 + al * x + be * y, abs=1e-12)
 
+    def test_gauge_missing_where_a_state_decouples_from_level_1(self):
+        """At alpha = beta = 2 the state (0, 1, -1)/sqrt2 has no level-1
+        component, so no row (1, x, y) describes it."""
+        basis = build_dressed_basis(CouplingRatios(2.0, 2.0))
+        with pytest.raises(RepeatedRootError):
+            basis.x
+
     def test_rows_are_coupling_matrix_eigenvectors(self):
         """(1, x_j, y_j) is an eigenvector of the ratio matrix with eigenvalue z_j."""
         for ratios in random_ratios(20):
@@ -232,3 +251,53 @@ class TestPopulations:
                 assert populations_general(basis, float(action)) == populations_general(
                     basis, float(-action)
                 )
+
+
+# Couplings on or next to |alpha| = |beta|, where the paper's cubic degenerates.
+CUBIC_REFUSALS = [(1.0 + 1e-7, 1.0), (1.0, 1.0), (2.0, 2.0), (2.0, -2.0)]
+
+
+class TestEveryCoupling:
+    @pytest.mark.parametrize("eps", [(0.0, 0.0, 0.0), (0.3, 0.3, 0.3)])
+    @pytest.mark.parametrize("alpha, beta", CUBIC_REFUSALS)
+    def test_populations_match_the_exact_propagator(self, alpha, beta, eps):
+        """Populations equal |exp(-i K A)[:, 0]|^2 within 1e-12 and sum to 1."""
+        ratios = CouplingRatios(alpha, beta, eps=eps)
+        actions = np.linspace(-3.0, 7.0, 41)
+        p = populations_general_array(build_dressed_basis(ratios), actions)
+        k = ratios.coupling_matrix()
+        exact = np.array([np.abs(expm(-1j * a * k)[:, 0]) ** 2 for a in actions])
+        np.testing.assert_allclose(p, exact, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(-5.0, 5.0),
+        st.floats(-5.0, 5.0),
+        st.one_of(st.just((0.0, 0.0, 0.0)), st.tuples(*[st.floats(-1.0, 1.0)] * 3)),
+    )
+    def test_cubic_roots_are_the_gauge_y(self, alpha, beta, eps):
+        """The basis exists for every coupling, its z are eigvalsh(K), and
+        wherever solve_cubic returns, its roots are the gauge's y (1e-9 relative).
+
+        The comparison is skipped where the eigenvectors fix y = u[2]/u[0] only
+        to about eps / (gap * |u[0]|), with gap the smallest spacing of z: next
+        to a repeated z that reached 4e-9 of y at alpha = -beta = 0.99999,
+        eps = (-1.2e-7, 2.2e-16, -1.2e-7), against a 50-digit eigensolver.
+        """
+        ratios = CouplingRatios(alpha, beta, eps=eps)
+        basis = build_dressed_basis(ratios)
+        z = np.sort(basis.z)
+        np.testing.assert_allclose(
+            z, np.linalg.eigvalsh(ratios.coupling_matrix()), rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(z)))
+        )
+        p = populations_general_array(basis, np.linspace(0.0, 10.0, 11))
+        np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        try:
+            roots = np.sort(solve_cubic(ratios))
+        except TripopError:
+            return
+        if np.min(np.diff(z)) * np.sqrt(np.min(basis.m_inv[0])) < 2.2e-16 / 1e-10:
+            return
+        y = np.sort(basis.y)
+        assert np.all(np.abs(roots - y) <= 1e-9 * np.maximum(1.0, np.abs(roots))), (roots, y)

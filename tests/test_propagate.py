@@ -108,6 +108,13 @@ class TestIntegrate:
                 IntegratorConfig(steps_per_period=50),
             )
 
+    def test_whole_step_count_is_kept(self):
+        """t / (t / n) can round to just above n; the run still takes n steps."""
+        t, n = math.pi / 2.0, 20730
+        trace = integrate(RATIOS_33, DEGENERATE, Pulse.constant(1.0), t, IntegratorConfig(dt=t / n, record_every=n))
+        assert len(trace.times) == 2
+        assert trace.times[-1] == pytest.approx(t, rel=1e-15)
+
     def test_nondegenerate_norm_conserved(self):
         """Splittings change populations but the evolution stays unitary."""
         energies = LevelEnergies.from_splittings(0.3, -0.2)
