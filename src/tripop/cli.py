@@ -45,27 +45,15 @@ from .propagate import (
     integrate_batch,
     propagate_kick,
     require_traces,
+    write_csv,
 )
 from .pulses import Pulse, harmonic_for_condition
 from .verification import verify_conditions
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _write_rows(path: str, fmt: str, command: str, params: dict, header: list[str], rows: list[list]) -> None:
     if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        write_csv(path, header, rows)
         return
     payload = {
         "meta": {"command": command, "parameters": params, "version": __version__},
@@ -114,13 +102,10 @@ def cmd_trace(args) -> int:
     t_end = args.periods * pulse.period
     config = IntegratorConfig(steps_per_period=_steps(args))
     trace = integrate(ratios, LevelEnergies.degenerate(), pulse, t_end, config)
-    actions = np.array([pulse.area(t).a for t in trace.times])
+    actions = pulse.area(trace.times).a
     analytic = populations_general_array(basis, actions)
     header = ["t", "p1", "p2", "p3", "p1_num", "p2_num", "p3_num"]
-    rows = [
-        [t, *analytic[i], *trace.populations[i]]
-        for i, t in enumerate(trace.times)
-    ]
+    rows = np.column_stack((trace.times, analytic, trace.populations))
     params = {
         "alpha": args.alpha, "beta": args.beta, "area": args.area,
         "periods": args.periods, "steps_per_period": config.steps_per_period,

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComplexRootsError, RepeatedRootError
+from .errors import RepeatedRootError
 
 ROOT_TOL = 1e-9
 RESIDUAL_TOL = 1e-9
@@ -196,13 +196,14 @@ def _cubic_roots_trig(a: float, b: float, c: float, d: float) -> list[float] | N
 
 
 def _cubic_roots_companion(a: float, b: float, c: float, d: float) -> list[float]:
-    """Roots from numpy's companion-matrix eigensolver; rejects complex pairs."""
+    """Roots from numpy's companion-matrix eigensolver.  K is real symmetric, so
+    they are real, and a complex pair is a repeated root split by rounding."""
     roots = np.roots([a, b, c, d])
     max_imag = float(np.max(np.abs(roots.imag)))
     if max_imag > ROOT_TOL * (1.0 + float(np.max(np.abs(roots.real)))):
-        raise ComplexRootsError(
-            f"cubic has complex roots (max |Im| = {max_imag:.3e}); "
-            "coupling ratios lie outside the real-spectrum regime"
+        raise RepeatedRootError(
+            f"cubic has a repeated root, split by rounding into a complex pair "
+            f"(max |Im| = {max_imag:.3e}); the dressed basis is singular"
         )
     return [float(r) for r in roots.real]
 
@@ -227,9 +228,10 @@ def solve_cubic(ratios: CouplingRatios) -> tuple[float, float, float]:
     A root with |y| < 1e-9 (present whenever beta = +-1 and eps = 0) is
     placed last; the remaining roots are sorted in descending order.
 
-    Raises RepeatedRootError when the cubic degenerates (vanishing leading
+    Raises RepeatedRootError when the cubic degenerates: a vanishing leading
     coefficient, which signals a dressed state orthogonal to level 1, or a
-    repeated root) and ComplexRootsError when the spectrum is not real.
+    repeated root, also one that rounding splits into a complex pair (the
+    spectrum of the real symmetric K is always real).
     """
     a, b, c, d = cubic_coefficients(ratios)
     scale = max(abs(a), abs(b), abs(c), abs(d))

@@ -13,10 +13,6 @@ class RepeatedRootError(TripopError):
     """
 
 
-class ComplexRootsError(TripopError):
-    """The eigenvalue cubic produced complex roots; parameters lie outside the real-spectrum regime."""
-
-
 class InvalidPairError(TripopError):
     """An odd-integer pair violates the family constraints (non-odd entries or n1*n2 <= 0)."""
 

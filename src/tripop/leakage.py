@@ -28,7 +28,7 @@ import numpy as np
 
 from .conditions import TransferCondition
 from .dressed import CouplingRatios
-from .propagate import IntegratorConfig, LevelEnergies, integrate_batch, require_traces
+from .propagate import IntegratorConfig, LevelEnergies, integrate_batch, require_traces, write_csv
 from .pulses import Pulse, harmonic_for_condition
 
 # The two-level atom as a 3x3 problem: level 3 has no coupling, so it stays empty.
@@ -163,12 +163,8 @@ def export_scan_csv(rows, estimates, path) -> None:
     """Write ``omega12_ratio,omega13_ratio,deficit,estimate`` rows."""
     if len(rows) != len(estimates):
         raise ValueError("rows and estimates length mismatch")
-    with open(path, "w", newline="") as fh:
-        fh.write("omega12_ratio,omega13_ratio,deficit,estimate\n")
-        for ((r12, r13), deficit), est in zip(rows, estimates):
-            fh.write(
-                ",".join(repr(float(v)) for v in (r12, r13, deficit, est)) + "\n"
-            )
+    table = np.array([(r12, r13, deficit, est) for ((r12, r13), deficit), est in zip(rows, estimates)], dtype=float)
+    write_csv(path, ["omega12_ratio", "omega13_ratio", "deficit", "estimate"], table)
 
 
 # -- two-level reference atom ---------------------------------------------

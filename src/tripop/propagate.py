@@ -335,7 +335,7 @@ def compare_analytic_numeric(
         raise InvalidConfigError("analytic comparison requires eps = (0, 0, 0)")
     basis = build_dressed_basis(ratios)
     trace = integrate(ratios, LevelEnergies.degenerate(), pulse, t_end, config)
-    actions = np.array([pulse.area(t).a for t in trace.times])
+    actions = pulse.area(trace.times).a
     analytic = populations_general_array(basis, actions)
     return float(np.max(np.abs(analytic - trace.populations)))
 
@@ -353,16 +353,30 @@ def dwell_time(trace: PopulationTrace, threshold: float = 0.99) -> float:
     return float(np.sum(dt_segments[above[:-1]]))
 
 
+def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """Write a header line and one comma-separated line per row, floats in
+    their shortest round-trip form, so that equal rows give identical files."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
 def export_trace_csv(trace: PopulationTrace, path) -> None:
     """Write ``t,p1,p2,p3`` rows (plus amplitude columns when recorded)."""
-    with open(path, "w", newline="") as fh:
-        header = "t,p1,p2,p3"
-        if trace.amplitudes is not None:
-            header += ",re_a1,im_a1,re_a2,im_a2,re_a3,im_a3"
-        fh.write(header + "\n")
-        for i, t in enumerate(trace.times):
-            row = [t, *trace.populations[i]]
-            if trace.amplitudes is not None:
-                for c in trace.amplitudes[i]:
-                    row.extend((c.real, c.imag))
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    header = ["t", "p1", "p2", "p3"]
+    columns = [trace.times, trace.populations]
+    if trace.amplitudes is not None:
+        header += ["re_a1", "im_a1", "re_a2", "im_a2", "re_a3", "im_a3"]
+        columns.append(np.stack((trace.amplitudes.real, trace.amplitudes.imag), axis=2).reshape(-1, 6))
+    write_csv(path, header, np.column_stack(columns))

@@ -13,6 +13,9 @@ closed form for its running integral:
 An ideal kick is represented spectrally: it has no pointwise value at its
 firing time and cannot be fed to a time stepper; its entire effect is the
 action jump A0.
+
+``value`` and ``area`` take a time or an array of times.  A tabulated pulse
+prepares its knot arrays and cumulative trapezoid once, when it is built.
 """
 
 from __future__ import annotations
@@ -20,20 +23,21 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import IdealKickPointQueryError, OutOfRangeError
 
-GAUSSIAN_SUPPORT_WIDTHS = 8.0  # truncated mass < 1e-15
+_erf = np.vectorize(math.erf, otypes=[float])  # numpy has no erf
 
 
 class ActionValue(NamedTuple):
-    """Running action A(t) at time t (dimensionless, hbar = 1)."""
+    """Running action A(t) at time t (dimensionless, hbar = 1); both are arrays for an array query."""
 
-    t: float
-    a: float
+    t: float | np.ndarray
+    a: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -59,8 +63,7 @@ class Pulse:
         if self.shape == "tabulated":
             if not self.samples or len(self.samples) < 2:
                 raise ValueError("tabulated pulse needs at least two samples")
-            times = [t for t, _ in self.samples]
-            if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
+            if not np.all(np.diff(self._table[0]) > 0.0):
                 raise ValueError("tabulated times must be strictly increasing")
 
     # -- constructors -------------------------------------------------
@@ -106,9 +109,7 @@ class Pulse:
         Querying an ideal kick exactly at its firing time is an error, as is
         querying a tabulated pulse outside its table.
         """
-        ts = np.asarray(t, dtype=float)
-        if not np.isfinite(ts).all():
-            raise ValueError("time must be finite")
+        ts = _finite_times(t)
         if self.shape == "harmonic":
             v = self.v0 * np.cos(self.omega * ts)
         elif self.shape == "constant":
@@ -124,60 +125,64 @@ class Pulse:
                 )
             v = np.zeros_like(ts)
         else:
-            v = self._interp_tabulated(ts)
-        return float(v) if v.ndim == 0 else v
+            knots, values, _ = self._table_in_range(ts)
+            v = np.interp(ts, knots, values)
+        return _unwrap(v)
 
-    def area(self, t: float) -> ActionValue:
-        """Running action A(t) = integral of V from 0 to t (exact per shape)."""
-        if not math.isfinite(t):
-            raise ValueError("time must be finite")
+    def area(self, t: float | np.ndarray) -> ActionValue:
+        """Running action A(t) = integral of V from 0 to t (exact per shape).
+
+        Like ``value``, takes a time or an array of times; ``.a`` is a float or an array.
+        """
+        ts = _finite_times(t)
         if self.shape == "harmonic":
-            a = self.v0 / self.omega * math.sin(self.omega * t)
+            a = self.v0 / self.omega * np.sin(self.omega * ts)
         elif self.shape == "constant":
-            a = self.v0 * t
+            a = self.v0 * ts
         elif self.shape == "gaussian_kick":
             s = self.kick_width * math.sqrt(2.0)
-            a = (
-                0.5
-                * self.kick_area
-                * (math.erf((t - self.kick_center) / s) - math.erf(-self.kick_center / s))
-            )
+            a = 0.5 * self.kick_area * (_erf((ts - self.kick_center) / s) - math.erf(-self.kick_center / s))
         elif self.shape == "ideal_kick":
-            a = self.kick_area if t >= self.kick_center else 0.0
-        else:
-            a = self._area_tabulated(t)
-        return ActionValue(t=float(t), a=float(a))
+            a = np.where(ts >= self.kick_center, self.kick_area, 0.0)
+        else:  # trapezoid sums are exact for the linear interpolant
+            knots, values, cumulative = self._table_in_range(ts)
+            if knots[0] > 0.0 or knots[-1] < 0.0:
+                raise OutOfRangeError("table must bracket t = 0 so that A(0) = 0 is defined")
+            u = np.append(ts, 0.0)  # the integral from the first knot to each t, and then to 0
+            k = np.minimum(np.searchsorted(knots, u, side="right") - 1, len(knots) - 2)
+            from_start = cumulative[k] + 0.5 * (values[k] + np.interp(u, knots, values)) * (u - knots[k])
+            a = from_start[:-1].reshape(ts.shape) - from_start[-1]
+        return ActionValue(t=_unwrap(ts), a=_unwrap(a))
 
     # -- tabulated helpers ----------------------------------------------
 
-    def _table_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        ts = np.array([t for t, _ in self.samples])
-        vs = np.array([v for _, v in self.samples])
-        return ts, vs
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Knot times, knot values and the trapezoid integral from the first knot to each knot."""
+        knots = np.array([t for t, _ in self.samples])
+        values = np.array([v for _, v in self.samples])
+        cumulative = np.concatenate(([0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(knots))))
+        return knots, values, cumulative
 
-    def _interp_tabulated(self, t: np.ndarray) -> np.ndarray:
-        ts, vs = self._table_arrays()
-        outside = (t < ts[0]) | (t > ts[-1])
+    def _table_in_range(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The table, once every time in ``ts`` is known to lie inside it."""
+        knots = self._table[0]
+        outside = (ts < knots[0]) | (ts > knots[-1])
         if np.any(outside):
-            first = float(np.extract(outside, t)[0])
-            raise OutOfRangeError(f"t={first} outside the table range [{ts[0]}, {ts[-1]}]")
-        return np.interp(t, ts, vs)
+            first = float(np.extract(outside, ts)[0])
+            raise OutOfRangeError(f"t={first} outside the table range [{knots[0]}, {knots[-1]}]")
+        return self._table
 
-    def _area_tabulated(self, t: float) -> float:
-        # trapezoid sums are exact for the linear interpolant
-        ts, vs = self._table_arrays()
-        if t < ts[0] or t > ts[-1]:
-            raise OutOfRangeError(f"t={t} outside the table range [{ts[0]}, {ts[-1]}]")
-        if ts[0] > 0.0 or ts[-1] < 0.0:
-            raise OutOfRangeError("table must bracket t = 0 so that A(0) = 0 is defined")
-        cumulative = np.concatenate(([0.0], np.cumsum(0.5 * (vs[1:] + vs[:-1]) * np.diff(ts))))
 
-        def integral_from_table_start(u: float) -> float:
-            k = min(int(np.searchsorted(ts, u, side="right") - 1), len(ts) - 2)
-            v_u = float(np.interp(u, ts, vs))
-            return float(cumulative[k] + 0.5 * (vs[k] + v_u) * (u - ts[k]))
+def _finite_times(t: float | np.ndarray) -> np.ndarray:
+    ts = np.asarray(t, dtype=float)
+    if not np.isfinite(ts).all():
+        raise ValueError("time must be finite")
+    return ts
 
-        return integral_from_table_start(t) - integral_from_table_start(0.0)
+
+def _unwrap(x: np.ndarray) -> float | np.ndarray:
+    return float(x) if x.ndim == 0 else x
 
 
 def harmonic_for_condition(cond, omega: float) -> Pulse:

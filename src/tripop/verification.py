@@ -96,7 +96,7 @@ def _check_conditions(
         if isinstance(trace, NormDriftExceededError):
             ode_deviation = math.inf
         else:
-            actions = np.array([pulse.area(t).a for t in trace.times])
+            actions = pulse.area(trace.times).a
             analytic = populations_closed_form_array(cond, actions)
             ode_deviation = float(np.max(np.abs(analytic - trace.populations)))
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from tripop import (
-    ComplexRootsError,
     CouplingRatios,
     RepeatedRootError,
     TripopError,
@@ -73,10 +72,11 @@ class TestSolveCubic:
 
     def test_repeated_roots_raise(self):
         """beta = 0 gives the double root y = 1/alpha, which floating point
-        splits by ~1e-8; a cubic that vanishes but for a 1e-194 diagonal
-        term is degenerate too."""
-        with pytest.raises(RepeatedRootError):
-            solve_cubic(CouplingRatios(1.0, 0.0))
+        splits by ~1e-8, at alpha = 1 + 1e-5 and 2.5 into a complex pair; a
+        cubic that vanishes but for a 1e-194 diagonal term is degenerate too."""
+        for alpha in (1.0, 1.0 + 1e-5, 2.5):
+            with pytest.raises(RepeatedRootError):
+                solve_cubic(CouplingRatios(alpha, 0.0))
         with pytest.raises(RepeatedRootError):
             solve_cubic(CouplingRatios(1.0, 1.0, eps=(0.0, 0.0, 1e-194)))
 

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from tripop import (
@@ -21,6 +23,16 @@ from tripop import (
 RNG = np.random.default_rng(11)
 
 V33 = 2.2214414690791831  # pi/sqrt(2)
+
+
+def trapezoid_area(knots, values, q):
+    """Integral from 0 to q of the linear interpolant, by trapezoids between
+    0, q and the knots that lie strictly between them."""
+    lo, hi = min(0.0, q), max(0.0, q)
+    xs = np.concatenate(([lo], knots[(knots > lo) & (knots < hi)], [hi]))
+    ys = np.interp(xs, knots, values)
+    integral = float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)))
+    return integral if q >= 0.0 else -integral
 
 
 class TestValue:
@@ -66,7 +78,7 @@ class TestValue:
         ids=lambda p: p.shape,
     )
     def test_array_matches_scalar(self, pulse):
-        """An array query returns, element by element, the scalar values."""
+        """An array query returns, element by element, the scalar values and actions."""
         ts = np.linspace(-0.9, 3.9, 37)
         values = pulse.value(ts)
         assert isinstance(values, np.ndarray) and values.shape == ts.shape
@@ -74,15 +86,28 @@ class TestValue:
         assert all(isinstance(v, float) for v in scalars)
         np.testing.assert_allclose(values, scalars, rtol=1e-15, atol=0)
         assert pulse.value(ts.reshape(37, 1)).shape == (37, 1)
+        actions = pulse.area(ts).a
+        assert isinstance(actions, np.ndarray) and actions.shape == ts.shape
+        action_scalars = [pulse.area(float(t)).a for t in ts]
+        assert all(isinstance(a, float) for a in action_scalars)
+        np.testing.assert_allclose(actions, action_scalars, rtol=1e-15, atol=0)
+        assert pulse.area(ts.reshape(37, 1)).a.shape == (37, 1)
 
     def test_array_query_errors(self):
         """One bad time fails the whole array query, as it fails a scalar one."""
         with pytest.raises(IdealKickPointQueryError):
             Pulse.ideal_kick(1.0, kick_center=2.0).value(np.array([1.0, 2.0, 3.0]))
+        table = Pulse.tabulated([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
         with pytest.raises(OutOfRangeError, match="t=2.5"):
-            Pulse.tabulated([0.0, 1.0, 2.0], [0.0, 2.0, 0.0]).value(np.array([0.5, 2.5, 3.0]))
+            table.value(np.array([0.5, 2.5, 3.0]))
+        with pytest.raises(OutOfRangeError, match="t=2.5"):
+            table.area(np.array([0.5, 2.5, -1.0]))
+        with pytest.raises(OutOfRangeError, match="bracket"):
+            Pulse.tabulated([1.0, 2.0], [1.0, 1.0]).area(np.array([1.2, 1.5]))
         with pytest.raises(ValueError):
             Pulse.constant(1.0).value(np.array([0.0, np.nan]))
+        with pytest.raises(ValueError):
+            table.area(np.array([0.5, np.nan]))
 
     @pytest.mark.parametrize("field", ["v0", "omega", "kick_area", "kick_center", "kick_width"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -154,6 +179,30 @@ class TestArea:
         p = Pulse.tabulated([1.0, 2.0], [1.0, 1.0])
         with pytest.raises(OutOfRangeError):
             p.area(1.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_tabulated_area_matches_trapezoid(self, data):
+        """On random tables that bracket 0, area(q).a is the trapezoid integral
+        of the interpolant from 0 to q, within 1e-12 of span * max |v|, and a
+        queried pulse still equals, and hashes as, a fresh unqueried one.
+
+        Values are 0 or at least 1e-9 in size, so that no trapezoid underflows
+        into subnormal numbers, where a relative tolerance means nothing."""
+        gaps = data.draw(st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=30))
+        knots = np.concatenate(([0.0], np.cumsum(gaps)))
+        knots -= data.draw(st.floats(0.0, 1.0)) * knots[-1]
+        values = data.draw(st.lists(
+            st.floats(-5.0, 5.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-9),
+            min_size=len(knots), max_size=len(knots),
+        ))
+        queries = np.array(data.draw(st.lists(st.floats(knots[0], knots[-1]), min_size=1, max_size=20)))
+        pulse, fresh = Pulse.tabulated(knots, values), Pulse.tabulated(knots, values)
+
+        reference = [trapezoid_area(knots, np.array(values), q) for q in queries]
+        scale = (knots[-1] - knots[0]) * max(abs(v) for v in values)
+        np.testing.assert_allclose(pulse.area(queries).a, reference, rtol=0, atol=1e-12 * scale)
+        assert pulse == fresh and hash(pulse) == hash(fresh)
 
 
 class TestHarmonicForCondition:
