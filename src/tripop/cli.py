@@ -26,14 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .conditions import (
-    OddPair,
-    classify_cases,
-    condition_from_odd_pair,
-    enumerate_conditions,
-    populations_closed_form_array,
-    validate_condition,
-)
+from .conditions import OddPair, condition_from_odd_pair, family_table, validate_condition
 from .dressed import CouplingRatios, build_dressed_basis, populations_general_array
 from .errors import TripopError
 from .leakage import delta_p2_at_t0, leakage_scan
@@ -74,23 +67,9 @@ def _steps(args) -> int:
 
 
 def cmd_table(args) -> int:
-    header = [
-        "n1", "n2", "n_e", "n_o", "n_op",
-        "k_case_i", "kp_case_i", "k_case_ii", "kp_case_ii", "k_case_iii", "kp_case_iii",
-        "A_t0", "alpha",
-    ]
-    rows = []
-    for cond in enumerate_conditions(args.max_product):
-        cases = classify_cases(cond)
-        rows.append(
-            [
-                cond.n1, cond.n2, cond.pair.n_o + cond.pair.n_op,
-                cond.pair.n_o, cond.pair.n_op,
-                *cases.case_i, *cases.case_ii, *cases.case_iii,
-                cond.action_t0, cond.alpha,
-            ]
-        )
-    _write_rows(args.out, args.format, "table", {"max_product": args.max_product}, header, rows)
+    columns = family_table(args.max_product)
+    rows = list(zip(*(column.tolist() for column in columns.values())))
+    _write_rows(args.out, args.format, "table", {"max_product": args.max_product}, list(columns), rows)
     return 0
 
 

@@ -8,7 +8,17 @@ when the coupling ratios and the action satisfy
 
 where n1 = 2*n_o + n_o' and n2 = n_o + 2*n_o' for arbitrary odd integers
 (n_o, n_o') with n1*n2 > 0.  Equivalently (n1+n2)/3 must be an even integer
-while (2n1-n2)/3 and (2n2-n1)/3 are odd.
+while (2n1-n2)/3 and (2n2-n1)/3 are odd.  With n1, n2 > 0 the family is
+exactly the odd n1, n2 with n1 + n2 = 0 (mod 6): for each odd n1 the n2 run
+over n2 = -n1 (mod 6) in steps of 6, which is how ``family_integers``
+enumerates it.
+
+The map inverts in closed form.  With r = pi / (3 |A(t0)|), n1 n2 = 2 / r^2
+and n2 - n1 = alpha / r, so n1 and n2 are the roots
+
+    n1, n2 = (3 |A(t0)| / pi) (sqrt(alpha^2 + 8) -+ alpha) / 2,
+
+and ``validate_condition`` only tests the integers next to them.
 
 Sign bookkeeping: populations depend on the action only through cosines, so
 they are even in A; the sign = -1 member of a pair (a global sign flip of
@@ -56,6 +66,20 @@ class OddPair:
         return self.n_o + 2 * self.n_op
 
 
+_EVEN_SUM = "(n1 + n2)/3 must be an even integer"
+_ODD_THIRDS = "(2n1 - n2)/3 and (2n2 - n1)/3 must be odd"
+
+
+def _law_residuals(n1, n2, r, action_t0, structural) -> dict:
+    """Residuals of the three family laws; plain arithmetic, so the
+    arguments may be scalars or arrays (``family_table``)."""
+    return {
+        "3 r A(t0) = pi": abs(3.0 * r * action_t0 - math.pi),
+        "alpha = r (n2 - n1)": abs(structural - r * (n2 - n1)),
+        "r^2 n1 n2 = 2": abs(r**2 * n1 * n2 - 2.0),
+    }
+
+
 @dataclass(frozen=True)
 class TransferCondition:
     """One member of the complete-transfer family.
@@ -85,19 +109,15 @@ class TransferCondition:
         direct = self.beta if self.target == 2 else self.alpha
         if direct not in (-1.0, 1.0):
             raise ValueError("the direct 1<->3 coupling ratio must be +-1")
-        checks = {
-            "3 r A(t0) = pi": abs(3.0 * self.r * self.action_t0 - math.pi),
-            "alpha = r (n2 - n1)": abs(structural - self.r * (self.n2 - self.n1)),
-            "r^2 n1 n2 = 2": abs(self.r**2 * self.n1 * self.n2 - 2.0),
-        }
-        for name, err in checks.items():
-            if err > CONDITION_TOL * max(1.0, abs(self.action_t0)):
+        limit = CONDITION_TOL * max(1.0, abs(self.action_t0))
+        for name, err in _law_residuals(self.n1, self.n2, self.r, self.action_t0, structural).items():
+            if err > limit:
                 raise ValueError(f"condition invariant {name} violated by {err:.3e}")
         if (self.n1 + self.n2) % 6 != 0:
-            raise ValueError("(n1 + n2)/3 must be an even integer")
+            raise ValueError(_EVEN_SUM)
         for v in ((2 * self.n1 - self.n2) // 3, (2 * self.n2 - self.n1) // 3):
             if v % 2 == 0:
-                raise ValueError("(2n1 - n2)/3 and (2n2 - n1)/3 must be odd")
+                raise ValueError(_ODD_THIRDS)
 
     @property
     def product(self) -> int:
@@ -175,6 +195,34 @@ def condition_for_target(pair: OddPair, sign: int = 1, target: int = 2) -> Trans
     return replace(base, alpha=base.beta, beta=base.alpha, target=3)
 
 
+def family_integers(
+    max_product: int,
+    n1_range: tuple[int, int] | None = None,
+    n2_range: tuple[int, int] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(n1, n2) of every family member with n1*n2 <= max_product, as int64
+    arrays sorted by (n1*n2, n1).
+
+    The optional inclusive ranges restrict n1 and n2 (the candidate box of
+    ``validate_condition``).  It takes odd n1 and, for each, n2 = -n1
+    (mod 6) in steps of 6, which is the whole family.
+    """
+    n1_lo, n1_hi = n1_range or (1, max_product)
+    n2_lo, n2_hi = n2_range or (1, max_product)
+    n1_lo, n2_lo = max(n1_lo, 1), max(n2_lo, 1)
+    n1 = np.arange(n1_lo | 1, min(n1_hi, max_product) + 1, 2, dtype=np.int64)
+    first = n2_lo + (-n1 - n2_lo) % 6  # the smallest n2 >= n2_lo in each n1's class
+    counts = np.maximum((np.minimum(max_product // n1, n2_hi) - first) // 6 + 1, 0)
+    n1 = np.repeat(n1, counts)
+    n2 = np.repeat(first - 6 * (np.cumsum(counts) - counts), counts) + 6 * np.arange(n1.size)
+    order = np.lexsort((n1, n1 * n2))
+    return n1[order], n2[order]
+
+
+def _pair_of(n1: int, n2: int) -> OddPair:
+    return OddPair((2 * n1 - n2) // 3, (2 * n2 - n1) // 3)
+
+
 def enumerate_conditions(
     max_product: int, signs: tuple[int, ...] = (1,), beta: int = 1
 ) -> list[TransferCondition]:
@@ -182,49 +230,87 @@ def enumerate_conditions(
 
     Ordered pairs (n1, n2) and (n2, n1) are distinct rows; the smallest
     attainable product is 5, so any bound below that yields an empty list.
+    Each pair gives one row per entry of ``signs``, sign +1 first.
     """
-    rows: list[TransferCondition] = []
     if max_product < 5:
-        return rows
-    for n1 in range(1, max_product + 1, 2):
-        for n2 in range(1, max_product // n1 + 1, 2):
-            if (2 * n1 - n2) % 3 != 0:
-                continue
-            n_o = (2 * n1 - n2) // 3
-            n_op = (2 * n2 - n1) // 3
-            if n_o % 2 == 0 or n_op % 2 == 0 or n_o * n_op == 0:
-                continue
-            pair = OddPair(n_o, n_op)
-            for sign in signs:
-                rows.append(condition_from_odd_pair(pair, sign=sign, beta=beta))
-    rows.sort(key=lambda c: (c.product, c.n1, -c.sign))
-    return rows
+        return []
+    ordered_signs = sorted(signs, key=lambda s: -s)
+    n1s, n2s = family_integers(max_product)
+    return [
+        condition_from_odd_pair(_pair_of(n1, n2), sign=sign, beta=beta)
+        for n1, n2 in zip(n1s.tolist(), n2s.tolist())
+        for sign in ordered_signs
+    ]
+
+
+def _case_identities(n1, n2) -> list:
+    """The three (k, k') sets with their product identities and parity
+    patterns; plain arithmetic, so n1 and n2 may be ints or int arrays."""
+    case_i = ((n1 + n2) // 3, (n2 - 2 * n1) // 3)
+    case_ii = ((2 * n1 - n2) // 3, (2 * n2 - n1) // 3)
+    case_iii = ((n1 - 2 * n2) // 3, (n1 + n2) // 3)
+    return [
+        (case_i, (case_i[0] - case_i[1]) * (2 * case_i[0] + case_i[1]), (0, 1)),
+        (case_ii, (2 * case_ii[0] + case_ii[1]) * (case_ii[0] + 2 * case_ii[1]), (1, 1)),
+        (case_iii, (2 * case_iii[1] + case_iii[0]) * (case_iii[1] - case_iii[0]), (1, 0)),
+    ]
+
+
+def _case_error(k, kp, n1, n2) -> ValueError:
+    return ValueError(f"case integers ({k}, {kp}) inconsistent with (n1, n2) = ({n1}, {n2})")
 
 
 def classify_cases(cond: TransferCondition) -> CaseClassification:
     """All three (k, k') integer sets for one condition, in exact arithmetic."""
     n1, n2 = cond.n1, cond.n2
-    case_i = ((n1 + n2) // 3, (n2 - 2 * n1) // 3)
-    case_ii = ((2 * n1 - n2) // 3, (2 * n2 - n1) // 3)
-    case_iii = ((n1 - 2 * n2) // 3, (n1 + n2) // 3)
-
-    identities = [
-        (case_i, (case_i[0] - case_i[1]) * (2 * case_i[0] + case_i[1]), (0, 1)),
-        (case_ii, (2 * case_ii[0] + case_ii[1]) * (case_ii[0] + 2 * case_ii[1]), (1, 1)),
-        (case_iii, (2 * case_iii[1] + case_iii[0]) * (case_iii[1] - case_iii[0]), (1, 0)),
-    ]
+    identities = _case_identities(n1, n2)
     for (k, kp), product, parities in identities:
         if product != n1 * n2 or (k % 2, kp % 2) != parities:
-            raise ValueError(
-                f"case integers ({k}, {kp}) inconsistent with (n1, n2) = ({n1}, {n2})"
-            )
-
+            raise _case_error(k, kp, n1, n2)
     return CaseClassification(
-        case_i=case_i,
-        case_ii=case_ii,
-        case_iii=case_iii,
+        case_i=identities[0][0],
+        case_ii=identities[1][0],
+        case_iii=identities[2][0],
         e_value=cond.action_t0 / math.pi,
     )
+
+
+def family_table(max_product: int) -> dict[str, np.ndarray]:
+    """The ``table`` columns: one row per family member (sign +1), in the
+    order of ``enumerate_conditions(max_product)``.
+
+    Columns: n1, n2, n_e = n_o + n_o', n_o, n_op, the ``classify_cases``
+    sets (k_case_*, kp_case_*), A_t0 and alpha.  The values equal those of
+    the objects bit for bit, and the ``TransferCondition`` invariants and the
+    ``classify_cases`` identities and parities are checked on whole columns,
+    raising the same ``ValueError`` for the first row that fails.
+    """
+    n1, n2 = family_integers(max_product)
+    r = np.sqrt(2.0 / (n1 * n2))
+    action = np.pi / (3.0 * r)
+    alpha = r * (n2 - n1)
+    limit = CONDITION_TOL * np.maximum(1.0, action)
+    for name, err in _law_residuals(n1, n2, r, action, alpha).items():
+        bad = np.flatnonzero(err > limit)
+        if bad.size:
+            raise ValueError(f"condition invariant {name} violated by {err[bad[0]]:.3e}")
+    if np.any((n1 + n2) % 6 != 0):
+        raise ValueError(_EVEN_SUM)
+    if np.any(((2 * n1 - n2) // 3) % 2 == 0) or np.any(((2 * n2 - n1) // 3) % 2 == 0):
+        raise ValueError(_ODD_THIRDS)
+    identities = _case_identities(n1, n2)
+    for (k, kp), product, (pk, pkp) in identities:
+        bad = np.flatnonzero((product != n1 * n2) | (k % 2 != pk) | (kp % 2 != pkp))
+        if bad.size:
+            i = bad[0]
+            raise _case_error(k[i], kp[i], n1[i], n2[i])
+    (ki, kpi), (n_o, n_op), (kiii, kpiii) = (case for case, _, _ in identities)
+    return {
+        "n1": n1, "n2": n2, "n_e": n_o + n_op, "n_o": n_o, "n_op": n_op,
+        "k_case_i": ki, "kp_case_i": kpi, "k_case_ii": n_o, "kp_case_ii": n_op,
+        "k_case_iii": kiii, "kp_case_iii": kpiii,
+        "A_t0": action, "alpha": alpha,
+    }
 
 
 def populations_closed_form_array(cond: TransferCondition, actions: np.ndarray) -> np.ndarray:
@@ -267,6 +353,37 @@ def p3_max(cond: TransferCondition) -> float:
     return 2.0 * cond.n1 * cond.n2 / (cond.n1 + cond.n2) ** 2
 
 
+def _roots(action: float, alpha: float) -> tuple[float, float]:
+    """Real (n1, n2) of the closed-form inverse, without cancellation:
+    (s - |alpha|)/2 is written as 4/(s + |alpha|), s = sqrt(alpha^2 + 8)."""
+    c = 3.0 * action / math.pi
+    s = math.sqrt(alpha * alpha + 8.0)
+    small, large = 4.0 * c / (s + abs(alpha)), 0.5 * c * (s + abs(alpha))
+    return (small, large) if alpha >= 0.0 else (large, small)
+
+
+def _candidate_box(alpha: float, action: float, tol: float, bound: int):
+    """Inclusive (n1, n2) ranges that hold every member able to pass the
+    lookup's tests; see ``validate_condition``."""
+    if tol >= 1.0:
+        return (1, bound), (1, bound)
+    # No member with n1*n2 <= bound has a larger action or |alpha|.
+    action_max = math.pi * math.sqrt(bound / 2.0) / 3.0
+    alpha_max = math.sqrt(2.0 * bound)
+    a_lo, a_hi = action / (1.0 + tol), min(action / (1.0 - tol), action_max)
+    spread = tol * max(1.0, abs(alpha) / (1.0 - tol))
+    al_lo, al_hi = (min(max(v, -alpha_max), alpha_max) for v in (alpha - spread, alpha + spread))
+    # n1 grows with the action and falls with alpha; n2 grows with both.
+    n1_lo, n1_hi = _roots(a_lo, al_hi)[0], _roots(a_hi, al_lo)[0]
+    n2_lo, n2_hi = _roots(a_lo, al_lo)[1], _roots(a_hi, al_hi)[1]
+
+    def widen(lo, hi):
+        # one integer of margin, plus 1e-12 relative for rounding at large n
+        return max(1, math.floor(lo * (1.0 - 1e-12)) - 1), min(bound, math.ceil(hi * (1.0 + 1e-12)) + 1)
+
+    return widen(n1_lo, n1_hi), widen(n2_lo, n2_hi)
+
+
 def validate_condition(
     alpha: float, beta: float, action_t0: float, tol: float = 1e-6
 ) -> TransferCondition | None:
@@ -274,8 +391,23 @@ def validate_condition(
 
     Matches |A(t0)| and alpha within relative tolerance ``tol`` and
     reconciles signs through the evenness of the populations in the action;
-    returns None when no family member fits.
+    returns None when no family member fits.  Among several fits it returns
+    the one with the smallest (n1*n2, n1), searching n1*n2 up to
+    ceil(18 (A(t0)/pi)^2 (1 + tol)^2).
+
+    Only a box of candidates is tested.  A member passes when its action
+    lies in |A(t0)|/(1 + tol) ... |A(t0)|/(1 - tol) and its alpha within
+    tol * max(1, |alpha|/(1 - tol)) of the signed input; the corners of that
+    rectangle, put through the closed-form roots (module docstring), bound
+    n1 and n2.  The box is widened by one integer on each side and capped at
+    the product bound; for tol >= 1 it is the whole range.  Each candidate is
+    built by ``condition_from_odd_pair`` and put through the float tests.
+
+    Raises ValueError for non-finite inputs, tol <= 0, and an action whose
+    product bound passes 2**53.
     """
+    if not all(math.isfinite(v) for v in (alpha, beta, action_t0, tol)):
+        raise ValueError(f"alpha, beta, area and tol must be finite, got {(alpha, beta, action_t0, tol)}")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if abs(abs(beta) - 1.0) > tol:
@@ -283,11 +415,19 @@ def validate_condition(
     if action_t0 == 0.0:
         return None
     beta_resolved = 1 if beta > 0 else -1
-    bound = int(math.ceil((3.0 * abs(action_t0) / math.pi) ** 2 * 2.0 * (1.0 + tol) ** 2))
+    try:
+        bound = (3.0 * abs(action_t0) / math.pi) ** 2 * 2.0 * (1.0 + tol) ** 2
+    except OverflowError:
+        bound = math.inf
+    if bound > 2.0**53:
+        raise ValueError(f"area {action_t0!r} with tol {tol!r} needs n1*n2 up to {bound:.3g}, past 2**53")
+    bound = math.ceil(bound)
     sign = 1 if action_t0 > 0 else -1
     # alpha for the sign=+1 member of the ordered pair equals sign(A) * input alpha
     alpha_pos = alpha * sign
-    for cand in enumerate_conditions(bound):
+    n1s, n2s = family_integers(bound, *_candidate_box(alpha_pos, abs(action_t0), tol, bound))
+    for n1, n2 in zip(n1s.tolist(), n2s.tolist()):
+        cand = condition_from_odd_pair(_pair_of(n1, n2))
         if abs(cand.action_t0 - abs(action_t0)) > tol * cand.action_t0:
             continue
         if abs(cand.alpha - alpha_pos) > tol * max(1.0, abs(cand.alpha)):

@@ -80,9 +80,6 @@ class LevelEnergies:
     def omega13(self) -> float:
         return self.e[0] - self.e[2]
 
-    def is_degenerate(self) -> bool:
-        return self.e == (0.0, 0.0, 0.0)
-
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -363,13 +360,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_PLAIN = frozenset((int, float))
+
+
 def write_csv(path, header: Sequence[str], rows) -> None:
     """Write a header line and one comma-separated line per row, floats in
-    their shortest round-trip form, so that equal rows give identical files."""
+    their shortest round-trip form, so that equal rows give identical files.
+
+    ``rows`` is a sequence of rows or a 2-D array.  A row of plain Python
+    ints and floats is written with ``repr`` (which is ``str`` for an int);
+    any other row goes value by value through ``_fmt``.
+    """
+    if isinstance(rows, np.ndarray):
+        rows = map(np.ndarray.tolist, rows)  # row by row, so no second copy of the array
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(
+            ",".join(map(repr if _PLAIN.issuperset(map(type, row)) else _fmt, row)) + "\n" for row in rows
+        )
 
 
 def export_trace_csv(trace: PopulationTrace, path) -> None:

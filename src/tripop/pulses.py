@@ -24,6 +24,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -63,6 +64,8 @@ class Pulse:
         if self.shape == "tabulated":
             if not self.samples or len(self.samples) < 2:
                 raise ValueError("tabulated pulse needs at least two samples")
+            if not all(map(math.isfinite, chain.from_iterable(self.samples))):
+                raise ValueError("tabulated samples must be finite")
             if not np.all(np.diff(self._table[0]) > 0.0):
                 raise ValueError("tabulated times must be strictly increasing")
 

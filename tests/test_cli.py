@@ -12,7 +12,16 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from tripop import CouplingRatios, OddPair, condition_from_odd_pair, verify_conditions
+from tripop import (
+    CouplingRatios,
+    OddPair,
+    __version__,
+    classify_cases,
+    condition_from_odd_pair,
+    enumerate_conditions,
+    verify_conditions,
+)
+from tripop import conditions as conditions_module
 from tripop.cli import main
 
 TABLE_ROWS = {
@@ -34,6 +43,39 @@ TABLE_ROWS = {
     (7, 5): (4.381, -0.478),
     (35, 1): (4.381, -8.128),
 }
+
+
+TABLE_HEADER = [
+    "n1", "n2", "n_e", "n_o", "n_op",
+    "k_case_i", "kp_case_i", "k_case_ii", "kp_case_ii", "k_case_iii", "kp_case_iii",
+    "A_t0", "alpha",
+]
+
+
+def reference_table(path, fmt, max_product):
+    """``table`` written row by row from the condition objects, with the
+    value-by-value formatting of the columnar writer's predecessor."""
+    rows = []
+    for cond in enumerate_conditions(max_product):
+        cases = classify_cases(cond)
+        rows.append(
+            [
+                cond.n1, cond.n2, cond.pair.n_o + cond.pair.n_op, cond.pair.n_o, cond.pair.n_op,
+                *cases.case_i, *cases.case_ii, *cases.case_iii, cond.action_t0, cond.alpha,
+            ]
+        )
+    with open(path, "w", newline="") as fh:
+        if fmt == "csv":
+            fh.write(",".join(TABLE_HEADER) + "\n")
+            for row in rows:
+                fh.write(",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row) + "\n")
+            return
+        payload = {
+            "meta": {"command": "table", "parameters": {"max_product": max_product}, "version": __version__},
+            "rows": [dict(zip(TABLE_HEADER, row)) for row in rows],
+        }
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def read_csv(path):
@@ -89,6 +131,31 @@ class TestTable:
         for c_row, j_row in zip(csv_rows, payload["rows"]):
             for key, raw in c_row.items():
                 assert float(raw) == pytest.approx(float(j_row[key]), rel=1e-12, abs=1e-300)
+
+
+    @pytest.mark.parametrize("max_product", [4, 35, 2000])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bytes_match_row_by_row_reference(self, tmp_path, max_product, fmt):
+        out, ref = tmp_path / f"t.{fmt}", tmp_path / f"ref.{fmt}"
+        assert main(["table", "--max-product", str(max_product), "--format", fmt, "--out", str(out)]) == 0
+        reference_table(ref, fmt, max_product)
+        assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize(
+        "pair,message", [((1, 3), "even integer"), ((2, 4), "must be odd"), ((1, 5), None)]
+    )
+    def test_column_checks_refuse_a_foreign_pair(self, tmp_path, monkeypatch, capsys, pair, message):
+        """A pair outside the family fails the table's array checks (exit 2,
+        one error line); a family pair passes them."""
+        monkeypatch.setattr(
+            conditions_module, "family_integers",
+            lambda max_product: (np.array([pair[0]]), np.array([pair[1]])),
+        )
+        code = main(["table", "--max-product", "35", "--out", str(tmp_path / "t.csv")])
+        if message is None:
+            assert code == 0
+        else:
+            assert code == 2 and message in capsys.readouterr().err
 
 
 class TestTrace:
@@ -264,6 +331,18 @@ class TestConditions:
             ]
         )
         assert json.loads(out.read_text())["rows"] == []
+
+
+    @pytest.mark.parametrize("area", ["inf", "-inf", "nan", "1e200"])
+    def test_unusable_area_is_an_error(self, tmp_path, capsys, area):
+        out = tmp_path / "c.csv"
+        assert main(["conditions", "--alpha", "0", f"--area={area}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_large_area_answers(self, tmp_path):
+        out = tmp_path / "c.csv"
+        assert main(["conditions", "--alpha", "0.3", "--area", "1e4", "--out", str(out)]) == 0
+        assert out.read_text().count("\n") == 1
 
 
 class TestKick:

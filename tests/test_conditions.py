@@ -5,11 +5,16 @@ checked against the published three-decimal table values and against
 brute-force scans.
 """
 
+import bisect
+import functools
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripop import (
     CouplingRatios,
@@ -26,6 +31,7 @@ from tripop import (
     populations_general_array,
     validate_condition,
 )
+from tripop.conditions import family_integers
 
 RNG = np.random.default_rng(3)
 
@@ -60,6 +66,67 @@ def all_valid_pairs(bound):
             if n1 * n2 > 0:
                 pairs.append(OddPair(n_o, n_op))
     return pairs
+
+
+def reference_enumerate(max_product, signs=(1,), beta=1):
+    """The enumeration before the direct family loop: every odd (n1, n2)
+    with three filters, then one sort of the objects."""
+    rows = []
+    if max_product < 5:
+        return rows
+    for n1 in range(1, max_product + 1, 2):
+        for n2 in range(1, max_product // n1 + 1, 2):
+            if (2 * n1 - n2) % 3 != 0:
+                continue
+            n_o = (2 * n1 - n2) // 3
+            n_op = (2 * n2 - n1) // 3
+            if n_o % 2 == 0 or n_op % 2 == 0 or n_o * n_op == 0:
+                continue
+            pair = OddPair(n_o, n_op)
+            for sign in signs:
+                rows.append(condition_from_odd_pair(pair, sign=sign, beta=beta))
+    rows.sort(key=lambda c: (c.product, c.n1, -c.sign))
+    return rows
+
+
+REFERENCE_BOUND = 20000
+
+
+@functools.cache
+def _reference_family_up_to_bound():
+    family = tuple(reference_enumerate(REFERENCE_BOUND))
+    return family, [c.product for c in family]
+
+
+def reference_family(bound):
+    """reference_enumerate(bound) as a prefix of one enumeration up to
+    REFERENCE_BOUND, which is sorted by product (checked in
+    TestValidateAgainstEnumeration.test_reference_prefix)."""
+    assert bound <= REFERENCE_BOUND
+    family, products = _reference_family_up_to_bound()
+    return list(family[: bisect.bisect_right(products, bound)])
+
+
+def reference_validate(alpha, beta, action_t0, tol=1e-6):
+    """The lookup before the candidate box: a scan of the whole family up to
+    the product bound (finite inputs only)."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if abs(abs(beta) - 1.0) > tol:
+        return None
+    if action_t0 == 0.0:
+        return None
+    beta_resolved = 1 if beta > 0 else -1
+    bound = int(math.ceil((3.0 * abs(action_t0) / math.pi) ** 2 * 2.0 * (1.0 + tol) ** 2))
+    sign = 1 if action_t0 > 0 else -1
+    alpha_pos = alpha * sign
+    for cand in reference_family(bound):
+        if abs(cand.action_t0 - abs(action_t0)) > tol * cand.action_t0:
+            continue
+        if abs(cand.alpha - alpha_pos) > tol * max(1.0, abs(cand.alpha)):
+            continue
+        return condition_from_odd_pair(cand.pair, sign=sign, beta=beta_resolved)
+    return None
 
 
 class TestOddPair:
@@ -154,6 +221,33 @@ class TestEnumerate:
             assert a_plus == pytest.approx(-a_minus, abs=1e-15)
 
 
+    @pytest.mark.parametrize("signs", [(1,), (1, -1), (-1, 1)])
+    @pytest.mark.parametrize("beta", [1, -1])
+    def test_matches_reference_enumeration(self, signs, beta):
+        """Rows, order, signs and beta equal the filtered enumeration at every
+        bound up to 60 and at 2,999 and 5,000."""
+        for bound in [*range(-1, 61), 2999, 5000]:
+            assert enumerate_conditions(bound, signs, beta) == reference_enumerate(bound, signs, beta)
+
+    def test_family_integers_are_the_odd_pairs_summing_to_a_multiple_of_six(self):
+        for bound in (0, 4, 5, 36, 499):
+            expected = sorted(
+                ((n1, n2) for n1 in range(1, bound + 1, 2) for n2 in range(1, bound // n1 + 1, 2)
+                 if (n1 + n2) % 6 == 0),
+                key=lambda p: (p[0] * p[1], p[0]),
+            )
+            n1, n2 = family_integers(bound)
+            assert n1.dtype == n2.dtype == np.int64
+            assert list(zip(n1.tolist(), n2.tolist())) == expected
+
+    @pytest.mark.parametrize("n1_range,n2_range", [((7, 31), (4, 60)), ((2, 2), (1, 500)), ((1, 500), (40, 39))])
+    def test_family_integers_box(self, n1_range, n2_range):
+        n1, n2 = family_integers(500)
+        inside = (n1 >= n1_range[0]) & (n1 <= n1_range[1]) & (n2 >= n2_range[0]) & (n2 <= n2_range[1])
+        b1, b2 = family_integers(500, n1_range, n2_range)
+        assert b1.tolist() == n1[inside].tolist() and b2.tolist() == n2[inside].tolist()
+
+
 class TestClassifyCases:
     def test_three_three(self, cond_33):
         cases = classify_cases(cond_33)
@@ -217,6 +311,46 @@ class TestClosedFormPopulations:
                 np.testing.assert_allclose(closed, general, atol=1e-10)
 
 
+FAMILY_2000 = enumerate_conditions(2000)
+
+
+def scaled_actions(cond, fractions):
+    return np.array(fractions) * abs(cond.action_t0)
+
+
+ACTION_FRACTIONS = st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=40)
+
+
+class TestPopulationProperties:
+    """Properties over members drawn from enumerate_conditions(2000), at
+    actions up to twice the transfer action."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(FAMILY_2000), ACTION_FRACTIONS)
+    def test_closed_form_is_normalised(self, cond, fractions):
+        p = populations_closed_form_array(cond, scaled_actions(cond, fractions))
+        np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(FAMILY_2000), ACTION_FRACTIONS)
+    def test_closed_form_is_even_in_the_action(self, cond, fractions):
+        actions = scaled_actions(cond, fractions)
+        np.testing.assert_allclose(
+            populations_closed_form_array(cond, actions),
+            populations_closed_form_array(cond, -actions),
+            rtol=0, atol=1e-14,
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(FAMILY_2000), ACTION_FRACTIONS)
+    def test_closed_form_equals_general_form(self, cond, fractions):
+        actions = scaled_actions(cond, fractions)
+        closed = populations_closed_form_array(cond, actions)
+        for beta in (1, -1):
+            general = populations_general_array(build_dressed_basis(cond.ratios(beta=beta)), actions)
+            np.testing.assert_allclose(closed, general, rtol=0, atol=1e-10)
+
+
 class TestP3Max:
     @pytest.mark.parametrize(
         "pair,expected",
@@ -261,6 +395,84 @@ class TestValidateCondition:
 
     def test_non_unit_beta_rejected(self, cond_33):
         assert validate_condition(0.0, 0.5, cond_33.action_t0, tol=1e-6) is None
+
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "area", "tol"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, field, bad):
+        args = {"alpha": 0.0, "beta": 1.0, "area": 2.2214, "tol": 1e-3, field: bad}
+        with pytest.raises(ValueError, match="finite"):
+            validate_condition(args["alpha"], args["beta"], args["area"], tol=args["tol"])
+
+    @pytest.mark.parametrize("area,tol", [(1e200, 1e-6), (-1e200, 1e-6), (8e7, 1e-6), (1.0, 1e300)])
+    def test_bound_past_2_to_53_rejected(self, area, tol):
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            validate_condition(0.0, 1.0, area, tol=tol)
+
+    def test_large_area_answers_without_enumerating(self):
+        """n1*n2 = 199,996,163 (A near 1.05e4) and an arbitrary query at
+        A = 1e4 answer at once; the old enumeration grows as P log P in the
+        product bound P and took 0.13 s at P = 10,577."""
+        cond = condition_from_odd_pair(OddPair(4713, 4715))
+        start = time.perf_counter()
+        hit = validate_condition(cond.alpha, 1.0, cond.action_t0, tol=1e-9)
+        swapped = validate_condition(-cond.alpha, -1.0, cond.action_t0, tol=1e-9)
+        miss = validate_condition(cond.alpha * (1 + 1e-3), 1.0, cond.action_t0, tol=1e-9)
+        arbitrary = validate_condition(0.3, 1.0, 1e4)
+        assert time.perf_counter() - start < 1.0
+        assert hit == cond and miss is None and arbitrary is None
+        assert (swapped.n1, swapped.n2, swapped.beta) == (cond.n2, cond.n1, -1.0)
+
+
+def nudge(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+class TestValidateAgainstEnumeration:
+    """The candidate box against the scan of the whole family it replaced."""
+
+    def test_reference_prefix(self):
+        for bound in (4, 35, 1000):
+            assert reference_family(bound) == reference_enumerate(bound)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-17])
+    def test_every_family_member_is_found(self, tol):
+        """At tol = 1e-17 the band is narrower than the rounding of the
+        closed-form roots, so only the box's margin keeps the member inside."""
+        for cond in FAMILY_2000:
+            for sign in (1, -1):
+                alpha, area = sign * cond.alpha, sign * cond.action_t0
+                found = validate_condition(alpha, 1.0, area, tol)
+                assert found is not None and found == reference_validate(alpha, 1.0, area, tol)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_box_lookup_matches_enumeration(self, data):
+        """Hits, misses with alpha scaled by 1 +- 1e-3, both signs of A and of
+        beta, random queries, and inputs within one ulp of either edge of the
+        action or the alpha tolerance, for tol from 1e-12 to 2."""
+        tol = 10.0 ** data.draw(st.floats(-12.0, math.log10(2.0)))
+        # an area at the upper band edge searches up to n1*n2 (1 + tol)^4
+        top = min(2000, int(REFERENCE_BOUND / (1.0 + tol) ** 4 / 1.01))
+        cond = data.draw(st.sampled_from(reference_family(top)))
+        sign = data.draw(st.sampled_from((1, -1)))
+        beta = data.draw(st.sampled_from((1.0, -1.0)))
+        alpha, area = sign * cond.alpha, sign * cond.action_t0
+        kind = data.draw(st.sampled_from(("hit", "miss", "random", "area_edge", "alpha_edge")))
+        if kind == "miss":
+            alpha *= data.draw(st.sampled_from((1.0 + 1e-3, 1.0 - 1e-3)))
+        elif kind == "random":
+            alpha = data.draw(st.floats(-10.0, 10.0))
+            area = sign * data.draw(st.floats(0.1, 15.0))
+        elif kind == "area_edge":
+            factor = 1.0 + data.draw(st.sampled_from((1, -1) if tol < 1.0 else (1,))) * tol
+            area = nudge(area * factor, data.draw(st.integers(-1, 1)))
+        elif kind == "alpha_edge":
+            step = data.draw(st.sampled_from((1, -1))) * tol * max(1.0, abs(cond.alpha))
+            alpha = nudge(alpha + step, data.draw(st.integers(-1, 1)))
+        assert validate_condition(alpha, beta, area, tol) == reference_validate(alpha, beta, area, tol)
 
 
 class TestConditionForTarget:

@@ -117,6 +117,13 @@ class TestValue:
         with pytest.raises(ValueError):
             Pulse(shape=shape, **params)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_tabulated_rejects_non_finite_samples(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Pulse.tabulated([-1.0, 0.0, 1.0], [0.0, bad, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            Pulse.tabulated([-1.0, 0.0, bad], [0.0, 1.0, 1.0])
+
     def test_tabulated_requires_increasing_times(self):
         with pytest.raises(ValueError):
             Pulse.tabulated([0.0, 1.0, 1.0], [0.0, 1.0, 2.0])
