@@ -10,10 +10,9 @@ conditions  inverse lookup of (alpha, beta, area) in the transfer family
 kick        ideal-kick populations vs finite-width Gaussian kicks
 
 All commands write CSV or JSON files.  Floats are serialized with their
-shortest round-trip representation, and no timestamps or environment data
-enter the output, so identical invocations produce byte-identical files.
-The TRIPOP_STEPS environment variable overrides the integrator's default
-steps per period where --steps-per-period is not given.
+shortest round-trip representation, no timestamps or host data enter the
+output, and the command line alone sets every run parameter, so identical
+invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -31,9 +30,9 @@ from .dressed import CouplingRatios, build_dressed_basis, populations_general_ar
 from .errors import TripopError
 from .leakage import delta_p2_at_t0, leakage_scan
 from .propagate import (
+    DEFAULT_STEPS_PER_PERIOD,
     IntegratorConfig,
     LevelEnergies,
-    default_steps_per_period,
     integrate,
     integrate_batch,
     propagate_kick,
@@ -57,12 +56,6 @@ def _write_rows(path: str, fmt: str, command: str, params: dict, header: list[st
         fh.write("\n")
 
 
-def _steps(args) -> int:
-    if args.steps_per_period is not None:
-        return args.steps_per_period
-    return default_steps_per_period()
-
-
 # -- subcommand implementations ---------------------------------------------
 
 
@@ -79,7 +72,7 @@ def cmd_trace(args) -> int:
     basis = build_dressed_basis(ratios)
     pulse = Pulse.harmonic(v0=args.area, omega=omega)  # A(T/4) = v0/omega
     t_end = args.periods * pulse.period
-    config = IntegratorConfig(steps_per_period=_steps(args))
+    config = IntegratorConfig(steps_per_period=args.steps_per_period)
     trace = integrate(ratios, LevelEnergies.degenerate(), pulse, t_end, config)
     actions = pulse.area(trace.times).a
     analytic = populations_general_array(basis, actions)
@@ -94,7 +87,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = verify_conditions(args.max_product, steps_per_period=_steps(args))
+    checks = verify_conditions(args.max_product, steps_per_period=args.steps_per_period)
     header = ["n1", "n2", "analytic_error", "ode_deviation", "cases_ok", "status"]
     rows = [
         [
@@ -138,8 +131,10 @@ def cmd_leakage(args) -> int:
     pair = OddPair(args.n_o, args.n_op)
     cond = condition_from_odd_pair(pair)
     grid = _parse_grid(args.grid)  # absolute splittings
+    if not 0.0 < args.omega < math.inf:
+        raise ValueError(f"--omega must be positive and finite, got {args.omega!r}")
     ratios = [(w12 / args.omega, w13 / args.omega) for w12, w13 in grid]
-    config = IntegratorConfig(steps_per_period=_steps(args))
+    config = IntegratorConfig(steps_per_period=args.steps_per_period)
     measured = leakage_scan(cond, args.beta, ratios, config=config, omega=args.omega)
     header = ["omega12_ratio", "omega13_ratio", "deficit", "estimate"]
     rows = [
@@ -187,7 +182,7 @@ def cmd_kick(args) -> int:
     # every width takes the same number of steps and the runs form one batch.
     k = ratios.coupling_matrix()
     runs = [(k, energies, Pulse.gaussian_kick(args.area, 10.0 * w, w), 20.0 * w) for w in widths]
-    traces = require_traces(integrate_batch(runs, IntegratorConfig(steps_per_period=_steps(args))))
+    traces = require_traces(integrate_batch(runs, IntegratorConfig(steps_per_period=args.steps_per_period)))
     for w, trace in zip(widths, traces):
         rows.append(["gaussian", w, *trace.populations[-1]])
     params = {
@@ -212,7 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", required=True, help="output file path")
-        p.add_argument("--steps-per-period", type=int, default=None)
+        p.add_argument("--steps-per-period", type=int, default=DEFAULT_STEPS_PER_PERIOD,
+                       help="RK4 steps per drive period (trace, verify, leakage) or per kick "
+                            "window (kick); table and conditions accept and ignore it")
 
     p = sub.add_parser("table", help="enumerate transfer conditions")
     p.add_argument("--max-product", type=int, required=True)

@@ -39,6 +39,8 @@ from .dressed import CouplingRatios, PopulationSample
 from .errors import InvalidPairError
 
 CONDITION_TOL = 1e-12
+# The most candidates one lookup may test (its columns peak near 130 MB).
+MAX_LOOKUP_CANDIDATES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -275,6 +277,13 @@ def classify_cases(cond: TransferCondition) -> CaseClassification:
     )
 
 
+def _family_floats(n1: np.ndarray, n2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """r, A(t0) and alpha of the sign +1 members as columns, with the float
+    expressions of ``condition_from_odd_pair``, so the values are bit-equal."""
+    r = np.sqrt(2.0 / (n1 * n2))
+    return r, np.pi / (3.0 * r), r * (n2 - n1)
+
+
 def family_table(max_product: int) -> dict[str, np.ndarray]:
     """The ``table`` columns: one row per family member (sign +1), in the
     order of ``enumerate_conditions(max_product)``.
@@ -286,9 +295,7 @@ def family_table(max_product: int) -> dict[str, np.ndarray]:
     raising the same ``ValueError`` for the first row that fails.
     """
     n1, n2 = family_integers(max_product)
-    r = np.sqrt(2.0 / (n1 * n2))
-    action = np.pi / (3.0 * r)
-    alpha = r * (n2 - n1)
+    r, action, alpha = _family_floats(n1, n2)
     limit = CONDITION_TOL * np.maximum(1.0, action)
     for name, err in _law_residuals(n1, n2, r, action, alpha).items():
         bad = np.flatnonzero(err > limit)
@@ -384,6 +391,21 @@ def _candidate_box(alpha: float, action: float, tol: float, bound: int):
     return widen(n1_lo, n1_hi), widen(n2_lo, n2_hi)
 
 
+def _candidate_count_bound(n1_range: tuple[int, int], n2_range: tuple[int, int], bound: int) -> float:
+    """Upper bound on the rows ``family_integers`` returns for the box: each
+    odd n1 has at most (n2_hi - n2_lo)/6 + 1 of them, and at most
+    bound/(6 n1) + 1, whose sum over odd n1 is below
+    rows + bound (ln(n1_hi/n1_lo)/2 + 1)/6."""
+    (n1_lo, n1_hi), (n2_lo, n2_hi) = n1_range, n2_range
+    n1_lo, n1_hi = max(n1_lo, 1), min(n1_hi, bound)
+    rows = max((n1_hi + 1) // 2 - n1_lo // 2, 0)
+    if rows == 0 or n2_hi < n2_lo:
+        return 0.0
+    by_n2 = rows * ((n2_hi - n2_lo) // 6 + 1)
+    by_product = rows + bound * (0.5 * math.log(n1_hi / n1_lo) + 1.0) / 6.0
+    return min(by_n2, by_product)
+
+
 def validate_condition(
     alpha: float, beta: float, action_t0: float, tol: float = 1e-6
 ) -> TransferCondition | None:
@@ -400,11 +422,16 @@ def validate_condition(
     tol * max(1, |alpha|/(1 - tol)) of the signed input; the corners of that
     rectangle, put through the closed-form roots (module docstring), bound
     n1 and n2.  The box is widened by one integer on each side and capped at
-    the product bound; for tol >= 1 it is the whole range.  Each candidate is
-    built by ``condition_from_odd_pair`` and put through the float tests.
+    the product bound; for tol >= 1 it is the whole range.  The box is tested
+    as columns: A = pi/(3r) and alpha = r(n2 - n1) with r = sqrt(2/(n1 n2)),
+    the float expressions of ``condition_from_odd_pair``, go through
+    |A - |A(t0)|| <= tol A and |alpha - alpha_in| <= tol max(1, |alpha|), and
+    only the first passing row in (n1*n2, n1) order becomes a condition.
 
-    Raises ValueError for non-finite inputs, tol <= 0, and an action whose
-    product bound passes 2**53.
+    Raises ValueError for non-finite inputs, tol <= 0, an action whose
+    product bound passes 2**53, and a box that may hold more than
+    ``MAX_LOOKUP_CANDIDATES`` members (a loose tol at a large area); the
+    count is bounded before anything is allocated.
     """
     if not all(math.isfinite(v) for v in (alpha, beta, action_t0, tol)):
         raise ValueError(f"alpha, beta, area and tol must be finite, got {(alpha, beta, action_t0, tol)}")
@@ -425,12 +452,20 @@ def validate_condition(
     sign = 1 if action_t0 > 0 else -1
     # alpha for the sign=+1 member of the ordered pair equals sign(A) * input alpha
     alpha_pos = alpha * sign
-    n1s, n2s = family_integers(bound, *_candidate_box(alpha_pos, abs(action_t0), tol, bound))
-    for n1, n2 in zip(n1s.tolist(), n2s.tolist()):
-        cand = condition_from_odd_pair(_pair_of(n1, n2))
-        if abs(cand.action_t0 - abs(action_t0)) > tol * cand.action_t0:
-            continue
-        if abs(cand.alpha - alpha_pos) > tol * max(1.0, abs(cand.alpha)):
-            continue
-        return condition_from_odd_pair(cand.pair, sign=sign, beta=beta_resolved)
-    return None
+    box = _candidate_box(alpha_pos, abs(action_t0), tol, bound)
+    count = _candidate_count_bound(*box, bound)
+    if count > MAX_LOOKUP_CANDIDATES:
+        raise ValueError(
+            f"area {action_t0!r} with tol {tol!r} has up to {count:.3g} candidates, "
+            f"past the lookup cap of {MAX_LOOKUP_CANDIDATES:.0e}"
+        )
+    n1s, n2s = family_integers(bound, *box)
+    _, cand_action, cand_alpha = _family_floats(n1s, n2s)
+    passed = np.flatnonzero(
+        (np.abs(cand_action - abs(action_t0)) <= tol * cand_action)
+        & (np.abs(cand_alpha - alpha_pos) <= tol * np.maximum(1.0, np.abs(cand_alpha)))
+    )
+    if passed.size == 0:
+        return None
+    first = passed[0]
+    return condition_from_odd_pair(_pair_of(int(n1s[first]), int(n2s[first])), sign=sign, beta=beta_resolved)

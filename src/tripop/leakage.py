@@ -28,7 +28,14 @@ import numpy as np
 
 from .conditions import TransferCondition
 from .dressed import CouplingRatios
-from .propagate import IntegratorConfig, LevelEnergies, integrate_batch, require_traces, write_csv
+from .propagate import (
+    DEFAULT_STEPS_PER_PERIOD,
+    IntegratorConfig,
+    LevelEnergies,
+    integrate_batch,
+    require_traces,
+    write_csv,
+)
 from .pulses import Pulse, harmonic_for_condition
 
 # The two-level atom as a 3x3 problem: level 3 has no coupling, so it stays empty.
@@ -209,7 +216,7 @@ def two_level_p2_bound(eps1: float, eps2: float) -> float:
 def measured_two_level_deficit(
     omega12_ratio: float,
     omega: float = 1.0,
-    steps: int = 20000,
+    steps: int = DEFAULT_STEPS_PER_PERIOD,
 ) -> float:
     """1 - P2(t0) for the harmonic two-level atom with v0/omega = pi/2.
 

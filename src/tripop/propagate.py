@@ -30,7 +30,6 @@ or the number of configurations.
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -50,7 +49,6 @@ from .pulses import Pulse
 DEFAULT_STEPS_PER_PERIOD = 20000
 DEFAULT_SAMPLES_PER_PERIOD = 2000
 NORM_DRIFT_LIMIT = 1e-6
-STEPS_ENV_VAR = "TRIPOP_STEPS"
 
 
 @dataclass(frozen=True)
@@ -106,17 +104,6 @@ class IntegratorConfig:
         if pulse.shape == "harmonic":
             return pulse.period / self.steps_per_period
         return t_end / self.steps_per_period
-
-
-def default_steps_per_period() -> int:
-    """Integrator default, overridable through the TRIPOP_STEPS variable."""
-    raw = os.environ.get(STEPS_ENV_VAR)
-    if raw is None:
-        return DEFAULT_STEPS_PER_PERIOD
-    steps = int(raw)
-    if steps <= 0:
-        raise InvalidConfigError(f"{STEPS_ENV_VAR} must be a positive integer, got {raw!r}")
-    return steps
 
 
 @dataclass(frozen=True)

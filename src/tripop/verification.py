@@ -39,32 +39,17 @@ class ConditionCheck:
     passed: bool
 
 
-def check_condition(
-    cond: TransferCondition,
-    steps_per_period: int = DEFAULT_STEPS_PER_PERIOD,
-    analytic_tol: float = ANALYTIC_TOL,
-    ode_tol: float = ODE_TOL,
-) -> ConditionCheck:
+def check_condition(cond: TransferCondition, steps_per_period: int = DEFAULT_STEPS_PER_PERIOD) -> ConditionCheck:
     """Run all three checks for one condition."""
-    return _check_conditions([cond], steps_per_period, analytic_tol, ode_tol)[0]
+    return _check_conditions([cond], steps_per_period)[0]
 
 
-def verify_conditions(
-    max_product: int,
-    steps_per_period: int = DEFAULT_STEPS_PER_PERIOD,
-    analytic_tol: float = ANALYTIC_TOL,
-    ode_tol: float = ODE_TOL,
-) -> list[ConditionCheck]:
+def verify_conditions(max_product: int, steps_per_period: int = DEFAULT_STEPS_PER_PERIOD) -> list[ConditionCheck]:
     """Check every family member with n1*n2 <= max_product."""
-    return _check_conditions(enumerate_conditions(max_product), steps_per_period, analytic_tol, ode_tol)
+    return _check_conditions(enumerate_conditions(max_product), steps_per_period)
 
 
-def _check_conditions(
-    conds: list[TransferCondition],
-    steps_per_period: int,
-    analytic_tol: float,
-    ode_tol: float,
-) -> list[ConditionCheck]:
+def _check_conditions(conds: list[TransferCondition], steps_per_period: int) -> list[ConditionCheck]:
     """The check battery for each condition, with every RK4 run in one batch.
 
     Each condition is driven at omega = 1 up to t0 = pi/2, so the runs share
@@ -100,7 +85,7 @@ def _check_conditions(
             analytic = populations_closed_form_array(cond, actions)
             ode_deviation = float(np.max(np.abs(analytic - trace.populations)))
 
-        passed = analytic_error < analytic_tol and ode_deviation < ode_tol and cases_ok
+        passed = analytic_error < ANALYTIC_TOL and ode_deviation < ODE_TOL and cases_ok
         checks.append(ConditionCheck(
             condition=cond,
             analytic_error=analytic_error,

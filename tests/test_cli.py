@@ -7,9 +7,14 @@ back and checked against library results and published values.
 import csv
 import json
 import math
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from tripop import (
@@ -308,6 +313,18 @@ class TestLeakage:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("omega", ["0", "-1", "nan", "inf"])
+    def test_unusable_omega_is_an_error(self, tmp_path, capsys, omega):
+        out = tmp_path / "scan.csv"
+        code = main(
+            [
+                "leakage", "--n-o", "1", "--n-op", "1", f"--omega={omega}",
+                "--grid", "omega12:0.05,omega13:0", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestConditions:
     def test_family_lookup_hit(self, tmp_path):
@@ -343,6 +360,12 @@ class TestConditions:
         out = tmp_path / "c.csv"
         assert main(["conditions", "--alpha", "0.3", "--area", "1e4", "--out", str(out)]) == 0
         assert out.read_text().count("\n") == 1
+
+    def test_loose_tolerance_at_large_area_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        argv = ["conditions", "--alpha", "0.3", "--area", "1e4", "--tol", "1", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: area 10000.0 with tol 1.0")
 
 
 class TestKick:
@@ -413,9 +436,123 @@ class TestKick:
 
 class TestEnvOverride:
     def test_steps_env_variable(self, tmp_path, monkeypatch):
-        """TRIPOP_STEPS sets the default step count when no flag is given."""
+        """The environment does not enter a run: with TRIPOP_STEPS set, trace
+        takes the default step count and writes the same bytes as without it."""
+        argv = ["trace", "--alpha", "0", "--area", "1.0", "--periods", "1", "--out"]
+        plain, with_env = tmp_path / "plain.csv", tmp_path / "env.csv"
+        assert main([*argv, str(plain)]) == 0
         monkeypatch.setenv("TRIPOP_STEPS", "100")
-        out = tmp_path / "t.csv"
-        main(["trace", "--alpha", "0", "--area", "1.0", "--periods", "1", "--out", str(out)])
-        # 100 steps/period with the default recording stride (every 10th step)
-        assert len(read_csv(out)) == 11
+        assert main([*argv, str(with_env)]) == 0
+        # 20,000 steps/period with the default recording stride (every 10th step)
+        assert len(read_csv(with_env)) == 2001
+        assert with_env.read_bytes() == plain.read_bytes()
+
+
+def bit_equal(a: float, b: float) -> bool:
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def assert_csv_json_round_trip(argv: list[str], params: dict, codes=(0,)) -> None:
+    """Run one subcommand to CSV and to JSON and compare the files field by
+    field: the CSV header is the JSON row keys in order, the row counts are
+    equal, and every CSV field parses to exactly the JSON value."""
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_out, json_out = Path(tmp) / "out.csv", Path(tmp) / "out.json"
+        assert main([*argv, "--out", str(csv_out)]) in codes
+        assert main([*argv, "--format", "json", "--out", str(json_out)]) in codes
+        with open(csv_out, newline="") as fh:
+            header, *csv_rows = list(csv.reader(fh))
+        payload = json.loads(json_out.read_text())
+    assert payload["meta"]["command"] == argv[0]
+    assert payload["meta"]["parameters"] == params
+    assert len(csv_rows) == len(payload["rows"])
+    for raw_row, json_row in zip(csv_rows, payload["rows"]):
+        assert list(json_row) == header
+        for raw, value in zip(raw_row, json_row.values()):
+            if isinstance(value, bool):
+                assert raw == ("true" if value else "false")
+            elif isinstance(value, int):
+                assert raw == str(value)
+            elif isinstance(value, float):
+                assert bit_equal(float(raw), value)
+            else:
+                assert isinstance(value, str) and raw == value
+
+
+ROUND_TRIP = settings(max_examples=20, deadline=None)
+# Couplings, areas and step counts small enough that every RK4 run keeps its
+# norm drift below the integrator's limit.
+RATIO = st.floats(-1.0, 1.0)
+STEPS = st.integers(300, 400)
+
+
+class TestCsvJsonRoundTrip:
+    """Every subcommand writes the same values to CSV and to JSON, and its
+    JSON meta records the arguments it was given."""
+
+    @ROUND_TRIP
+    @given(st.integers(-2, 60))
+    def test_table(self, max_product):
+        assert_csv_json_round_trip(["table", f"--max-product={max_product}"], {"max_product": max_product})
+
+    @ROUND_TRIP
+    @given(RATIO, RATIO, st.floats(0.0, 1.5), st.sampled_from([0.25, 0.5, 1.0]), STEPS)
+    def test_trace(self, alpha, beta, area, periods, steps):
+        argv = [
+            "trace", f"--alpha={alpha!r}", f"--beta={beta!r}", f"--area={area!r}",
+            f"--periods={periods!r}", f"--steps-per-period={steps}",
+        ]
+        params = {"alpha": alpha, "beta": beta, "area": area, "periods": periods, "steps_per_period": steps}
+        assert_csv_json_round_trip(argv, params)
+
+    @ROUND_TRIP
+    @given(st.integers(0, 60), STEPS)
+    def test_verify(self, max_product, steps):
+        argv = ["verify", f"--max-product={max_product}", f"--steps-per-period={steps}"]
+        assert_csv_json_round_trip(argv, {"max_product": max_product}, codes=(0, 1))
+
+    @ROUND_TRIP
+    @given(
+        st.sampled_from([(1, 1), (-1, 3), (3, -1)]), st.sampled_from([1, -1]), st.floats(0.5, 2.0),
+        st.floats(0.0, 0.1), st.floats(0.0, 0.1), st.integers(1, 3), st.floats(-0.1, 0.1), STEPS,
+    )
+    def test_leakage(self, pair, beta, omega, start, stop, count, w13, steps):
+        grid = f"omega12:{start!r}:{stop!r}:{count},omega13:{w13!r}"
+        argv = [
+            "leakage", f"--n-o={pair[0]}", f"--n-op={pair[1]}", f"--beta={beta}",
+            f"--omega={omega!r}", f"--grid={grid}", f"--steps-per-period={steps}",
+        ]
+        params = {"n_o": pair[0], "n_op": pair[1], "beta": beta, "omega": omega, "grid": grid}
+        assert_csv_json_round_trip(argv, params)
+
+    @ROUND_TRIP
+    @given(st.data())
+    def test_conditions(self, data):
+        tol = 10.0 ** data.draw(st.floats(-12.0, math.log10(2.0)))
+        if data.draw(st.booleans()):
+            cond = data.draw(st.sampled_from(enumerate_conditions(60)))
+            sign = data.draw(st.sampled_from([1, -1]))
+            alpha, area = sign * cond.alpha, sign * cond.action_t0
+        else:
+            alpha, area = data.draw(st.floats(-10.0, 10.0)), data.draw(st.floats(-15.0, 15.0))
+        beta = data.draw(st.sampled_from([1.0, -1.0, 0.5]))
+        argv = ["conditions", f"--alpha={alpha!r}", f"--beta={beta!r}", f"--area={area!r}", f"--tol={tol!r}"]
+        assert_csv_json_round_trip(argv, {"alpha": alpha, "beta": beta, "area": area, "tol": tol})
+
+    @ROUND_TRIP
+    @given(
+        RATIO, RATIO, st.floats(0.0, 1.0),
+        st.lists(st.floats(0.01, 0.2), min_size=1, max_size=3, unique=True),
+        st.floats(0.0, 1.0), st.floats(0.0, 1.0), STEPS,
+    )
+    def test_kick(self, alpha, beta, area, widths, omega12, omega13, steps):
+        widths = ",".join(repr(w) for w in sorted(widths, reverse=True))
+        argv = [
+            "kick", f"--alpha={alpha!r}", f"--beta={beta!r}", f"--area={area!r}", f"--widths={widths}",
+            f"--omega12={omega12!r}", f"--omega13={omega13!r}", f"--steps-per-period={steps}",
+        ]
+        params = {
+            "alpha": alpha, "beta": beta, "area": area, "widths": widths,
+            "omega12": omega12, "omega13": omega13,
+        }
+        assert_csv_json_round_trip(argv, params)

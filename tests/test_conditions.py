@@ -9,6 +9,7 @@ import bisect
 import functools
 import math
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +32,7 @@ from tripop import (
     populations_general_array,
     validate_condition,
 )
-from tripop.conditions import family_integers
+from tripop.conditions import _candidate_count_bound, family_integers
 
 RNG = np.random.default_rng(3)
 
@@ -422,6 +423,44 @@ class TestValidateCondition:
         assert time.perf_counter() - start < 1.0
         assert hit == cond and miss is None and arbitrary is None
         assert (swapped.n1, swapped.n2, swapped.beta) == (cond.n2, cond.n1, -1.0)
+
+    @pytest.mark.parametrize("tol", [0.5, 1.0])
+    def test_loose_tolerance_at_large_area_is_refused(self, tol):
+        """The box at A = 1e4 holds about 2.3e7 candidates at tol 0.5 and
+        1.7e9 at tol 1; the count is bounded before anything is allocated."""
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match=r"area 10000\.0 with tol .* candidates"):
+                validate_condition(0.3, 1.0, 1e4, tol=tol)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0 and peak < 10e6
+
+    def test_loose_tolerance_below_the_cap_answers(self):
+        """About 1e6 candidates at A = 1e4, tol 0.1: the smallest (n1*n2, n1)
+        that passes, as the enumeration over the whole family finds it."""
+        cond = validate_condition(0.3, 1.0, 1e4, tol=0.1)
+        assert (cond.n1, cond.n2, cond.sign, cond.beta) == (11385, 13239, 1, 1.0)
+        assert type(cond.n1) is int and type(cond.pair.n_o) is int
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(-5, 400), st.integers(0, 400), st.integers(-5, 400), st.integers(0, 3000),
+        st.integers(0, 3000),
+    )
+    def test_candidate_count_bound_holds(self, n1_lo, n1_span, n2_lo, n2_span, bound):
+        box = (n1_lo, n1_lo + n1_span), (n2_lo, n2_lo + n2_span)
+        count = family_integers(bound, *box)[0].size
+        assert count <= _candidate_count_bound(*box, bound)
+
+    def test_candidate_count_bound_holds_for_the_whole_range(self):
+        """The box of tol >= 1, where every odd n1 up to the bound is a row."""
+        for bound in range(200):
+            box = (1, bound), (1, bound)
+            assert family_integers(bound, *box)[0].size <= _candidate_count_bound(*box, bound)
 
 
 def nudge(x, ulps):

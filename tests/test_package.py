@@ -1,7 +1,9 @@
-"""The public surface: every name ``tripop.__all__`` promises exists, and
-every error type the library can raise is exported."""
+"""The public surface: every name ``tripop.__all__`` promises exists, every
+error type the library can raise is exported, and no module reads the
+environment."""
 
 import inspect
+from pathlib import Path
 
 import tripop
 from tripop import errors
@@ -20,3 +22,17 @@ def test_every_error_type_is_exported():
     }
     assert "TripopError" in defined
     assert defined - set(tripop.__all__) == set()
+
+
+def test_no_environment_input():
+    """Only argv decides a CLI run: no module reads the environment."""
+    package = Path(tripop.__file__).parent
+    sources = sorted(package.rglob("*.py"))
+    assert sources
+    offenders = [
+        (path.name, word)
+        for path in sources
+        for word in ("os.environ", "getenv", "TRIPOP_STEPS")
+        if word in path.read_text()
+    ]
+    assert offenders == []

@@ -20,7 +20,6 @@ from tripop import (
     build_dressed_basis,
     check_condition,
     compare_analytic_numeric,
-    default_steps_per_period,
     dwell_time,
     export_trace_csv,
     harmonic_for_condition,
@@ -367,11 +366,3 @@ class TestTraceUtilities:
         np.testing.assert_allclose(
             raw["re_a1"] ** 2 + raw["im_a1"] ** 2, trace.populations[:, 0], atol=1e-14
         )
-
-    def test_default_steps_env_override(self, monkeypatch):
-        assert default_steps_per_period() == 20000
-        monkeypatch.setenv("TRIPOP_STEPS", "1234")
-        assert default_steps_per_period() == 1234
-        monkeypatch.setenv("TRIPOP_STEPS", "-5")
-        with pytest.raises(InvalidConfigError):
-            default_steps_per_period()
