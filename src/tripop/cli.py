@@ -9,10 +9,11 @@ leakage     measured deficits vs perturbative estimates over a splitting grid
 conditions  inverse lookup of (alpha, beta, area) in the transfer family
 kick        ideal-kick populations vs finite-width Gaussian kicks
 
-All commands write CSV or JSON files.  Floats are serialized with their
-shortest round-trip representation, no timestamps or host data enter the
-output, and the command line alone sets every run parameter, so identical
-invocations produce byte-identical files.
+All commands write CSV or JSON files, and this is the one module of the
+package that writes files: it alone decides their formats.  Floats are
+serialized with their shortest round-trip representation, no timestamps or
+host data enter the output, and the command line alone sets every run
+parameter, so identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -37,15 +38,44 @@ from .propagate import (
     integrate_batch,
     propagate_kick,
     require_traces,
-    write_csv,
 )
-from .pulses import Pulse, harmonic_for_condition
+from .pulses import Pulse
 from .verification import verify_conditions
+
+
+def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+_PLAIN = frozenset((int, float))
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """Write a header line and one comma-separated line per row, floats in
+    their shortest round-trip form, so that equal rows give identical files.
+
+    ``rows`` is a sequence of rows or a 2-D array.  A row of plain Python
+    ints and floats is written with ``repr`` (which is ``str`` for an int);
+    any other row goes value by value through ``_fmt``.
+    """
+    if isinstance(rows, np.ndarray):
+        rows = map(np.ndarray.tolist, rows)  # row by row, so no second copy of the array
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(
+            ",".join(map(repr if _PLAIN.issuperset(map(type, row)) else _fmt, row)) + "\n" for row in rows
+        )
 
 
 def _write_rows(path: str, fmt: str, command: str, params: dict, header: list[str], rows: list[list]) -> None:
     if fmt == "csv":
-        write_csv(path, header, rows)
+        _write_csv(path, header, rows)
         return
     payload = {
         "meta": {"command": command, "parameters": params, "version": __version__},
@@ -96,7 +126,7 @@ def cmd_verify(args) -> int:
         ]
         for c in checks
     ]
-    params = {"max_product": args.max_product}
+    params = {"max_product": args.max_product, "steps_per_period": args.steps_per_period}
     _write_rows(args.out, args.format, "verify", params, header, rows)
     for c in checks:
         line = "pass" if c.passed else "FAIL"
@@ -143,7 +173,7 @@ def cmd_leakage(args) -> int:
     ]
     params = {
         "n_o": args.n_o, "n_op": args.n_op, "beta": args.beta,
-        "omega": args.omega, "grid": args.grid,
+        "omega": args.omega, "grid": args.grid, "steps_per_period": args.steps_per_period,
     }
     _write_rows(args.out, args.format, "leakage", params, header, rows)
     return 0
@@ -188,6 +218,7 @@ def cmd_kick(args) -> int:
     params = {
         "alpha": args.alpha, "beta": args.beta, "area": args.area,
         "widths": args.widths, "omega12": args.omega12, "omega13": args.omega13,
+        "steps_per_period": args.steps_per_period,
     }
     _write_rows(args.out, args.format, "kick", params, header, rows)
     return 0

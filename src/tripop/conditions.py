@@ -39,7 +39,8 @@ from .dressed import CouplingRatios, PopulationSample
 from .errors import InvalidPairError
 
 CONDITION_TOL = 1e-12
-# The most candidates one lookup may test (its columns peak near 130 MB).
+# The most candidates one lookup may test (its columns peak near 130 MB), and
+# the most members ``family_integers`` may return.
 MAX_LOOKUP_CANDIDATES = 2_000_000
 
 
@@ -207,10 +208,18 @@ def family_integers(
 
     The optional inclusive ranges restrict n1 and n2 (the candidate box of
     ``validate_condition``).  It takes odd n1 and, for each, n2 = -n1
-    (mod 6) in steps of 6, which is the whole family.
+    (mod 6) in steps of 6, which is the whole family.  Raises ValueError,
+    before allocating, when ``_candidate_count_bound`` allows more than
+    ``MAX_LOOKUP_CANDIDATES`` members.
     """
     n1_lo, n1_hi = n1_range or (1, max_product)
     n2_lo, n2_hi = n2_range or (1, max_product)
+    count = _candidate_count_bound((n1_lo, n1_hi), (n2_lo, n2_hi), max_product)
+    if count > MAX_LOOKUP_CANDIDATES:
+        raise ValueError(
+            f"max_product {max_product} may give up to {count:.3g} family members, "
+            f"past the cap of {MAX_LOOKUP_CANDIDATES:.0e}"
+        )
     n1_lo, n2_lo = max(n1_lo, 1), max(n2_lo, 1)
     n1 = np.arange(n1_lo | 1, min(n1_hi, max_product) + 1, 2, dtype=np.int64)
     first = n2_lo + (-n1 - n2_lo) % 6  # the smallest n2 >= n2_lo in each n1's class

@@ -30,7 +30,7 @@ class NormDriftExceededError(TripopError):
 
 
 class InvalidConfigError(TripopError):
-    """Integrator configuration is unusable (bad step, bad recording stride, or an ideal kick)."""
+    """Integrator configuration is unusable (bad step or stride, too many records, or an ideal kick)."""
 
 
 class VerificationFailedError(TripopError):

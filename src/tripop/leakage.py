@@ -34,7 +34,6 @@ from .propagate import (
     LevelEnergies,
     integrate_batch,
     require_traces,
-    write_csv,
 )
 from .pulses import Pulse, harmonic_for_condition
 
@@ -166,14 +165,6 @@ def leakage_scan(
     return [((r12, r13), float(1.0 - trace.p2[-1])) for (r12, r13), trace in zip(omega_ratios, traces)]
 
 
-def export_scan_csv(rows, estimates, path) -> None:
-    """Write ``omega12_ratio,omega13_ratio,deficit,estimate`` rows."""
-    if len(rows) != len(estimates):
-        raise ValueError("rows and estimates length mismatch")
-    table = np.array([(r12, r13, deficit, est) for ((r12, r13), deficit), est in zip(rows, estimates)], dtype=float)
-    write_csv(path, ["omega12_ratio", "omega13_ratio", "deficit", "estimate"], table)
-
-
 # -- two-level reference atom ---------------------------------------------
 
 
@@ -228,6 +219,6 @@ def measured_two_level_deficit(
     t0 = math.pi / (2.0 * omega)
     pulse = Pulse.harmonic(0.5 * math.pi * omega, omega)
     energies = LevelEnergies.from_splittings(omega12_ratio * omega, 0.0)
-    config = IntegratorConfig(dt=t0 / steps, record_every=steps)
+    config = IntegratorConfig(steps_per_period=4 * steps, record_every=steps)
     (trace,) = require_traces(integrate_batch([(_TWO_LEVEL_COUPLING, energies, pulse, t0)], config))
     return float(1.0 - trace.p2[-1])

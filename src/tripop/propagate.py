@@ -49,6 +49,9 @@ from .pulses import Pulse
 DEFAULT_STEPS_PER_PERIOD = 20000
 DEFAULT_SAMPLES_PER_PERIOD = 2000
 NORM_DRIFT_LIMIT = 1e-6
+# Runs x records of one batch: 2e6 hold 48 MB of populations; the longest CLI
+# run (the benchmark's 5-period trace) records 10,001.
+MAX_RUN_RECORDS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -83,24 +86,19 @@ class LevelEnergies:
 class IntegratorConfig:
     """Fixed-step RK4 settings.
 
-    ``dt`` overrides the step directly; otherwise the step is the drive
-    period (or, failing that, the integration window) divided by
-    ``steps_per_period``.  Every ``record_every``-th step lands in the trace.
+    The step is the drive period (or, failing that, the integration window)
+    divided by ``steps_per_period``.  Every ``record_every``-th step lands
+    in the trace.
     """
 
-    dt: float | None = None
     steps_per_period: int = DEFAULT_STEPS_PER_PERIOD
     record_every: int = DEFAULT_STEPS_PER_PERIOD // DEFAULT_SAMPLES_PER_PERIOD
 
     def __post_init__(self):
-        if self.dt is not None and not self.dt > 0:
-            raise InvalidConfigError("dt must be positive")
         if self.steps_per_period <= 0 or self.record_every <= 0:
             raise InvalidConfigError("steps_per_period and record_every must be positive")
 
     def resolve_dt(self, pulse: Pulse, t_end: float) -> float:
-        if self.dt is not None:
-            return self.dt
         if pulse.shape == "harmonic":
             return pulse.period / self.steps_per_period
         return t_end / self.steps_per_period
@@ -108,20 +106,17 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class PopulationTrace:
-    """Time-sampled populations (and optionally amplitudes) from one run."""
+    """Time-sampled populations from one run."""
 
     times: np.ndarray
     populations: np.ndarray  # shape (N, 3)
     norm_drift: float
-    amplitudes: np.ndarray | None = None  # shape (N, 3), complex
 
     def __post_init__(self):
         if len(self.times) != len(self.populations):
             raise ValueError("times and populations length mismatch")
         self.times.setflags(write=False)
         self.populations.setflags(write=False)
-        if self.amplitudes is not None:
-            self.amplitudes.setflags(write=False)
 
     @property
     def p1(self) -> np.ndarray:
@@ -142,8 +137,6 @@ def integrate(
     pulse: Pulse,
     t_end: float,
     config: IntegratorConfig = IntegratorConfig(),
-    *,
-    record_amplitudes: bool = False,
 ) -> PopulationTrace:
     """Classical RK4 propagation from t = 0 to t_end with a fixed step.
 
@@ -152,15 +145,13 @@ def integrate(
     max |1 - sum |a_i|^2| exceeds 1e-6 or is not finite.
     """
     run = (ratios.coupling_matrix(), energies, pulse, t_end)
-    (trace,) = require_traces(integrate_batch([run], config, record_amplitudes=record_amplitudes))
+    (trace,) = require_traces(integrate_batch([run], config))
     return trace
 
 
 def integrate_batch(
     runs: Sequence[tuple[np.ndarray, LevelEnergies, Pulse, float]],
     config: IntegratorConfig = IntegratorConfig(),
-    *,
-    record_amplitudes: bool = False,
 ) -> list[PopulationTrace | NormDriftExceededError]:
     """``integrate`` for several runs at once, advanced together by one RK4 core.
 
@@ -168,6 +159,9 @@ def integrate_batch(
     coupling matrix, such as ``CouplingRatios.coupling_matrix()``.  Each run
     resolves its own step from ``config`` as ``integrate`` does, and all of
     them must come to the same number of steps.
+
+    Refuses a batch of more than ``MAX_RUN_RECORDS`` runs x records before
+    integrating it.
 
     Returns one result per run: its trace, or, when that run's norm drift
     exceeds NORM_DRIFT_LIMIT or is not finite, the NormDriftExceededError
@@ -182,8 +176,8 @@ def integrate_batch(
     for i, (coupling, energies, pulse, t_end) in enumerate(runs):
         if pulse.shape == "ideal_kick":
             raise InvalidConfigError("an ideal kick cannot be time-stepped; use propagate_kick")
-        if not t_end > 0:
-            raise InvalidConfigError("t_end must be positive")
+        if not 0 < t_end < math.inf:
+            raise InvalidConfigError(f"t_end must be positive and finite, got {t_end!r}")
         coupling = np.asarray(coupling, dtype=float)
         if not (
             coupling.shape == (3, 3)
@@ -200,9 +194,15 @@ def integrate_batch(
         dt[i] = t_end / n_steps
     if len(step_counts) != 1:
         raise InvalidConfigError(f"runs in one batch must share a step count, got {sorted(step_counts)}")
+    n_records = -(-n_steps // config.record_every) + 1
+    if len(runs) * n_records > MAX_RUN_RECORDS:
+        raise InvalidConfigError(
+            f"{len(runs)} runs of {n_steps} steps, recorded every {config.record_every}, "
+            f"make {len(runs) * n_records} records, past the cap of {MAX_RUN_RECORDS:.0e}"
+        )
 
     pulses = [run[2] for run in runs]
-    record_steps, pops, amps = _rk4(k, e, pulses, dt, n_steps, config.record_every, record_amplitudes)
+    record_steps, pops, _ = _rk4(k, e, pulses, dt, n_steps, config.record_every, False)
     drifts = np.max(np.abs(1.0 - pops.sum(axis=2)), axis=1)
     results: list[PopulationTrace | NormDriftExceededError] = []
     for i, drift in enumerate(drifts):
@@ -215,7 +215,6 @@ def integrate_batch(
             times=record_steps * dt[i],
             populations=pops[i],
             norm_drift=float(drift),
-            amplitudes=None if amps is None else amps[i],
         ))
     return results
 
@@ -335,43 +334,3 @@ def dwell_time(trace: PopulationTrace, threshold: float = 0.99) -> float:
     above = trace.p2 > threshold
     dt_segments = np.diff(trace.times)
     return float(np.sum(dt_segments[above[:-1]]))
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-_PLAIN = frozenset((int, float))
-
-
-def write_csv(path, header: Sequence[str], rows) -> None:
-    """Write a header line and one comma-separated line per row, floats in
-    their shortest round-trip form, so that equal rows give identical files.
-
-    ``rows`` is a sequence of rows or a 2-D array.  A row of plain Python
-    ints and floats is written with ``repr`` (which is ``str`` for an int);
-    any other row goes value by value through ``_fmt``.
-    """
-    if isinstance(rows, np.ndarray):
-        rows = map(np.ndarray.tolist, rows)  # row by row, so no second copy of the array
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(
-            ",".join(map(repr if _PLAIN.issuperset(map(type, row)) else _fmt, row)) + "\n" for row in rows
-        )
-
-
-def export_trace_csv(trace: PopulationTrace, path) -> None:
-    """Write ``t,p1,p2,p3`` rows (plus amplitude columns when recorded)."""
-    header = ["t", "p1", "p2", "p3"]
-    columns = [trace.times, trace.populations]
-    if trace.amplitudes is not None:
-        header += ["re_a1", "im_a1", "re_a2", "im_a2", "re_a3", "im_a3"]
-        columns.append(np.stack((trace.amplitudes.real, trace.amplitudes.imag), axis=2).reshape(-1, 6))
-    write_csv(path, header, np.column_stack(columns))

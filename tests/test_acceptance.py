@@ -238,7 +238,7 @@ def test_criterion_07_kick_limit():
     for width in (0.1, 0.05, 0.025):
         pulse = Pulse.gaussian_kick(area, 10.0 * width, width)
         trace = integrate(
-            ratios, energies, pulse, 20.0 * width, IntegratorConfig(dt=width / 1000.0)
+            ratios, energies, pulse, 20.0 * width, IntegratorConfig(steps_per_period=20000)
         )
         p2.append(float(trace.p2[-1]))
     ok = (

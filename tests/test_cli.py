@@ -9,6 +9,8 @@ import json
 import math
 import struct
 import tempfile
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -434,6 +436,34 @@ class TestKick:
         assert code == 2
 
 
+class TestOversizedRequests:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "--alpha", "0", "--area", "1.0", "--periods", "1e9"],
+            ["trace", "--alpha", "0", "--area", "1.0", "--periods", "inf"],
+            ["kick", "--alpha", "0", "--area", "1.0", "--steps-per-period", "100000000000000"],
+            ["table", "--max-product", "100000000000"],
+        ],
+    )
+    def test_refused_before_allocating(self, tmp_path, capsys, argv):
+        """A run or table too large to hold exits 2 with one error line,
+        at once and without allocating it, and writes no file."""
+        out = tmp_path / "out.csv"
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = main([*argv, "--out", str(out)])
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert elapsed < 1.0 and peak < 10e6
+        assert not out.exists()
+
+
 class TestEnvOverride:
     def test_steps_env_variable(self, tmp_path, monkeypatch):
         """The environment does not enter a run: with TRIPOP_STEPS set, trace
@@ -509,7 +539,7 @@ class TestCsvJsonRoundTrip:
     @given(st.integers(0, 60), STEPS)
     def test_verify(self, max_product, steps):
         argv = ["verify", f"--max-product={max_product}", f"--steps-per-period={steps}"]
-        assert_csv_json_round_trip(argv, {"max_product": max_product}, codes=(0, 1))
+        assert_csv_json_round_trip(argv, {"max_product": max_product, "steps_per_period": steps}, codes=(0, 1))
 
     @ROUND_TRIP
     @given(
@@ -522,7 +552,10 @@ class TestCsvJsonRoundTrip:
             "leakage", f"--n-o={pair[0]}", f"--n-op={pair[1]}", f"--beta={beta}",
             f"--omega={omega!r}", f"--grid={grid}", f"--steps-per-period={steps}",
         ]
-        params = {"n_o": pair[0], "n_op": pair[1], "beta": beta, "omega": omega, "grid": grid}
+        params = {
+            "n_o": pair[0], "n_op": pair[1], "beta": beta, "omega": omega, "grid": grid,
+            "steps_per_period": steps,
+        }
         assert_csv_json_round_trip(argv, params)
 
     @ROUND_TRIP
@@ -553,6 +586,6 @@ class TestCsvJsonRoundTrip:
         ]
         params = {
             "alpha": alpha, "beta": beta, "area": area, "widths": widths,
-            "omega12": omega12, "omega13": omega13,
+            "omega12": omega12, "omega13": omega13, "steps_per_period": steps,
         }
         assert_csv_json_round_trip(argv, params)

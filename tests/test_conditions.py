@@ -32,7 +32,7 @@ from tripop import (
     populations_general_array,
     validate_condition,
 )
-from tripop.conditions import _candidate_count_bound, family_integers
+from tripop.conditions import MAX_LOOKUP_CANDIDATES, _candidate_count_bound, family_integers, family_table
 
 RNG = np.random.default_rng(3)
 
@@ -240,6 +240,28 @@ class TestEnumerate:
             n1, n2 = family_integers(bound)
             assert n1.dtype == n2.dtype == np.int64
             assert list(zip(n1.tolist(), n2.tolist())) == expected
+
+    def test_table_bound_below_the_cap_answers(self):
+        """n1*n2 <= 20,000 holds 19,064 members; the count bound allows 29,839."""
+        assert _candidate_count_bound((1, 20000), (1, 20000), 20000) < MAX_LOOKUP_CANDIDATES
+        assert len(family_table(20000)["n1"]) == 19064
+
+    @pytest.mark.parametrize("max_product", [1_100_000, 10**11])
+    def test_table_bound_past_the_cap_is_refused(self, max_product):
+        """The count is bounded before anything is allocated: 10**11 would
+        need hundreds of GB of columns."""
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match=f"max_product {max_product} may give .* family members"):
+                family_table(max_product)
+            with pytest.raises(ValueError, match="past the cap"):
+                enumerate_conditions(max_product)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0 and peak < 10e6
 
     @pytest.mark.parametrize("n1_range,n2_range", [((7, 31), (4, 60)), ((2, 2), (1, 500)), ((1, 500), (40, 39))])
     def test_family_integers_box(self, n1_range, n2_range):

@@ -19,7 +19,6 @@ from tripop import (
     TwoLevelParams,
     delta_p2_at_t0,
     delta_p2_early,
-    export_scan_csv,
     harmonic_for_condition,
     leakage_scan,
     measured_deficit,
@@ -162,17 +161,6 @@ class TestMeasuredScan:
         doubled = measured_deficit(cond_33, 1, w12 / 2.0, 0.0, config=SCAN, omega=2.0)
         assert doubled < base
         assert base / doubled == pytest.approx(4.0, rel=0.1)
-
-    def test_csv_export(self, tmp_path, cond_15):
-        grid = [(0.0, 0.0), (0.05, 0.0)]
-        rows = leakage_scan(cond_15, 1, grid, config=SCAN)
-        estimates = [delta_p2_at_t0(cond_15, 1, r12, r13).delta_p2 for r12, r13 in grid]
-        path = tmp_path / "scan.csv"
-        export_scan_csv(rows, estimates, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "omega12_ratio,omega13_ratio,deficit,estimate"
-        assert len(lines) == 3
-        assert float(lines[2].split(",")[2]) == pytest.approx(rows[1][1])
 
 
 class TestTwoLevel:

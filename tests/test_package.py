@@ -1,7 +1,8 @@
 """The public surface: every name ``tripop.__all__`` promises exists, every
-error type the library can raise is exported, and no module reads the
-environment."""
+error type the library can raise is exported, no module reads the
+environment, and only the CLI writes files."""
 
+import ast
 import inspect
 from pathlib import Path
 
@@ -36,3 +37,28 @@ def test_no_environment_input():
         if word in path.read_text()
     ]
     assert offenders == []
+
+
+def _writes_files(source: str) -> bool:
+    """Whether the module calls ``open`` with a writing mode, or a numpy or
+    pathlib writer."""
+    writers = {"write_text", "write_bytes", "savetxt", "save", "savez", "savez_compressed", "tofile"}
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name in writers:
+            return True
+        if name == "open":
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
+            if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes):
+                return True
+    return False
+
+
+def test_only_the_cli_writes_files():
+    """``cli.py`` alone decides file formats: no other module opens a file for writing."""
+    package = Path(tripop.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.rglob("*.py"))}
+    assert _writes_files(sources["cli.py"])
+    assert [name for name, source in sources.items() if name != "cli.py" and _writes_files(source)] == []

@@ -21,7 +21,6 @@ from tripop import (
     check_condition,
     compare_analytic_numeric,
     dwell_time,
-    export_trace_csv,
     harmonic_for_condition,
     integrate,
     integrate_batch,
@@ -30,6 +29,7 @@ from tripop import (
     two_level_populations,
     verify_conditions,
 )
+from tripop import propagate
 from tripop.propagate import _rk4
 
 RNG = np.random.default_rng(19)
@@ -87,6 +87,11 @@ class TestIntegrate:
         with pytest.raises(InvalidConfigError):
             integrate(RATIOS_33, DEGENERATE, Pulse.constant(1.0), 0.0)
 
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan])
+    def test_rejects_nonfinite_horizon(self, t_end):
+        with pytest.raises(InvalidConfigError, match="positive and finite"):
+            integrate(RATIOS_33, DEGENERATE, Pulse.constant(1.0), t_end)
+
     def test_norm_drift_guard(self):
         """A grossly large step trips the drift guard instead of returning junk."""
         with pytest.raises(NormDriftExceededError):
@@ -95,7 +100,7 @@ class TestIntegrate:
                 DEGENERATE,
                 Pulse.harmonic(8.0, 1.0),
                 T,
-                IntegratorConfig(dt=0.3),
+                IntegratorConfig(steps_per_period=21),
             )
 
     def test_nan_drift_trips_the_guard(self):
@@ -110,7 +115,8 @@ class TestIntegrate:
     def test_whole_step_count_is_kept(self):
         """t / (t / n) can round to just above n; the run still takes n steps."""
         t, n = math.pi / 2.0, 20730
-        trace = integrate(RATIOS_33, DEGENERATE, Pulse.constant(1.0), t, IntegratorConfig(dt=t / n, record_every=n))
+        config = IntegratorConfig(steps_per_period=n, record_every=n)
+        trace = integrate(RATIOS_33, DEGENERATE, Pulse.constant(1.0), t, config)
         assert len(trace.times) == 2
         assert trace.times[-1] == pytest.approx(t, rel=1e-15)
 
@@ -209,7 +215,7 @@ class TestBatchedCore:
 
     def test_one_run_over_the_drift_limit(self):
         """A run that drifts fails alone; the others return their traces."""
-        config = IntegratorConfig(dt=0.05)
+        config = IntegratorConfig(steps_per_period=126)
         pulse = Pulse.harmonic(1.0, 1.0)
         calm = RATIOS_33.coupling_matrix()
         runs = [(calm, DEGENERATE, pulse, T), (8.0 * calm, DEGENERATE, pulse, T), (calm, DEGENERATE, pulse, T)]
@@ -234,6 +240,20 @@ class TestBatchedCore:
                 assert math.isinf(single.ode_deviation)
             else:
                 assert single.ode_deviation == pytest.approx(c.ode_deviation, rel=0, abs=1e-14)
+
+    def test_records_past_the_cap_are_refused(self, monkeypatch):
+        """Runs x records, counted with the final record of a stride that
+        does not divide the step count, may reach the cap but not pass it."""
+        monkeypatch.setattr(propagate, "MAX_RUN_RECORDS", 12)
+        k = RATIOS_33.coupling_matrix()
+        run = (k, DEGENERATE, Pulse.constant(1.0), 1.0)
+        even = IntegratorConfig(steps_per_period=10, record_every=2)  # records at 0, 2, ..., 10
+        odd = IntegratorConfig(steps_per_period=11, record_every=2)  # 0, 2, ..., 10 and 11
+        assert [len(t.times) for t in require_traces(integrate_batch([run] * 2, even))] == [6, 6]
+        with pytest.raises(InvalidConfigError, match="make 18 records"):
+            integrate_batch([run] * 3, even)
+        with pytest.raises(InvalidConfigError, match="make 14 records"):
+            integrate_batch([run] * 2, odd)
 
     def test_rejects_unusable_batches(self):
         k = RATIOS_33.coupling_matrix()
@@ -310,7 +330,7 @@ class TestPropagateKick:
         for width in (0.1, 0.05, 0.025):
             pulse = Pulse.gaussian_kick(area, 10.0 * width, width)
             trace = integrate(
-                RATIOS_33, energies, pulse, 20.0 * width, IntegratorConfig(dt=width / 1000.0)
+                RATIOS_33, energies, pulse, 20.0 * width, IntegratorConfig(steps_per_period=20000)
             )
             errors.append(abs(ideal_p2 - trace.p2[-1]))
         assert errors[0] > errors[1] > errors[2]
@@ -351,18 +371,3 @@ class TestTraceUtilities:
             dwell.append(dwell_time(trace, threshold=0.99))
         assert dwell[0] > 0.0
         assert dwell[1] == pytest.approx(dwell[0] / 2.0, rel=5e-2)
-
-    def test_csv_export_round_trips(self, tmp_path, cond_33):
-        pulse = harmonic_for_condition(cond_33, 1.0)
-        trace = integrate(
-            RATIOS_33, DEGENERATE, pulse, 1.0,
-            IntegratorConfig(steps_per_period=1000), record_amplitudes=True,
-        )
-        path = tmp_path / "trace.csv"
-        export_trace_csv(trace, path)
-        raw = np.genfromtxt(path, delimiter=",", names=True)
-        assert set(raw.dtype.names) >= {"t", "p1", "p2", "p3", "re_a1", "im_a3"}
-        np.testing.assert_allclose(raw["p2"], trace.p2, rtol=0, atol=0)
-        np.testing.assert_allclose(
-            raw["re_a1"] ** 2 + raw["im_a1"] ** 2, trace.populations[:, 0], atol=1e-14
-        )
