@@ -439,8 +439,8 @@ def validate_condition(
 
     Raises ValueError for non-finite inputs, tol <= 0, an action whose
     product bound passes 2**53, and a box that may hold more than
-    ``MAX_LOOKUP_CANDIDATES`` members (a loose tol at a large area); the
-    count is bounded before anything is allocated.
+    ``MAX_LOOKUP_CANDIDATES`` members (a loose tol at a large area);
+    ``family_integers`` bounds the count before anything is allocated.
     """
     if not all(math.isfinite(v) for v in (alpha, beta, action_t0, tol)):
         raise ValueError(f"alpha, beta, area and tol must be finite, got {(alpha, beta, action_t0, tol)}")
@@ -462,13 +462,10 @@ def validate_condition(
     # alpha for the sign=+1 member of the ordered pair equals sign(A) * input alpha
     alpha_pos = alpha * sign
     box = _candidate_box(alpha_pos, abs(action_t0), tol, bound)
-    count = _candidate_count_bound(*box, bound)
-    if count > MAX_LOOKUP_CANDIDATES:
-        raise ValueError(
-            f"area {action_t0!r} with tol {tol!r} has up to {count:.3g} candidates, "
-            f"past the lookup cap of {MAX_LOOKUP_CANDIDATES:.0e}"
-        )
-    n1s, n2s = family_integers(bound, *box)
+    try:
+        n1s, n2s = family_integers(bound, *box)
+    except ValueError as exc:
+        raise ValueError(f"area {action_t0!r} with tol {tol!r} has too many candidates: {exc}") from None
     _, cand_action, cand_alpha = _family_floats(n1s, n2s)
     passed = np.flatnonzero(
         (np.abs(cand_action - abs(action_t0)) <= tol * cand_action)

@@ -49,9 +49,10 @@ from .pulses import Pulse
 DEFAULT_STEPS_PER_PERIOD = 20000
 DEFAULT_SAMPLES_PER_PERIOD = 2000
 NORM_DRIFT_LIMIT = 1e-6
-# Runs x records of one batch: 2e6 hold 48 MB of populations; the longest CLI
-# run (the benchmark's 5-period trace) records 10,001.
-MAX_RUN_RECORDS = 2_000_000
+# Runs x records of one batch: 4e7 hold 960 MB of populations, about the
+# memory the table cap allows.  verify and leakage put every member or grid
+# point in one batch of 501 records at the default step, so about 80,000 fit.
+MAX_RUN_RECORDS = 40_000_000
 
 
 @dataclass(frozen=True)

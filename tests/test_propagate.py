@@ -21,9 +21,11 @@ from tripop import (
     check_condition,
     compare_analytic_numeric,
     dwell_time,
+    enumerate_conditions,
     harmonic_for_condition,
     integrate,
     integrate_batch,
+    leakage_scan,
     propagate_kick,
     require_traces,
     two_level_populations,
@@ -254,6 +256,30 @@ class TestBatchedCore:
             integrate_batch([run] * 3, even)
         with pytest.raises(InvalidConfigError, match="make 14 records"):
             integrate_batch([run] * 2, odd)
+
+    def test_cli_sized_batches_pass_the_cap(self, monkeypatch):
+        """verify and leakage put every member or grid point in one batch of
+        501 records at the default step: 4,500 of each pass the cap and reach
+        the integrator, as does a single run of exactly MAX_RUN_RECORDS."""
+
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(propagate, "_rk4", reached)
+        with pytest.raises(Reached):
+            verify_conditions(4500)
+        cond = enumerate_conditions(35)[0]
+        with pytest.raises(Reached):
+            leakage_scan(cond, 1, [(0.01 * i, 0.02 * i) for i in range(1, 4001)])
+        run = (RATIOS_33.coupling_matrix(), DEGENERATE, Pulse.constant(1.0), 1.0)
+        at_cap = propagate.MAX_RUN_RECORDS - 1  # steps, so records 0 .. at_cap
+        with pytest.raises(Reached):
+            integrate_batch([run], IntegratorConfig(steps_per_period=at_cap, record_every=1))
+        with pytest.raises(InvalidConfigError, match="past the cap"):
+            integrate_batch([run], IntegratorConfig(steps_per_period=at_cap + 1, record_every=1))
 
     def test_rejects_unusable_batches(self):
         k = RATIOS_33.coupling_matrix()
