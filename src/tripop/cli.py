@@ -32,6 +32,7 @@ from .errors import TripopError
 from .leakage import delta_p2_at_t0, leakage_scan
 from .propagate import (
     DEFAULT_STEPS_PER_PERIOD,
+    MAX_RUN_RECORDS,
     IntegratorConfig,
     LevelEnergies,
     integrate,
@@ -136,25 +137,35 @@ def cmd_verify(args) -> int:
 
 
 def _parse_grid(spec: str) -> list[tuple[float, float]]:
-    """Grid spec 'omega12:<v|start:stop:count>,omega13:<...>' -> splitting pairs."""
-    axes: dict[str, list[float]] = {}
+    """Grid spec 'omega12:<v|start:stop:count>,omega13:<...>' -> splitting pairs.
+
+    Each axis is given once, and a grid of more than ``MAX_RUN_RECORDS``
+    points is refused before it is built.
+    """
+    axes: dict[str, tuple[float, float, int]] = {}
     for part in spec.split(","):
         fields = part.split(":")
         name = fields[0].strip()
         if name not in ("omega12", "omega13"):
             raise ValueError(f"unknown grid axis {name!r}")
+        if name in axes:
+            raise ValueError(f"grid axis {name!r} is given twice")
         if len(fields) == 2:
-            axes[name] = [float(fields[1])]
+            axes[name] = (float(fields[1]), float(fields[1]), 1)
         elif len(fields) == 4:
-            start, stop, count = float(fields[1]), float(fields[2]), int(fields[3])
-            if count < 1:
-                raise ValueError("grid count must be >= 1")
-            axes[name] = [float(v) for v in np.linspace(start, stop, count)]
+            axes[name] = (float(fields[1]), float(fields[2]), int(fields[3]))
         else:
             raise ValueError(f"malformed grid axis {part!r}")
+        if axes[name][2] < 1:
+            raise ValueError("grid count must be >= 1")
     if set(axes) != {"omega12", "omega13"}:
         raise ValueError("grid must define both omega12 and omega13")
-    return [(w12, w13) for w12 in axes["omega12"] for w13 in axes["omega13"]]
+    points = axes["omega12"][2] * axes["omega13"][2]
+    if points > MAX_RUN_RECORDS:
+        raise ValueError(f"grid of {points} points is past the cap of {MAX_RUN_RECORDS:.0e}")
+    w12, w13 = ([a] if n == 1 else np.linspace(a, b, n).tolist()
+                for a, b, n in (axes["omega12"], axes["omega13"]))
+    return [(a, b) for a in w12 for b in w13]
 
 
 def cmd_leakage(args) -> int:
@@ -203,9 +214,9 @@ def cmd_kick(args) -> int:
         raise ValueError("kick widths must be strictly decreasing")
     ratios = CouplingRatios(alpha=args.alpha, beta=args.beta)
     basis = build_dressed_basis(ratios)
-    ideal = propagate_kick(basis, args.area).populations()
+    ideal = [abs(c) ** 2 for c in propagate_kick(basis, args.area).a]
     header = ["kind", "width", "p1", "p2", "p3"]
-    rows = [["ideal", 0.0, ideal.p1, ideal.p2, ideal.p3]]
+    rows = [["ideal", 0.0, *ideal]]
     energies = LevelEnergies.from_splittings(args.omega12, args.omega13)
     # Each Gaussian sits at 10 widths in a window of 20, so its support (8
     # widths) lies inside; the window divided by the step count gives dt, so

@@ -24,8 +24,9 @@ Sign bookkeeping: populations depend on the action only through cosines, so
 they are even in A; the sign = -1 member of a pair (a global sign flip of
 V(t)) is physically indistinguishable from the sign = +1 member, and the
 condition with alpha of opposite sign at the same positive action is simply
-the order-swapped pair (n2, n1).  Enumeration therefore emits r > 0 rows by
-default, with both alpha signs appearing through the pair order.
+the order-swapped pair (n2, n1).  Enumeration therefore emits only r > 0
+rows, with both alpha signs appearing through the pair order;
+``condition_from_odd_pair`` gives the sign = -1 member of a pair.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dressed import CouplingRatios, PopulationSample
+from .dressed import CouplingRatios, _require_finite_phases
 from .errors import InvalidPairError
 
 CONDITION_TOL = 1e-12
@@ -234,24 +235,14 @@ def _pair_of(n1: int, n2: int) -> OddPair:
     return OddPair((2 * n1 - n2) // 3, (2 * n2 - n1) // 3)
 
 
-def enumerate_conditions(
-    max_product: int, signs: tuple[int, ...] = (1,), beta: int = 1
-) -> list[TransferCondition]:
-    """All family members with n1*n2 <= max_product, sorted by (n1*n2, n1).
-
-    Ordered pairs (n1, n2) and (n2, n1) are distinct rows; the smallest
-    attainable product is 5, so any bound below that yields an empty list.
-    Each pair gives one row per entry of ``signs``, sign +1 first.
-    """
+def enumerate_conditions(max_product: int) -> list[TransferCondition]:
+    """The sign +1 family members with n1*n2 <= max_product, sorted by
+    (n1*n2, n1).  Ordered pairs (n1, n2) and (n2, n1) are distinct rows; the
+    smallest product is 5, so any bound below that yields an empty list."""
     if max_product < 5:
         return []
-    ordered_signs = sorted(signs, key=lambda s: -s)
     n1s, n2s = family_integers(max_product)
-    return [
-        condition_from_odd_pair(_pair_of(n1, n2), sign=sign, beta=beta)
-        for n1, n2 in zip(n1s.tolist(), n2s.tolist())
-        for sign in ordered_signs
-    ]
+    return [condition_from_odd_pair(_pair_of(n1, n2)) for n1, n2 in zip(n1s.tolist(), n2s.tolist())]
 
 
 def _case_identities(n1, n2) -> list:
@@ -338,9 +329,12 @@ def populations_closed_form_array(cond: TransferCondition, actions: np.ndarray) 
         P3 = 2 n1 n2 / (n1+n2)^2 * sin^2((n1+n2) rA / 2)
 
     For target-3 conditions the level-2 and level-3 columns are interchanged.
+    Raises ValueError for an action whose phase is not finite.
     """
     actions = np.atleast_1d(np.asarray(actions, dtype=float))
     n1, n2, r = cond.n1, cond.n2, cond.r
+    # every cosine argument is at most |r| 2 (|n1| + |n2|) |A|
+    _require_finite_phases(actions, abs(r) * 2.0 * (abs(n1) + abs(n2)))
     s = n1 + n2
     ra = r * actions
     common = n1 * n1 + n2 * n2 + n1 * n2 * (1.0 + np.cos(s * ra))
@@ -352,12 +346,6 @@ def populations_closed_form_array(cond: TransferCondition, actions: np.ndarray) 
     if cond.target == 3:
         out[:, [1, 2]] = out[:, [2, 1]]
     return out
-
-
-def populations_closed_form(cond: TransferCondition, action: float) -> PopulationSample:
-    """Closed-form populations at one action value; (0, 1, 0) at A(t0)."""
-    p = populations_closed_form_array(cond, np.array([action]))[0]
-    return PopulationSample(float(p[0]), float(p[1]), float(p[2]))
 
 
 def p3_max(cond: TransferCondition) -> float:

@@ -131,32 +131,17 @@ class AmplitudeState:
     action: float
     a: tuple[complex, complex, complex]
 
-    def populations(self) -> "PopulationSample":
-        p1, p2, p3 = (abs(c) ** 2 for c in self.a)
-        return PopulationSample(p1, p2, p3)
-
     def norm(self) -> float:
         return sum(abs(c) ** 2 for c in self.a)
 
 
-@dataclass(frozen=True)
-class PopulationSample:
-    """Occupation probabilities of the three levels."""
-
-    p1: float
-    p2: float
-    p3: float
-
-    def __post_init__(self):
-        for p in (self.p1, self.p2, self.p3):
-            if not -1e-8 <= p <= 1.0 + 1e-8:
-                raise ValueError(f"population {p} outside [0, 1]")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.p1, self.p2, self.p3)
-
-    def total(self) -> float:
-        return self.p1 + self.p2 + self.p3
+def _require_finite_phases(actions, rate: float) -> None:
+    """Raise ValueError unless every action (an array, or a scalar at scalar
+    cost) times ``rate``, the largest phase rate the caller uses, is finite."""
+    array = isinstance(actions, np.ndarray)
+    largest = float(np.max(np.abs(actions), initial=0.0)) if array else abs(float(actions))
+    if not math.isfinite(largest * rate):
+        raise ValueError(f"action {largest!r} at phase rate {rate!r} gives a non-finite phase")
 
 
 def cubic_coefficients(ratios: CouplingRatios) -> tuple[float, float, float, float]:
@@ -299,6 +284,7 @@ def amplitudes_at(basis: DressedBasis, action: float) -> AmplitudeState:
     a_i(A) = sum_j m_inv[i, j] exp(-i z_j A); at A = 0 the inverse rows sum
     to the initial condition (1, 0, 0).
     """
+    _require_finite_phases(action, max(map(abs, basis.z)))
     phases = np.exp(-1j * np.asarray(basis.z) * action)
     a = basis.m_inv @ phases
     return AmplitudeState(action=float(action), a=(complex(a[0]), complex(a[1]), complex(a[2])))
@@ -313,9 +299,11 @@ def populations_general_array(basis: DressedBasis, actions: np.ndarray) -> np.nd
                  + 2 c1 c3 cos((z1-z3)A) + 2 c2 c3 cos((z2-z3)A)
 
     with (c1, c2, c3) = m_inv[k], the k-th row of the basis inverse.  All action
-    dependence enters through cosines, so P_k(A) = P_k(-A) exactly.
+    dependence enters through cosines, so P_k(A) = P_k(-A) exactly.  Raises
+    ValueError for an action whose phase is not finite.
     """
     actions = np.atleast_1d(np.asarray(actions, dtype=float))
+    _require_finite_phases(actions, max(basis.z) - min(basis.z))
     z1, z2, z3 = basis.z
     c12 = np.cos((z1 - z2) * actions)
     c13 = np.cos((z1 - z3) * actions)
@@ -330,9 +318,3 @@ def populations_general_array(basis: DressedBasis, actions: np.ndarray) -> np.nd
             + 2.0 * c2 * c3 * c23
         )
     return out
-
-
-def populations_general(basis: DressedBasis, action: float) -> PopulationSample:
-    """Populations at one action value; agrees with |amplitudes_at|^2 componentwise."""
-    p = populations_general_array(basis, np.array([action]))[0]
-    return PopulationSample(float(p[0]), float(p[1]), float(p[2]))

@@ -21,6 +21,7 @@ against which the estimates are judged.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -168,35 +169,22 @@ def leakage_scan(
 # -- two-level reference atom ---------------------------------------------
 
 
-def two_level_amplitudes(params: TwoLevelParams) -> tuple[complex, complex]:
-    """Amplitudes of the driven two-level atom from the 2x2 dressed basis.
+def two_level_populations(params: TwoLevelParams) -> tuple[float, float]:
+    """Populations (p1, p2) of the two-level atom at the given action, from
+    the 2x2 dressed basis.
 
     The dressed combinations c = a1 + y a2 use the roots of
     y^2 + (eps1 - eps2) y - 1 = 0 and evolve with z = eps1 + y; the basis
-    determinant is -2 sqrt(1 + ((eps2 - eps1)/2)^2).
+    determinant is -2 sqrt(1 + ((eps2 - eps1)/2)^2).  For eps1 = eps2 this
+    reduces to p2 = sin^2(A); for unequal diagonals the transfer is capped at
+    p2 <= 1 / (1 + (eps2 - eps1)^2 / 4).
     """
     d = params.eps2 - params.eps1
     s = math.sqrt(d * d + 4.0)
-    y_plus = 0.5 * (d + s)
-    y_minus = 0.5 * (d - s)
-    z_plus = params.eps1 + y_plus
-    z_minus = params.eps1 + y_minus
+    y_plus, y_minus = 0.5 * (d + s), 0.5 * (d - s)
+    c_plus, c_minus = (cmath.exp(-1j * ((params.eps1 + y) * params.action)) for y in (y_plus, y_minus))
     det = y_minus - y_plus
-    c_plus = complex(math.cos(z_plus * params.action), -math.sin(z_plus * params.action))
-    c_minus = complex(math.cos(z_minus * params.action), -math.sin(z_minus * params.action))
-    a1 = (y_minus * c_plus - y_plus * c_minus) / det
-    a2 = (-c_plus + c_minus) / det
-    return a1, a2
-
-
-def two_level_populations(params: TwoLevelParams) -> tuple[float, float]:
-    """Populations (p1, p2) of the two-level atom at the given action.
-
-    For eps1 = eps2 this reduces to p2 = sin^2(A); for unequal diagonals the
-    transfer is capped at p2 <= 1 / (1 + (eps2 - eps1)^2 / 4).
-    """
-    a1, a2 = two_level_amplitudes(params)
-    return abs(a1) ** 2, abs(a2) ** 2
+    return abs((y_minus * c_plus - y_plus * c_minus) / det) ** 2, abs((c_minus - c_plus) / det) ** 2
 
 
 def two_level_p2_bound(eps1: float, eps2: float) -> float:

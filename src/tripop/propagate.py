@@ -89,15 +89,15 @@ class IntegratorConfig:
 
     The step is the drive period (or, failing that, the integration window)
     divided by ``steps_per_period``.  Every ``record_every``-th step lands
-    in the trace.
+    in the trace.  Both counts are at most 2**53, which floats hold exactly.
     """
 
     steps_per_period: int = DEFAULT_STEPS_PER_PERIOD
     record_every: int = DEFAULT_STEPS_PER_PERIOD // DEFAULT_SAMPLES_PER_PERIOD
 
     def __post_init__(self):
-        if self.steps_per_period <= 0 or self.record_every <= 0:
-            raise InvalidConfigError("steps_per_period and record_every must be positive")
+        if not (0 < self.steps_per_period <= 2**53 and 0 < self.record_every <= 2**53):
+            raise InvalidConfigError(f"steps_per_period and record_every must be in 1 .. 2**53, got {self}")
 
     def resolve_dt(self, pulse: Pulse, t_end: float) -> float:
         if pulse.shape == "harmonic":
@@ -188,9 +188,14 @@ def integrate_batch(
             raise InvalidConfigError(f"coupling must be a finite symmetric 3x3 matrix, got {coupling}")
         k[i] = coupling
         e[i] = energies.e
-        # t_end / dt can round to just above a whole count; the guard is
-        # relative because an ulp of the count outgrows any absolute one.
-        n_steps = max(1, int(math.ceil(t_end / config.resolve_dt(pulse, t_end) * (1.0 - 1e-12))))
+        # t / (t / n) can round to either side of n: a ratio within a relative 1e-12 of a whole count
+        # (an ulp outgrows any absolute bound) takes it, any other is rounded up; no whole step is lost.
+        dt_asked = config.resolve_dt(pulse, t_end)
+        ratio = t_end / dt_asked if dt_asked > 0.0 else math.inf
+        if not ratio < math.inf:
+            raise InvalidConfigError(f"t_end {t_end!r} at step {dt_asked!r} needs more steps than a float holds")
+        nearest = round(ratio)
+        n_steps = max(1, nearest if abs(ratio - nearest) <= 1e-12 * ratio else math.ceil(ratio))
         step_counts.add(n_steps)
         dt[i] = t_end / n_steps
     if len(step_counts) != 1:
@@ -322,16 +327,3 @@ def compare_analytic_numeric(
     actions = pulse.area(trace.times).a
     analytic = populations_general_array(basis, actions)
     return float(np.max(np.abs(analytic - trace.populations)))
-
-
-def dwell_time(trace: PopulationTrace, threshold: float = 0.99) -> float:
-    """Total trace time with the target-level population above ``threshold``.
-
-    Plumbing diagnostic for pulse-shaping studies; the value depends on the
-    trace sampling and carries no analytic guarantee.
-    """
-    if len(trace.times) < 2:
-        return 0.0
-    above = trace.p2 > threshold
-    dt_segments = np.diff(trace.times)
-    return float(np.sum(dt_segments[above[:-1]]))

@@ -17,7 +17,6 @@ from .conditions import (
     TransferCondition,
     classify_cases,
     enumerate_conditions,
-    populations_closed_form,
     populations_closed_form_array,
 )
 from .errors import NormDriftExceededError, VerificationFailedError
@@ -67,10 +66,8 @@ def _check_conditions(conds: list[TransferCondition], steps_per_period: int) -> 
 
     checks = []
     for cond, pulse, trace in zip(conds, pulses, traces):
-        at_transfer = populations_closed_form(cond, cond.action_t0)
-        analytic_error = max(
-            abs(at_transfer.p1), abs(1.0 - at_transfer.p2), abs(at_transfer.p3)
-        )
+        at_transfer = populations_closed_form_array(cond, cond.action_t0)[0]
+        analytic_error = float(np.max(np.abs(at_transfer - (0.0, 1.0, 0.0))))
 
         try:
             classify_cases(cond)

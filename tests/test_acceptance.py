@@ -37,7 +37,6 @@ from tripop import (
     measured_delta_p2,
     measured_two_level_deficit,
     p3_max,
-    populations_closed_form,
     populations_closed_form_array,
     populations_general_array,
     propagate_kick,
@@ -113,8 +112,8 @@ def test_criterion_02_complete_transfer_analytic():
     worst_match = 0.0
     actions = np.linspace(-1.5, 1.5, 1000)
     for cond in enumerate_conditions(35):
-        p = populations_closed_form(cond, cond.action_t0)
-        worst_transfer = max(worst_transfer, abs(p.p1), abs(1.0 - p.p2), abs(p.p3))
+        p = populations_closed_form_array(cond, cond.action_t0)[0]
+        worst_transfer = max(worst_transfer, abs(p[0]), abs(1.0 - p[1]), abs(p[2]))
         basis = build_dressed_basis(cond.ratios())
         scaled = actions * abs(cond.action_t0)
         diff = np.abs(

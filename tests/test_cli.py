@@ -309,11 +309,13 @@ class TestLeakage:
         assert deficits["2.0"] < deficits["1.0"]
 
     def test_malformed_grid_is_an_error(self, tmp_path):
+        """An unknown axis, and an axis given twice (the later value would
+        silently win while the meta records the whole string)."""
         out = tmp_path / "scan.csv"
-        code = main(
-            ["leakage", "--n-o", "1", "--n-op", "1", "--grid", "bogus:1", "--out", str(out)]
-        )
-        assert code == 2
+        for grid in ("bogus:1", "omega12:0.1,omega13:0,omega12:0.3"):
+            code = main(["leakage", "--n-o", "1", "--n-op", "1", "--grid", grid, "--out", str(out)])
+            assert code == 2
+            assert not out.exists()
 
     @pytest.mark.parametrize("omega", ["0", "-1", "nan", "inf"])
     def test_unusable_omega_is_an_error(self, tmp_path, capsys, omega):
@@ -428,6 +430,17 @@ class TestKick:
         exact = np.abs(expm(-1j * 1.5 * k)[:, 0]) ** 2
         np.testing.assert_allclose([float(rows[0][p]) for p in ("p1", "p2", "p3")], exact, atol=1e-12)
 
+    @pytest.mark.parametrize("area", ["nan", "inf", "-inf", "1e308"])
+    def test_unusable_area_is_an_error(self, tmp_path, capsys, area):
+        """An area whose phase is not finite exits 2 with one error line and
+        no numpy warning."""
+        out = tmp_path / "kick.csv"
+        argv = ["kick", "--alpha", "2", f"--area={area}", "--widths", "", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_increasing_widths_rejected(self, tmp_path):
         out = tmp_path / "kick.csv"
         code = main(
@@ -444,6 +457,10 @@ class TestOversizedRequests:
             ["trace", "--alpha", "0", "--area", "1.0", "--periods", "inf"],
             ["kick", "--alpha", "0", "--area", "1.0", "--steps-per-period", "100000000000000"],
             ["table", "--max-product", "100000000000"],
+            ["trace", "--alpha", "0", "--area", "1.0", "--steps-per-period", "1" + "0" * 400],
+            ["trace", "--alpha", "0", "--area", "1.0", "--periods", "1e306"],
+            ["kick", "--alpha", "0", "--area", "1.0", "--steps-per-period", "1" + "0" * 400],
+            ["leakage", "--n-o", "1", "--n-op", "1", "--grid", "omega12:0:1:100000,omega13:0:1:100000"],
         ],
     )
     def test_refused_before_allocating(self, tmp_path, capsys, argv):

@@ -27,7 +27,6 @@ from tripop import (
     condition_from_odd_pair,
     enumerate_conditions,
     p3_max,
-    populations_closed_form,
     populations_closed_form_array,
     populations_general_array,
     validate_condition,
@@ -211,7 +210,10 @@ class TestEnumerate:
         assert keys == sorted(keys)
 
     def test_both_signs_when_requested(self):
-        rows = enumerate_conditions(9, signs=(1, -1))
+        """The sign -1 member of each pair comes from condition_from_odd_pair."""
+        rows = [
+            condition_from_odd_pair(c.pair, sign=sign) for c in enumerate_conditions(9) for sign in (1, -1)
+        ]
         assert len(rows) == 6
         by_pair = {}
         for c in rows:
@@ -225,10 +227,16 @@ class TestEnumerate:
     @pytest.mark.parametrize("signs", [(1,), (1, -1), (-1, 1)])
     @pytest.mark.parametrize("beta", [1, -1])
     def test_matches_reference_enumeration(self, signs, beta):
-        """Rows, order, signs and beta equal the filtered enumeration at every
-        bound up to 60 and at 2,999 and 5,000."""
+        """Rows and order equal the filtered enumeration at every bound up to
+        60 and at 2,999 and 5,000; the other signs and beta follow from each
+        row's pair through condition_from_odd_pair."""
+        ordered_signs = sorted(signs, reverse=True)
         for bound in [*range(-1, 61), 2999, 5000]:
-            assert enumerate_conditions(bound, signs, beta) == reference_enumerate(bound, signs, beta)
+            rows = enumerate_conditions(bound)
+            if signs == (1,) and beta == 1:
+                assert rows == reference_enumerate(bound)
+            rows = [condition_from_odd_pair(c.pair, sign, beta) for c in rows for sign in ordered_signs]
+            assert rows == reference_enumerate(bound, signs, beta)
 
     def test_family_integers_are_the_odd_pairs_summing_to_a_multiple_of_six(self):
         for bound in (0, 4, 5, 36, 499):
@@ -306,19 +314,19 @@ class TestClassifyCases:
 
 class TestClosedFormPopulations:
     def test_complete_transfer(self, cond_33):
-        p = populations_closed_form(cond_33, cond_33.action_t0)
-        assert p.p1 == pytest.approx(0.0, abs=1e-12)
-        assert p.p2 == pytest.approx(1.0, abs=1e-12)
-        assert p.p3 == pytest.approx(0.0, abs=1e-12)
+        p = populations_closed_form_array(cond_33, cond_33.action_t0)[0]
+        assert p[0] == pytest.approx(0.0, abs=1e-12)
+        assert p[1] == pytest.approx(1.0, abs=1e-12)
+        assert p[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_half_action_p3(self, cond_33):
-        p = populations_closed_form(cond_33, cond_33.action_t0 / 2.0)
-        assert p.p3 == pytest.approx(0.5, abs=1e-12)
+        p = populations_closed_form_array(cond_33, cond_33.action_t0 / 2.0)[0]
+        assert p[2] == pytest.approx(0.5, abs=1e-12)
 
     def test_initial_state(self):
         for cond in enumerate_conditions(35):
-            p = populations_closed_form(cond, 0.0)
-            np.testing.assert_allclose(p.as_tuple(), [1.0, 0.0, 0.0], atol=1e-14)
+            p = populations_closed_form_array(cond, 0.0)[0]
+            np.testing.assert_allclose(p, [1.0, 0.0, 0.0], atol=1e-14)
 
     def test_matches_general_form(self):
         """Closed form equals the general cosine-sum populations within 1e-10
@@ -549,10 +557,10 @@ class TestConditionForTarget:
         """Swapped closed form reaches full level-3 occupation at A(t0)."""
         for pair in (OddPair(1, 1), OddPair(-1, 3), OddPair(23, -11)):
             cond = condition_for_target(pair, target=3)
-            p = populations_closed_form(cond, cond.action_t0)
-            assert p.p3 == pytest.approx(1.0, abs=1e-12)
-            assert p.p1 == pytest.approx(0.0, abs=1e-12)
-            assert p.p2 == pytest.approx(0.0, abs=1e-12)
+            p = populations_closed_form_array(cond, cond.action_t0)[0]
+            assert p[2] == pytest.approx(1.0, abs=1e-12)
+            assert p[0] == pytest.approx(0.0, abs=1e-12)
+            assert p[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_tampered_condition_fails_validation(self, cond_15):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ and the squared amplitudes for the population formulas.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,13 +16,16 @@ from scipy.linalg import expm
 
 from tripop import (
     CouplingRatios,
+    OddPair,
     RepeatedRootError,
     TripopError,
     amplitudes_at,
     build_dressed_basis,
+    condition_from_odd_pair,
     cubic_coefficients,
-    populations_general,
+    populations_closed_form_array,
     populations_general_array,
+    propagate_kick,
     solve_cubic,
 )
 
@@ -209,31 +213,29 @@ class TestAmplitudes:
 
 class TestPopulations:
     def test_initial_sample(self, basis_33):
-        p = populations_general(basis_33, 0.0)
-        np.testing.assert_allclose(p.as_tuple(), [1.0, 0.0, 0.0], atol=1e-14)
+        p = populations_general_array(basis_33, 0.0)[0]
+        np.testing.assert_allclose(p, [1.0, 0.0, 0.0], atol=1e-14)
 
     def test_complete_transfer_sample(self, basis_33):
         """(0, 1, 0) at A = pi/(3r), r = sqrt(2/9)."""
-        p = populations_general(basis_33, math.pi / (3.0 * math.sqrt(2.0 / 9.0)))
-        assert p.p1 == pytest.approx(0.0, abs=1e-9)
-        assert p.p2 == pytest.approx(1.0, abs=1e-9)
-        assert p.p3 == pytest.approx(0.0, abs=1e-9)
+        p = populations_general_array(basis_33, math.pi / (3.0 * math.sqrt(2.0 / 9.0)))[0]
+        assert p[0] == pytest.approx(0.0, abs=1e-9)
+        assert p[1] == pytest.approx(1.0, abs=1e-9)
+        assert p[2] == pytest.approx(0.0, abs=1e-9)
 
     def test_half_transfer_action_maxes_p3(self, basis_33):
         """Half the transfer action puts half the population in level 3."""
-        p = populations_general(basis_33, A33 / 2.0)
-        assert p.p3 == pytest.approx(0.5, abs=1e-12)
+        p = populations_general_array(basis_33, A33 / 2.0)[0]
+        assert p[2] == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_squared_amplitudes(self):
         """Cosine-sum form equals |amplitudes|^2 within 1e-12, 100 random configs."""
         for ratios in random_ratios(100):
             basis = build_dressed_basis(ratios)
             action = float(RNG.uniform(-10, 10))
-            p = populations_general(basis, action)
+            p = populations_general_array(basis, action)[0]
             a = amplitudes_at(basis, action)
-            np.testing.assert_allclose(
-                p.as_tuple(), [abs(c) ** 2 for c in a.a], atol=1e-12
-            )
+            np.testing.assert_allclose(p, [abs(c) ** 2 for c in a.a], atol=1e-12)
 
     def test_norm_on_action_grid(self):
         """Populations sum to 1 within 1e-10 on a 1000-point action grid."""
@@ -248,9 +250,40 @@ class TestPopulations:
         for ratios in random_ratios(20):
             basis = build_dressed_basis(ratios)
             for action in RNG.uniform(0.0, 10.0, size=5):
-                assert populations_general(basis, float(action)) == populations_general(
-                    basis, float(-action)
-                )
+                plus = populations_general_array(basis, float(action))[0]
+                minus = populations_general_array(basis, float(-action))[0]
+                assert plus.tolist() == minus.tolist()
+
+
+# alpha = 2 and the (1, 5) member have phase rates above 1.8, so an action of
+# 1e308 overflows their phases.
+BASIS_2 = build_dressed_basis(CouplingRatios(2.0, 1.0))
+COND_15 = condition_from_odd_pair(OddPair(-1, 3))
+EVALUATORS = {
+    "general_array": lambda a: populations_general_array(BASIS_2, np.array([0.5, a])),
+    "closed_form_array": lambda a: populations_closed_form_array(COND_15, np.array([0.5, a])),
+    "amplitudes_at": lambda a: amplitudes_at(BASIS_2, a),
+    "propagate_kick": lambda a: propagate_kick(BASIS_2, a),
+}
+
+
+class TestNonFinitePhase:
+    @pytest.mark.parametrize("action", [math.nan, math.inf, -math.inf, 1e308, -1e308])
+    @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
+    def test_refused_without_a_warning(self, evaluator, action):
+        """Every exact evaluator refuses an action whose phase is not finite
+        with ValueError, before numpy warns of an overflow or a NaN."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite phase"):
+                EVALUATORS[evaluator](action)
+
+    @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
+    def test_large_finite_phase_answers(self, evaluator):
+        """A huge but finite phase is still evaluated and normalised."""
+        result = EVALUATORS[evaluator](1e300)
+        total = result.norm() if hasattr(result, "norm") else result.sum(axis=1)
+        np.testing.assert_allclose(total, 1.0, atol=1e-10)
 
 
 # Couplings on or next to |alpha| = |beta|, where the paper's cubic degenerates.

@@ -1,9 +1,11 @@
-"""The public surface: every name ``tripop.__all__`` promises exists, every
-error type the library can raise is exported, no module reads the
-environment, and only the CLI writes files."""
+"""The public surface: ``tripop.__all__`` is exactly what the library
+modules define, every error type the library can raise is exported, no
+module reads the environment, and only the CLI writes files."""
 
 import ast
+import importlib
 import inspect
+import pkgutil
 from pathlib import Path
 
 import tripop
@@ -13,6 +15,23 @@ from tripop import errors
 def test_all_names_resolve():
     assert [name for name in tripop.__all__ if not hasattr(tripop, name)] == []
     assert len(set(tripop.__all__)) == len(tripop.__all__)
+
+
+def test_all_is_the_library_surface():
+    """``__all__`` lists every public function and class that a library
+    module (all but the CLI) defines, and nothing else, so a deleted name
+    cannot linger in it."""
+    modules = [importlib.import_module(f"tripop.{m.name}") for m in pkgutil.iter_modules(tripop.__path__)]
+    defined = {
+        name
+        for module in modules
+        if module.__name__ != "tripop.cli"
+        for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
+    }
+    assert sorted(tripop.__all__) == sorted(defined)
 
 
 def test_every_error_type_is_exported():

@@ -20,7 +20,6 @@ from tripop import (
     build_dressed_basis,
     check_condition,
     compare_analytic_numeric,
-    dwell_time,
     enumerate_conditions,
     harmonic_for_condition,
     integrate,
@@ -121,6 +120,31 @@ class TestIntegrate:
         trace = integrate(RATIOS_33, DEGENERATE, Pulse.constant(1.0), t, config)
         assert len(trace.times) == 2
         assert trace.times[-1] == pytest.approx(t, rel=1e-15)
+
+    def test_huge_step_count_is_kept_whole(self, monkeypatch):
+        """1e9 drive periods at the default step are exactly 2e13 steps; a
+        guard relative to the whole count would drop 20 of them."""
+        counts = []
+
+        class Reached(Exception):
+            pass
+
+        def reached(k, e, pulses, dt, n_steps, *args):
+            counts.append(n_steps)
+            raise Reached
+
+        monkeypatch.setattr(propagate, "_rk4", reached)
+        pulse = Pulse.harmonic(1.0, 1.0)
+        with pytest.raises(Reached):
+            integrate(RATIOS_33, DEGENERATE, pulse, 1e9 * pulse.period, IntegratorConfig(record_every=10**9))
+        assert counts == [2 * 10**13]
+
+    @pytest.mark.parametrize("field", ["steps_per_period", "record_every"])
+    def test_counts_past_2_53_are_refused(self, field):
+        """Both counts must convert to floats exactly."""
+        assert getattr(IntegratorConfig(**{field: 2**53}), field) == 2**53
+        with pytest.raises(InvalidConfigError, match="2\\*\\*53"):
+            IntegratorConfig(**{field: 2**53 + 1})
 
     def test_nondegenerate_norm_conserved(self):
         """Splittings change populations but the evolution stays unitary."""
@@ -382,18 +406,3 @@ class TestTwoLevelLimit:
                 [two_level_populations(TwoLevelParams(0.0, 0.0, a))[1] for a in a12]
             )
             np.testing.assert_allclose(trace.p2, two_level, atol=tol)
-
-
-class TestTraceUtilities:
-    def test_dwell_time_diagnostic(self, cond_33):
-        """Time spent above 0.99 shrinks when the drive frequency doubles."""
-        dwell = []
-        for omega in (1.0, 2.0):
-            pulse = harmonic_for_condition(cond_33, omega)
-            trace = integrate(
-                RATIOS_33, DEGENERATE, pulse, 2 * math.pi / omega,
-                IntegratorConfig(steps_per_period=4000),
-            )
-            dwell.append(dwell_time(trace, threshold=0.99))
-        assert dwell[0] > 0.0
-        assert dwell[1] == pytest.approx(dwell[0] / 2.0, rel=5e-2)
