@@ -10,7 +10,6 @@ from .conditions import (
     OddPair,
     TransferCondition,
     classify_cases,
-    condition_for_target,
     condition_from_odd_pair,
     enumerate_conditions,
     family_integers,
@@ -30,7 +29,6 @@ from .dressed import (
     solve_cubic,
 )
 from .errors import (
-    IdealKickPointQueryError,
     InvalidConfigError,
     InvalidPairError,
     NormDriftExceededError,
@@ -40,8 +38,6 @@ from .errors import (
     VerificationFailedError,
 )
 from .leakage import (
-    LeakageEstimate,
-    TwoLevelParams,
     delta_p2_at_t0,
     delta_p2_early,
     leakage_scan,
@@ -73,11 +69,9 @@ __all__ = [
     "ConditionCheck",
     "CouplingRatios",
     "DressedBasis",
-    "IdealKickPointQueryError",
     "IntegratorConfig",
     "InvalidConfigError",
     "InvalidPairError",
-    "LeakageEstimate",
     "LevelEnergies",
     "NormDriftExceededError",
     "OddPair",
@@ -87,14 +81,12 @@ __all__ = [
     "RepeatedRootError",
     "TransferCondition",
     "TripopError",
-    "TwoLevelParams",
     "VerificationFailedError",
     "amplitudes_at",
     "build_dressed_basis",
     "check_condition",
     "classify_cases",
     "compare_analytic_numeric",
-    "condition_for_target",
     "condition_from_odd_pair",
     "cubic_coefficients",
     "delta_p2_at_t0",

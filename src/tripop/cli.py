@@ -139,7 +139,7 @@ def cmd_verify(args) -> int:
 def _parse_grid(spec: str) -> list[tuple[float, float]]:
     """Grid spec 'omega12:<v|start:stop:count>,omega13:<...>' -> splitting pairs.
 
-    Each axis is given once, and a grid of more than ``MAX_RUN_RECORDS``
+    Each axis is given once, and a grid of more than ``MAX_RUN_RECORDS // 2``
     points is refused before it is built.
     """
     axes: dict[str, tuple[float, float, int]] = {}
@@ -160,27 +160,29 @@ def _parse_grid(spec: str) -> list[tuple[float, float]]:
             raise ValueError("grid count must be >= 1")
     if set(axes) != {"omega12", "omega13"}:
         raise ValueError("grid must define both omega12 and omega13")
-    points = axes["omega12"][2] * axes["omega13"][2]
-    if points > MAX_RUN_RECORDS:
-        raise ValueError(f"grid of {points} points is past the cap of {MAX_RUN_RECORDS:.0e}")
+    # Every run records its step 0 and its last step, so a batch of more than
+    # MAX_RUN_RECORDS // 2 runs never passes the records cap of integrate_batch;
+    # refusing it here keeps its per-point lists from being built first.
+    points, cap = axes["omega12"][2] * axes["omega13"][2], MAX_RUN_RECORDS // 2
+    if points > cap:
+        raise ValueError(f"grid of {points} points is past the cap of {cap:.0e}")
     w12, w13 = ([a] if n == 1 else np.linspace(a, b, n).tolist()
                 for a, b, n in (axes["omega12"], axes["omega13"]))
     return [(a, b) for a in w12 for b in w13]
 
 
 def cmd_leakage(args) -> int:
-    pair = OddPair(args.n_o, args.n_op)
-    cond = condition_from_odd_pair(pair)
+    cond = condition_from_odd_pair(OddPair(args.n_o, args.n_op), beta=args.beta)
     grid = _parse_grid(args.grid)  # absolute splittings
     if not 0.0 < args.omega < math.inf:
         raise ValueError(f"--omega must be positive and finite, got {args.omega!r}")
     ratios = [(w12 / args.omega, w13 / args.omega) for w12, w13 in grid]
     config = IntegratorConfig(steps_per_period=args.steps_per_period)
-    measured = leakage_scan(cond, args.beta, ratios, config=config, omega=args.omega)
+    deficits = leakage_scan(cond, ratios, config=config, omega=args.omega)
     header = ["omega12_ratio", "omega13_ratio", "deficit", "estimate"]
     rows = [
-        [r12, r13, deficit, delta_p2_at_t0(cond, args.beta, r12, r13).delta_p2]
-        for (r12, r13), deficit in measured
+        [r12, r13, deficit, delta_p2_at_t0(cond, r12, r13)]
+        for (r12, r13), deficit in zip(ratios, deficits)
     ]
     params = {
         "n_o": args.n_o, "n_op": args.n_op, "beta": args.beta,

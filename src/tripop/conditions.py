@@ -25,14 +25,19 @@ they are even in A; the sign = -1 member of a pair (a global sign flip of
 V(t)) is physically indistinguishable from the sign = +1 member, and the
 condition with alpha of opposite sign at the same positive action is simply
 the order-swapped pair (n2, n1).  Enumeration therefore emits only r > 0
-rows, with both alpha signs appearing through the pair order;
-``condition_from_odd_pair`` gives the sign = -1 member of a pair.
+rows, with both alpha signs appearing through the pair order.
+
+A ``TransferCondition`` is the whole drive: its sign of r, its direct
+coupling beta = +-1 and its target level.  ``condition_from_odd_pair`` is
+the one constructor of all three choices, and ``TransferCondition.ratios``
+gives the couplings that realize the condition; no caller picks beta apart
+from the condition.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,16 +132,8 @@ class TransferCondition:
     def product(self) -> int:
         return self.n1 * self.n2
 
-    def ratios(self, beta: float | None = None) -> CouplingRatios:
-        """Coupling ratios realizing this condition (eps = 0).
-
-        For target-2 conditions ``beta`` may override the stored +-1 choice.
-        """
-        if self.target == 2:
-            b = self.beta if beta is None else float(beta)
-            if b not in (-1.0, 1.0):
-                raise ValueError("beta must be +1 or -1")
-            return CouplingRatios(alpha=self.alpha, beta=b)
+    def ratios(self) -> CouplingRatios:
+        """Coupling ratios realizing this condition (eps = 0)."""
         return CouplingRatios(alpha=self.alpha, beta=self.beta)
 
 
@@ -155,48 +152,38 @@ class CaseClassification:
     e_value: float
 
 
-def condition_from_odd_pair(pair: OddPair, sign: int = 1, beta: int = 1) -> TransferCondition:
-    """Family member for one odd pair and one sign of r.
+def condition_from_odd_pair(pair: OddPair, sign: int = 1, beta: int = 1, target: int = 2) -> TransferCondition:
+    """Family member for one odd pair, sign of r, direct coupling beta = +-1
+    and target level.
 
     Both closed forms of r, via n1*n2 and via (n_o, n_o'), agree:
-    n1*n2 = 2*n_o^2 + 5*n_o*n_o' + 2*n_o'^2.
+    n1*n2 = 2*n_o^2 + 5*n_o*n_o' + 2*n_o'^2.  Transfer into level 3 follows
+    from the level-2 member by interchanging the two level-1 couplings, so a
+    target-3 condition carries alpha = beta and beta = r(n2 - n1).
     """
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
-    if beta not in (-1, 1):
-        raise ValueError("beta must be +1 or -1")
     n1, n2 = pair.n1, pair.n2
     product = n1 * n2
     r = sign * math.sqrt(2.0 / product)
     r_alt = sign / math.sqrt(pair.n_o**2 + 2.5 * pair.n_o * pair.n_op + pair.n_op**2)
     if abs(r - r_alt) > CONDITION_TOL:
         raise InvalidPairError(f"inconsistent r formulas for pair {pair}: {r} vs {r_alt}")
-    action_t0 = math.pi / (3.0 * r)
+    alpha, beta = r * (n2 - n1), float(beta)
+    if target == 3:
+        alpha, beta = beta, alpha
+    # TransferCondition refuses a direct coupling other than +-1 and a target other than 2 or 3
     return TransferCondition(
         pair=pair,
         n1=n1,
         n2=n2,
         r=r,
-        alpha=r * (n2 - n1),
-        beta=float(beta),
-        action_t0=action_t0,
+        alpha=alpha,
+        beta=beta,
+        action_t0=math.pi / (3.0 * r),
         sign=sign,
+        target=target,
     )
-
-
-def condition_for_target(pair: OddPair, sign: int = 1, target: int = 2) -> TransferCondition:
-    """Condition transferring the population into the requested level.
-
-    Transfer into level 3 follows from the level-2 family by interchanging
-    the two level-1 coupling roles: the returned condition carries
-    alpha = +-1 and beta = r(n2 - n1).
-    """
-    base = condition_from_odd_pair(pair, sign=sign, beta=1)
-    if target == 2:
-        return base
-    if target != 3:
-        raise ValueError("target level must be 2 or 3")
-    return replace(base, alpha=base.beta, beta=base.alpha, target=3)
 
 
 def family_integers(

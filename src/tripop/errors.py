@@ -17,10 +17,6 @@ class InvalidPairError(TripopError):
     """An odd-integer pair violates the family constraints (non-odd entries or n1*n2 <= 0)."""
 
 
-class IdealKickPointQueryError(TripopError):
-    """An ideal kick was sampled exactly at its firing time; it has no pointwise value there."""
-
-
 class OutOfRangeError(TripopError):
     """A tabulated pulse was queried outside its time table."""
 
@@ -30,7 +26,7 @@ class NormDriftExceededError(TripopError):
 
 
 class InvalidConfigError(TripopError):
-    """Integrator configuration is unusable (bad step or stride, too many records, or an ideal kick)."""
+    """Integrator configuration is unusable (bad step or stride, or too many records)."""
 
 
 class VerificationFailedError(TripopError):

@@ -17,13 +17,18 @@ unless the linear term cancels (on the ray 2*omega13 = omega12).  For the
 n1 = n2 families both terms vanish identically and the estimate carries no
 information at this order.  The measured dual-RK4 deficit is the oracle
 against which the estimates are judged.
+
+The drive of a measured or estimated deficit is the condition's own: its
+harmonic pulse and its couplings, the direct coupling beta included, so
+no function here takes beta.  The deficit is that of level 2, so these
+functions refuse a target-3 condition.  Every estimate and deficit is a
+plain float.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,27 +47,9 @@ from .pulses import Pulse, harmonic_for_condition
 _TWO_LEVEL_COUPLING = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
-@dataclass(frozen=True)
-class LeakageEstimate:
-    """Signed perturbative estimate of the level-2 population deficit."""
-
-    delta_p2: float
-    t: float
-    regime: str  # "early_time" or "at_t0"
-
-
-@dataclass(frozen=True)
-class TwoLevelParams:
-    """Diagonal coupling ratios and action for the two-level reference atom."""
-
-    eps1: float
-    eps2: float
-    action: float
-
-    def __post_init__(self):
-        for v in (self.eps1, self.eps2, self.action):
-            if not math.isfinite(v):
-                raise ValueError("two-level parameters must be finite")
+def _require_level_two(cond: TransferCondition) -> None:
+    if cond.target != 2:
+        raise ValueError(f"the level-2 deficit needs a target-2 condition, got target {cond.target}")
 
 
 def delta_p2_early(
@@ -72,7 +59,7 @@ def delta_p2_early(
     omega12: float,
     omega13: float,
     t: float,
-) -> LeakageEstimate:
+) -> float:
     """Leading early-time deficit between degenerate and split evolution:
 
         dP2(t) ~ (1/12) [2 (2 w13 - w12) V12(0) V13(0) V23(0)
@@ -84,45 +71,36 @@ def delta_p2_early(
     if t < 0:
         raise ValueError("t must be non-negative")
     bracket = 2.0 * (2.0 * omega13 - omega12) * v12_0 * v13_0 * v23_0 + omega12**2 * v12_0**2
-    return LeakageEstimate(delta_p2=bracket * t**4 / 12.0, t=t, regime="early_time")
+    return bracket * t**4 / 12.0
 
 
-def delta_p2_at_t0(
-    cond: TransferCondition,
-    beta: int,
-    omega12_ratio: float,
-    omega13_ratio: float,
-) -> LeakageEstimate:
+def delta_p2_at_t0(cond: TransferCondition, omega12_ratio: float, omega13_ratio: float) -> float:
     """The early-time estimate evaluated at t0 = pi/(2 omega), in family integers:
 
         dP2(t0) ~ (1/27)(pi/2)^6 [ (pi/3) beta n1 n2 (n2-n1)(2 w13/w - w12/w)
                                    + (n2-n1)^2 (w12/w)^2 ]
 
-    Identically zero for n1 = n2; see the module docstring for the caveats
-    on the linear term.
+    with the condition's beta.  Identically zero for n1 = n2; see the module
+    docstring for the caveats on the linear term.
     """
-    if beta not in (-1, 1):
-        raise ValueError("beta must be +1 or -1")
+    _require_level_two(cond)
     n1, n2 = cond.n1, cond.n2
     bracket = (
-        (math.pi / 3.0) * beta * n1 * n2 * (n2 - n1) * (2.0 * omega13_ratio - omega12_ratio)
+        (math.pi / 3.0) * cond.beta * n1 * n2 * (n2 - n1) * (2.0 * omega13_ratio - omega12_ratio)
         + (n2 - n1) ** 2 * omega12_ratio**2
     )
-    value = (math.pi / 2.0) ** 6 * bracket / 27.0
-    t0 = math.pi / 2.0  # quarter period in omega = 1 units
-    return LeakageEstimate(delta_p2=value, t=t0, regime="at_t0")
+    return (math.pi / 2.0) ** 6 * bracket / 27.0
 
 
 def measured_deficit(
     cond: TransferCondition,
-    beta: int,
     omega12_ratio: float,
     omega13_ratio: float,
     config: IntegratorConfig = IntegratorConfig(),
     omega: float = 1.0,
 ) -> float:
     """1 - P2(t0) measured by RK4 with the condition's harmonic drive."""
-    return leakage_scan(cond, beta, [(omega12_ratio, omega13_ratio)], config=config, omega=omega)[0][1]
+    return leakage_scan(cond, [(omega12_ratio, omega13_ratio)], config=config, omega=omega)[0]
 
 
 def measured_delta_p2(
@@ -145,44 +123,46 @@ def measured_delta_p2(
 
 def leakage_scan(
     cond: TransferCondition,
-    beta: int,
     omega_ratios: list[tuple[float, float]],
     config: IntegratorConfig = IntegratorConfig(),
     omega: float = 1.0,
-) -> list[tuple[tuple[float, float], float]]:
-    """Measured deficits 1 - P2(t0) over a list of (w12/w, w13/w) pairs.
+) -> list[float]:
+    """Measured deficits 1 - P2(t0), one per (w12/w, w13/w) pair, in order.
 
     The RK4 runs share the condition's harmonic drive and so a step count;
     they are advanced together as one batch.
     """
+    _require_level_two(cond)
     pulse = harmonic_for_condition(cond, omega)
-    k = cond.ratios(beta=beta).coupling_matrix()
+    k = cond.ratios().coupling_matrix()
     t0 = math.pi / (2.0 * omega)
     runs = [
         (k, LevelEnergies.from_splittings(r12 * omega, r13 * omega), pulse, t0)
         for r12, r13 in omega_ratios
     ]
-    traces = require_traces(integrate_batch(runs, config))
-    return [((r12, r13), float(1.0 - trace.p2[-1])) for (r12, r13), trace in zip(omega_ratios, traces)]
+    return [float(1.0 - trace.p2[-1]) for trace in require_traces(integrate_batch(runs, config))]
 
 
 # -- two-level reference atom ---------------------------------------------
 
 
-def two_level_populations(params: TwoLevelParams) -> tuple[float, float]:
-    """Populations (p1, p2) of the two-level atom at the given action, from
-    the 2x2 dressed basis.
+def two_level_populations(eps1: float, eps2: float, action: float) -> tuple[float, float]:
+    """Populations (p1, p2) of the two-level atom with diagonal ratios
+    eps1, eps2 at the given action, from the 2x2 dressed basis.
 
     The dressed combinations c = a1 + y a2 use the roots of
     y^2 + (eps1 - eps2) y - 1 = 0 and evolve with z = eps1 + y; the basis
     determinant is -2 sqrt(1 + ((eps2 - eps1)/2)^2).  For eps1 = eps2 this
     reduces to p2 = sin^2(A); for unequal diagonals the transfer is capped at
-    p2 <= 1 / (1 + (eps2 - eps1)^2 / 4).
+    p2 <= 1 / (1 + (eps2 - eps1)^2 / 4).  Raises ValueError unless all three
+    inputs are finite.
     """
-    d = params.eps2 - params.eps1
+    if not all(math.isfinite(v) for v in (eps1, eps2, action)):
+        raise ValueError(f"two-level parameters must be finite, got {(eps1, eps2, action)}")
+    d = eps2 - eps1
     s = math.sqrt(d * d + 4.0)
     y_plus, y_minus = 0.5 * (d + s), 0.5 * (d - s)
-    c_plus, c_minus = (cmath.exp(-1j * ((params.eps1 + y) * params.action)) for y in (y_plus, y_minus))
+    c_plus, c_minus = (cmath.exp(-1j * ((eps1 + y) * action)) for y in (y_plus, y_minus))
     det = y_minus - y_plus
     return abs((y_minus * c_plus - y_plus * c_minus) / det) ** 2, abs((c_minus - c_plus) / det) ** 2
 

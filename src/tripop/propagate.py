@@ -175,8 +175,6 @@ def integrate_batch(
     dt = np.empty(len(runs))
     step_counts = set()
     for i, (coupling, energies, pulse, t_end) in enumerate(runs):
-        if pulse.shape == "ideal_kick":
-            raise InvalidConfigError("an ideal kick cannot be time-stepped; use propagate_kick")
         if not 0 < t_end < math.inf:
             raise InvalidConfigError(f"t_end must be positive and finite, got {t_end!r}")
         coupling = np.asarray(coupling, dtype=float)

@@ -7,12 +7,11 @@ closed form for its running integral:
     harmonic       V(t) = v0 cos(omega t)          A(t) = (v0/omega) sin(omega t)
     constant       V(t) = v0                       A(t) = v0 t
     gaussian_kick  normalized Gaussian of area A0  A(t) via the error function
-    ideal_kick     A0 * delta(t - t0)              A(t) = A0 * step(t - t0)
     tabulated      linear interpolation of (t, v)  exact piecewise-trapezoid
 
-An ideal kick is represented spectrally: it has no pointwise value at its
-firing time and cannot be fed to a time stepper; its entire effect is the
-action jump A0.
+An ideal kick A0 * delta(t - t0) is not a pulse: it has no pointwise value
+at its firing time and cannot enter a time stepper, and its whole effect is
+the action jump A0, which ``propagate.propagate_kick`` applies spectrally.
 
 ``value`` and ``area`` take a time or an array of times.  A tabulated pulse
 prepares its knot arrays and cumulative trapezoid once, when it is built.
@@ -29,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IdealKickPointQueryError, OutOfRangeError
+from .errors import OutOfRangeError
 
 _erf = np.vectorize(math.erf, otypes=[float])  # numpy has no erf
 
@@ -52,7 +51,7 @@ class Pulse:
     samples: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        if self.shape not in ("harmonic", "constant", "gaussian_kick", "ideal_kick", "tabulated"):
+        if self.shape not in ("harmonic", "constant", "gaussian_kick", "tabulated"):
             raise ValueError(f"unknown pulse shape {self.shape!r}")
         scalars = (self.v0, self.omega, self.kick_area, self.kick_center, self.kick_width)
         if not all(math.isfinite(v) for v in scalars):
@@ -89,10 +88,6 @@ class Pulse:
         )
 
     @classmethod
-    def ideal_kick(cls, kick_area: float, kick_center: float) -> "Pulse":
-        return cls(shape="ideal_kick", kick_area=kick_area, kick_center=kick_center)
-
-    @classmethod
     def tabulated(cls, times, values) -> "Pulse":
         return cls(shape="tabulated", samples=tuple(zip(map(float, times), map(float, values))))
 
@@ -109,8 +104,7 @@ class Pulse:
     def value(self, t: float | np.ndarray) -> float | np.ndarray:
         """V(t) at a time (returns a float) or an array of times (returns an array).
 
-        Querying an ideal kick exactly at its firing time is an error, as is
-        querying a tabulated pulse outside its table.
+        Querying a tabulated pulse outside its table is an error.
         """
         ts = _finite_times(t)
         if self.shape == "harmonic":
@@ -120,13 +114,6 @@ class Pulse:
         elif self.shape == "gaussian_kick":
             u = (ts - self.kick_center) / self.kick_width
             v = self.kick_area * np.exp(-0.5 * u * u) / (self.kick_width * math.sqrt(2.0 * math.pi))
-        elif self.shape == "ideal_kick":
-            if np.any(ts == self.kick_center):
-                raise IdealKickPointQueryError(
-                    "an ideal kick has no pointwise value at its firing time; "
-                    "use its action step instead"
-                )
-            v = np.zeros_like(ts)
         else:
             knots, values, _ = self._table_in_range(ts)
             v = np.interp(ts, knots, values)
@@ -145,8 +132,6 @@ class Pulse:
         elif self.shape == "gaussian_kick":
             s = self.kick_width * math.sqrt(2.0)
             a = 0.5 * self.kick_area * (_erf((ts - self.kick_center) / s) - math.erf(-self.kick_center / s))
-        elif self.shape == "ideal_kick":
-            a = np.where(ts >= self.kick_center, self.kick_area, 0.0)
         else:  # trapezoid sums are exact for the linear interpolant
             knots, values, cumulative = self._table_in_range(ts)
             if knots[0] > 0.0 or knots[-1] < 0.0:

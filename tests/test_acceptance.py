@@ -24,7 +24,6 @@ from tripop import (
     LevelEnergies,
     OddPair,
     Pulse,
-    TwoLevelParams,
     build_dressed_basis,
     compare_analytic_numeric,
     condition_from_odd_pair,
@@ -253,25 +252,25 @@ def test_criterion_08_two_level_suite():
     """Equal diagonals give exactly sin^2(A); unequal diagonals obey the
     transfer cap, and a dense sweep attains it within 1e-9."""
     ok_sine = all(
-        abs(two_level_populations(TwoLevelParams(e, e, a))[1] - math.sin(a) ** 2) < 1e-12
+        abs(two_level_populations(e, e, a)[1] - math.sin(a) ** 2) < 1e-12
         for e, a in zip(RNG.uniform(-2, 2, 50), RNG.uniform(-10, 10, 50))
     )
     ok_bound = True
     for _ in range(200):
         e1, e2 = (float(v) for v in RNG.uniform(-3, 3, 2))
         action = float(RNG.uniform(-20, 20))
-        p2 = two_level_populations(TwoLevelParams(e1, e2, action))[1]
+        p2 = two_level_populations(e1, e2, action)[1]
         if p2 > two_level_p2_bound(e1, e2) + 1e-12:
             ok_bound = False
     bound = two_level_p2_bound(0.0, 2.0)
     sweep = np.linspace(0.0, math.pi, 400001)
     best = max(
-        two_level_populations(TwoLevelParams(0.0, 2.0, float(a)))[1]
+        two_level_populations(0.0, 2.0, float(a))[1]
         for a in np.linspace(math.pi / (2 * math.sqrt(2)) - 0.001,
                              math.pi / (2 * math.sqrt(2)) + 0.001, 4001)
     )
     coarse = max(
-        two_level_populations(TwoLevelParams(0.0, 2.0, float(a)))[1] for a in sweep[::200]
+        two_level_populations(0.0, 2.0, float(a))[1] for a in sweep[::200]
     )
     attained = max(best, coarse)
     ok = ok_sine and ok_bound and abs(attained - bound) < 1e-9
@@ -290,12 +289,12 @@ def test_criterion_09_leakage_trends():
     fine_cfg = IntegratorConfig(steps_per_period=20000)
 
     deficits = [
-        measured_deficit(cond, 1, r, 0.0, config=scan_cfg) for r in (0.01, 0.02, 0.05, 0.1)
+        measured_deficit(cond, r, 0.0, config=scan_cfg) for r in (0.01, 0.02, 0.05, 0.1)
     ]
     ok_monotone = all(a < b for a, b in zip(deficits, deficits[1:]))
 
-    base = measured_deficit(cond, 1, 0.05, 0.0, config=scan_cfg, omega=1.0)
-    halved_ratio = measured_deficit(cond, 1, 0.025, 0.0, config=scan_cfg, omega=2.0)
+    base = measured_deficit(cond, 0.05, 0.0, config=scan_cfg, omega=1.0)
+    halved_ratio = measured_deficit(cond, 0.025, 0.0, config=scan_cfg, omega=2.0)
     ok_doubling = halved_ratio < base
 
     pulse = harmonic_for_condition(cond, 1.0)
@@ -311,14 +310,14 @@ def test_criterion_09_leakage_trends():
     ok_early = True
     for t in (0.05, 0.1, 0.2):
         meas = abs(measured_delta_p2(cond.ratios(), pulse, 0.1, 0.0, t, fine_cfg))
-        est = abs(delta_p2_early(v12, pulse.v0, pulse.v0, 0.1, 0.0, t).delta_p2)
+        est = abs(delta_p2_early(v12, pulse.v0, pulse.v0, 0.1, 0.0, t))
         if abs(est - meas) > 0.25 * meas:
             ok_early = False
 
     att0 = []
     for r in (0.01, 0.02, 0.05):
-        est = delta_p2_at_t0(cond, 1, r, r / 2.0).delta_p2
-        att0.append(est / measured_deficit(cond, 1, r, r / 2.0, config=scan_cfg))
+        est = delta_p2_at_t0(cond, r, r / 2.0)
+        att0.append(est / measured_deficit(cond, r, r / 2.0, config=scan_cfg))
     att0 = np.array(att0)
     ok_att0 = (att0.max() - att0.min()) / att0.mean() < 0.05
 

@@ -461,6 +461,8 @@ class TestOversizedRequests:
             ["trace", "--alpha", "0", "--area", "1.0", "--periods", "1e306"],
             ["kick", "--alpha", "0", "--area", "1.0", "--steps-per-period", "1" + "0" * 400],
             ["leakage", "--n-o", "1", "--n-op", "1", "--grid", "omega12:0:1:100000,omega13:0:1:100000"],
+            # 20,005,000 points: past MAX_RUN_RECORDS // 2, since each run records two steps at least
+            ["leakage", "--n-o", "1", "--n-op", "1", "--grid", "omega12:0:1:5000,omega13:0:1:4001"],
         ],
     )
     def test_refused_before_allocating(self, tmp_path, capsys, argv):

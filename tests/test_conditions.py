@@ -23,7 +23,6 @@ from tripop import (
     OddPair,
     build_dressed_basis,
     classify_cases,
-    condition_for_target,
     condition_from_odd_pair,
     enumerate_conditions,
     p3_max,
@@ -181,6 +180,12 @@ class TestConditionFromOddPair:
                 assert ((2 * cond.n1 - cond.n2) // 3) % 2 != 0
                 assert ((2 * cond.n2 - cond.n1) // 3) % 2 != 0
 
+    @pytest.mark.parametrize("target", [2, 3])
+    @pytest.mark.parametrize("field,bad", [("sign", 0), ("beta", 0), ("beta", 2), ("beta", 0.5)])
+    def test_bad_sign_or_beta_is_refused(self, field, bad, target):
+        with pytest.raises(ValueError):
+            condition_from_odd_pair(OddPair(-1, 3), target=target, **{field: bad})
+
 
 class TestEnumerate:
     def test_smallest_products(self):
@@ -337,7 +342,7 @@ class TestClosedFormPopulations:
             scaled = actions * abs(cond.action_t0)
             closed = populations_closed_form_array(cond, scaled)
             for beta in (1, -1):
-                basis = build_dressed_basis(cond.ratios(beta=beta))
+                basis = build_dressed_basis(replace(cond, beta=beta).ratios())
                 general = populations_general_array(basis, scaled)
                 np.testing.assert_allclose(closed, general, atol=1e-10)
 
@@ -378,7 +383,7 @@ class TestPopulationProperties:
         actions = scaled_actions(cond, fractions)
         closed = populations_closed_form_array(cond, actions)
         for beta in (1, -1):
-            general = populations_general_array(build_dressed_basis(cond.ratios(beta=beta)), actions)
+            general = populations_general_array(build_dressed_basis(replace(cond, beta=beta).ratios()), actions)
             np.testing.assert_allclose(closed, general, rtol=0, atol=1e-10)
 
 
@@ -545,18 +550,21 @@ class TestValidateAgainstEnumeration:
 
 
 class TestConditionForTarget:
+    """``condition_from_odd_pair(..., target=...)``: the level that the
+    condition fills."""
+
     def test_target_two_is_identity(self):
         pair = OddPair(-1, 3)
-        assert condition_for_target(pair, target=2) == condition_from_odd_pair(pair)
+        assert condition_from_odd_pair(pair, target=2) == condition_from_odd_pair(pair)
 
     def test_target_three_swaps_couplings(self):
-        cond = condition_for_target(OddPair(1, 1), target=3)
+        cond = condition_from_odd_pair(OddPair(1, 1), target=3)
         assert cond.alpha == 1.0 and cond.beta == 0.0 and cond.target == 3
 
     def test_target_three_closed_form(self):
         """Swapped closed form reaches full level-3 occupation at A(t0)."""
         for pair in (OddPair(1, 1), OddPair(-1, 3), OddPair(23, -11)):
-            cond = condition_for_target(pair, target=3)
+            cond = condition_from_odd_pair(pair, target=3)
             p = populations_closed_form_array(cond, cond.action_t0)[0]
             assert p[2] == pytest.approx(1.0, abs=1e-12)
             assert p[0] == pytest.approx(0.0, abs=1e-12)
@@ -565,3 +573,21 @@ class TestConditionForTarget:
     def test_tampered_condition_fails_validation(self, cond_15):
         with pytest.raises(ValueError):
             replace(cond_15, alpha=cond_15.alpha + 1e-3)
+
+    @pytest.mark.parametrize("beta", [1, -1])
+    def test_target_three_matches_general_form(self, beta):
+        """For target 3, the closed form equals the general cosine-sum
+        populations of the condition's own couplings within 1e-10 at 1000
+        actions in +-1.2 A(t0)."""
+        for pair in (OddPair(1, 1), OddPair(-1, 3), OddPair(23, -11)):
+            cond = condition_from_odd_pair(pair, beta=beta, target=3)
+            assert cond.alpha == beta
+            actions = np.linspace(-1.2, 1.2, 1000) * abs(cond.action_t0)
+            closed = populations_closed_form_array(cond, actions)
+            general = populations_general_array(build_dressed_basis(cond.ratios()), actions)
+            np.testing.assert_allclose(closed, general, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("target", [1, 4])
+    def test_unknown_target_is_refused(self, target):
+        with pytest.raises(ValueError, match="target level"):
+            condition_from_odd_pair(OddPair(1, 1), target=target)

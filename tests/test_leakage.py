@@ -8,6 +8,7 @@ prefactor does not (the measured-to-estimate ratio is frozen here).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,11 +16,14 @@ import pytest
 from tripop import (
     CouplingRatios,
     IntegratorConfig,
+    LevelEnergies,
+    OddPair,
     Pulse,
-    TwoLevelParams,
+    condition_from_odd_pair,
     delta_p2_at_t0,
     delta_p2_early,
     harmonic_for_condition,
+    integrate,
     leakage_scan,
     measured_deficit,
     measured_delta_p2,
@@ -35,25 +39,23 @@ SCAN = IntegratorConfig(steps_per_period=4000)
 
 class TestEarlyTimeEstimate:
     def test_degenerate_limit_is_zero(self):
-        est = delta_p2_early(1.0, 2.0, 3.0, 0.0, 0.0, 5.0)
-        assert est.delta_p2 == 0.0
-        assert est.regime == "early_time"
+        assert delta_p2_early(1.0, 2.0, 3.0, 0.0, 0.0, 5.0) == 0.0
 
     def test_zero_time_is_zero(self):
-        assert delta_p2_early(1.0, 2.0, 3.0, 0.7, 0.4, 0.0).delta_p2 == 0.0
+        assert delta_p2_early(1.0, 2.0, 3.0, 0.7, 0.4, 0.0) == 0.0
 
     def test_exact_quartic_time_scaling(self):
         """estimate(t) / t^4 is constant by construction."""
-        ref = delta_p2_early(1.5, 0.7, 1.0, 0.1, 0.05, 1.0).delta_p2
+        ref = delta_p2_early(1.5, 0.7, 1.0, 0.1, 0.05, 1.0)
         for t in (0.3, 0.7, 2.0):
-            est = delta_p2_early(1.5, 0.7, 1.0, 0.1, 0.05, t).delta_p2
+            est = delta_p2_early(1.5, 0.7, 1.0, 0.1, 0.05, t)
             assert est / t**4 == pytest.approx(ref, rel=1e-12)
 
     def test_vanishes_without_direct_coupling(self):
         """V12(0) = 0 (alpha = 0 drives) zeroes both bracket terms; the
         residual measured difference is higher order and tiny."""
         v0 = 2.2214414690791831
-        assert delta_p2_early(0.0, v0, v0, 0.01, 0.02, 0.5).delta_p2 == 0.0
+        assert delta_p2_early(0.0, v0, v0, 0.01, 0.02, 0.5) == 0.0
         pulse = Pulse.harmonic(v0, 1.0)
         meas = measured_delta_p2(CouplingRatios(0.0, 1.0), pulse, 0.01, 0.02, 0.5, FINE)
         assert abs(meas) < 1e-5
@@ -67,7 +69,7 @@ class TestEarlyTimeEstimate:
         pulse = harmonic_for_condition(cond_15, 1.0)
         v12 = cond_15.alpha * pulse.v0
         meas = measured_delta_p2(cond_15.ratios(), pulse, 0.1, 0.0, t, FINE)
-        est = delta_p2_early(v12, pulse.v0, pulse.v0, 0.1, 0.0, t).delta_p2
+        est = delta_p2_early(v12, pulse.v0, pulse.v0, 0.1, 0.0, t)
         assert abs(est) == pytest.approx(abs(meas), rel=0.25)
         assert est * meas < 0.0
 
@@ -78,7 +80,7 @@ class TestEarlyTimeEstimate:
         ratios = CouplingRatios(1.0, 1.0)
         for t in (0.05, 0.1, 0.2):
             meas = measured_delta_p2(ratios, pulse, 0.01, 0.02, t, FINE)
-            est = delta_p2_early(v0, v0, v0, 0.01, 0.02, t).delta_p2
+            est = delta_p2_early(v0, v0, v0, 0.01, 0.02, t)
             assert abs(est) == pytest.approx(abs(meas), rel=0.25)
 
     def test_measured_quartic_constancy(self, cond_15):
@@ -96,15 +98,14 @@ class TestEarlyTimeEstimate:
 
 class TestTransferTimeEstimate:
     def test_degenerate_limit_is_zero(self, cond_15):
-        assert delta_p2_at_t0(cond_15, 1, 0.0, 0.0).delta_p2 == 0.0
+        assert delta_p2_at_t0(cond_15, 0.0, 0.0) == 0.0
 
     def test_equal_integer_families_vanish(self, cond_33):
         """Both bracket terms carry n2 - n1, so the alpha = 0 families report
         exactly zero at this order; measured leakage there is genuinely
         nonzero and must come from the oracle instead."""
-        est = delta_p2_at_t0(cond_33, 1, 0.05, 0.0)
-        assert est.delta_p2 == 0.0
-        assert measured_deficit(cond_33, 1, 0.05, 0.0, config=SCAN) > 1e-4
+        assert delta_p2_at_t0(cond_33, 0.05, 0.0) == 0.0
+        assert measured_deficit(cond_33, 0.05, 0.0, config=SCAN) > 1e-4
 
     def test_agrees_with_early_time_formula(self, cond_15, cond_351):
         """The family-integer form equals the raw-coupling form at t0 with
@@ -118,8 +119,8 @@ class TestTransferTimeEstimate:
                     raw = delta_p2_early(
                         cond.alpha * v0, beta * v0, v0, r12 * omega, r13 * omega, t0
                     )
-                    packed = delta_p2_at_t0(cond, beta, r12, r13)
-                    assert packed.delta_p2 == pytest.approx(raw.delta_p2, rel=1e-12)
+                    packed = delta_p2_at_t0(replace(cond, beta=beta), r12, r13)
+                    assert packed == pytest.approx(raw, rel=1e-12)
 
     def test_quadratic_scaling_against_measurement(self, cond_15):
         """On the ray 2*omega13 = omega12 the linear term cancels and the
@@ -128,8 +129,8 @@ class TestTransferTimeEstimate:
         (~153 for this family: the truncation overestimates the prefactor)."""
         ratios = []
         for r12 in (0.01, 0.02, 0.05):
-            est = delta_p2_at_t0(cond_15, 1, r12, r12 / 2.0).delta_p2
-            meas = measured_deficit(cond_15, 1, r12, r12 / 2.0, config=SCAN)
+            est = delta_p2_at_t0(cond_15, r12, r12 / 2.0)
+            meas = measured_deficit(cond_15, r12, r12 / 2.0, config=SCAN)
             ratios.append(est / meas)
         ratios = np.array(ratios)
         assert np.all(ratios > 0)
@@ -139,28 +140,49 @@ class TestTransferTimeEstimate:
 
 class TestMeasuredScan:
     def test_degenerate_run_has_no_deficit(self, cond_33):
-        rows = leakage_scan(cond_33, 1, [(0.0, 0.0)], config=SCAN)
-        assert rows[0][1] < 1e-6
+        deficits = leakage_scan(cond_33, [(0.0, 0.0)], config=SCAN)
+        assert deficits[0] < 1e-6
 
     def test_monotone_in_splitting(self, cond_15):
         """Deficit grows monotonically along the omega12 ray."""
         grid = [(0.0, 0.0), (0.01, 0.0), (0.02, 0.0), (0.05, 0.0), (0.1, 0.0)]
-        rows = leakage_scan(cond_15, 1, grid, config=SCAN)
-        deficits = [d for _, d in rows]
+        deficits = leakage_scan(cond_15, grid, config=SCAN)
         assert all(a < b for a, b in zip(deficits, deficits[1:]))
 
     def test_smaller_ratio_smaller_deficit(self, cond_33):
-        rows = leakage_scan(cond_33, 1, [(0.1, 0.0), (0.01, 0.0)], config=SCAN)
-        assert rows[0][1] > rows[1][1]
+        deficits = leakage_scan(cond_33, [(0.1, 0.0), (0.01, 0.0)], config=SCAN)
+        assert deficits[0] > deficits[1]
 
     def test_higher_drive_frequency_reduces_deficit(self, cond_33):
         """Doubling omega at fixed absolute splittings halves the ratios and
         cuts the deficit about fourfold."""
         w12 = 0.05
-        base = measured_deficit(cond_33, 1, w12 / 1.0, 0.0, config=SCAN, omega=1.0)
-        doubled = measured_deficit(cond_33, 1, w12 / 2.0, 0.0, config=SCAN, omega=2.0)
+        base = measured_deficit(cond_33, w12 / 1.0, 0.0, config=SCAN, omega=1.0)
+        doubled = measured_deficit(cond_33, w12 / 2.0, 0.0, config=SCAN, omega=2.0)
         assert doubled < base
         assert base / doubled == pytest.approx(4.0, rel=0.1)
+
+    def test_direct_coupling_comes_from_the_condition(self, cond_15):
+        """A beta = -1 condition is measured with beta = -1: its deficit is
+        that of one RK4 run with those couplings, and not the beta = +1 one."""
+        grid = [(0.05, 0.02)]
+        (deficit,) = leakage_scan(condition_from_odd_pair(cond_15.pair, beta=-1), grid, config=SCAN)
+        trace = integrate(
+            CouplingRatios(cond_15.alpha, -1.0), LevelEnergies.from_splittings(0.05, 0.02),
+            harmonic_for_condition(cond_15, 1.0), math.pi / 2.0, SCAN,
+        )
+        assert deficit == pytest.approx(1.0 - trace.p2[-1], rel=0, abs=1e-14)
+        assert deficit != pytest.approx(leakage_scan(cond_15, grid, config=SCAN)[0], rel=1e-3)
+
+    def test_target_three_condition_is_refused(self):
+        """The deficit is that of level 2, which a target-3 condition empties."""
+        cond = condition_from_odd_pair(OddPair(-1, 3), target=3)
+        with pytest.raises(ValueError, match="target-2"):
+            leakage_scan(cond, [(0.01, 0.0)], config=SCAN)
+        with pytest.raises(ValueError, match="target-2"):
+            measured_deficit(cond, 0.01, 0.0, config=SCAN)
+        with pytest.raises(ValueError, match="target-2"):
+            delta_p2_at_t0(cond, 0.01, 0.0)
 
 
 class TestTwoLevel:
@@ -168,40 +190,40 @@ class TestTwoLevel:
         """p2 = sin^2(A) exactly when the diagonal ratios coincide."""
         for a in RNG.uniform(-6, 6, size=40):
             eps = float(RNG.uniform(-2, 2))
-            p1, p2 = two_level_populations(TwoLevelParams(eps, eps, float(a)))
+            p1, p2 = two_level_populations(eps, eps, float(a))
             assert p2 == pytest.approx(math.sin(float(a)) ** 2, abs=1e-12)
             assert p1 + p2 == pytest.approx(1.0, abs=1e-12)
 
     def test_quarter_pi_points(self):
-        assert two_level_populations(TwoLevelParams(0.3, 0.3, math.pi / 2.0))[1] == pytest.approx(
+        assert two_level_populations(0.3, 0.3, math.pi / 2.0)[1] == pytest.approx(
             1.0, abs=1e-12
         )
-        assert two_level_populations(TwoLevelParams(0.3, 0.3, 0.0))[0] == 1.0
+        assert two_level_populations(0.3, 0.3, 0.0)[0] == 1.0
 
     def test_bound_on_random_parameters(self):
         """p2 <= 1/(1 + (eps2-eps1)^2/4) + 1e-12 for 200 random draws."""
         for _ in range(200):
             eps1, eps2 = RNG.uniform(-3, 3, size=2)
             action = float(RNG.uniform(-20, 20))
-            _, p2 = two_level_populations(TwoLevelParams(float(eps1), float(eps2), action))
+            _, p2 = two_level_populations(float(eps1), float(eps2), action)
             assert p2 <= two_level_p2_bound(float(eps1), float(eps2)) + 1e-12
 
     def test_norm(self):
         for _ in range(50):
             eps1, eps2 = RNG.uniform(-3, 3, size=2)
             action = float(RNG.uniform(-20, 20))
-            p1, p2 = two_level_populations(TwoLevelParams(float(eps1), float(eps2), action))
+            p1, p2 = two_level_populations(float(eps1), float(eps2), action)
             assert p1 + p2 == pytest.approx(1.0, abs=1e-12)
 
     def test_dense_sweep_attains_bound(self):
         """A dense action sweep reaches the cap 1/2 for eps2 - eps1 = 2."""
         actions = np.linspace(0.0, math.pi, 200001)
         p2 = np.array(
-            [two_level_populations(TwoLevelParams(0.0, 2.0, float(a)))[1] for a in actions[::100]]
+            [two_level_populations(0.0, 2.0, float(a))[1] for a in actions[::100]]
         )
         coarse_best = actions[::100][int(np.argmax(p2))]
         fine = np.linspace(coarse_best - 0.01, coarse_best + 0.01, 20001)
-        p2_fine = max(two_level_populations(TwoLevelParams(0.0, 2.0, float(a)))[1] for a in fine)
+        p2_fine = max(two_level_populations(0.0, 2.0, float(a))[1] for a in fine)
         assert p2_fine == pytest.approx(0.5, abs=1e-9)
 
     def test_measured_deficit_is_the_two_level_rk4(self):

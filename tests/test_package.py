@@ -1,6 +1,7 @@
 """The public surface: ``tripop.__all__`` is exactly what the library
-modules define, every error type the library can raise is exported, no
-module reads the environment, and only the CLI writes files."""
+modules define, every error type the library can raise is exported, every
+name the benchmark reads exists, no module reads the environment, and only
+the CLI writes files."""
 
 import ast
 import importlib
@@ -81,3 +82,49 @@ def test_only_the_cli_writes_files():
     sources = {path.name: path.read_text() for path in sorted(package.rglob("*.py"))}
     assert _writes_files(sources["cli.py"])
     assert [name for name, source in sources.items() if name != "cli.py" and _writes_files(source)] == []
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+# helpers in bench/tracer.py whose first argument names a traced function
+_SPAN_READERS = {"spans", "total_s", "durations_us", "attr_sum", "hot_durations_ns"}
+
+
+def _bench_names() -> set[str]:
+    """Every ``<module>.<name>`` of ``tripop`` that the benchmark reads:
+    attributes of the tripop modules that ``bench/workloads.py`` imports,
+    the names it imports from a tripop module, the keys of ``OBSERVERS`` and
+    ``HOT`` in ``bench/tracer.py``, and the functions whose spans it reads."""
+    names = set()
+    workloads = ast.parse((BENCH / "workloads.py").read_text())
+    modules = set()
+    for node in ast.walk(workloads):
+        if isinstance(node, ast.ImportFrom) and node.module == "tripop":
+            modules.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("tripop."):
+            names.update(f"{node.module[len('tripop.'):]}.{alias.name}" for alias in node.names)
+    for node in ast.walk(workloads):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            names.add(f"{node.value.id}.{node.attr}")
+    for node in ast.walk(ast.parse((BENCH / "tracer.py").read_text())):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) in ("OBSERVERS", "HOT") for t in node.targets):
+            names.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant) and "." in str(c.value))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in _SPAN_READERS and node.args:
+            if isinstance(node.args[0], ast.Constant):
+                names.add(node.args[0].value)
+    return names
+
+
+def test_bench_names_resolve():
+    """The benchmark, which a library change may not edit, finds every
+    module attribute, traced function and hot method it names."""
+    names = _bench_names()
+    assert {"cli.main", "leakage.measured_deficit", "pulses.Pulse.value", "propagate.integrate"} <= names
+    missing = []
+    for name in sorted(names):
+        module, *path = name.split(".")
+        obj = importlib.import_module(f"tripop.{module}")
+        for attr in path:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(name)
+    assert missing == []

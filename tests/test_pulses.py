@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from tripop import (
-    IdealKickPointQueryError,
     OutOfRangeError,
     Pulse,
     harmonic_for_condition,
@@ -53,13 +52,6 @@ class TestValue:
             val, _ = quad(p.value, 1.0 - 8 * width, 1.0 + 8 * width, epsabs=1e-13, epsrel=1e-13)
             assert val == pytest.approx(area, abs=1e-10)
 
-    def test_ideal_kick_value(self):
-        p = Pulse.ideal_kick(1.0, kick_center=2.0)
-        assert p.value(1.9) == 0.0
-        assert p.value(2.1) == 0.0
-        with pytest.raises(IdealKickPointQueryError):
-            p.value(2.0)
-
     def test_tabulated_interpolation_and_range(self):
         p = Pulse.tabulated([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
         assert p.value(0.5) == pytest.approx(1.0)
@@ -72,7 +64,6 @@ class TestValue:
             Pulse.harmonic(V33, 1.3),
             Pulse.constant(-0.7),
             Pulse.gaussian_kick(2.0, 1.5, 0.4),
-            Pulse.ideal_kick(1.0, kick_center=2.0),
             Pulse.tabulated([-1.0, 0.5, 2.0, 4.0], [0.0, 2.0, -1.0, 0.5]),
         ],
         ids=lambda p: p.shape,
@@ -95,8 +86,6 @@ class TestValue:
 
     def test_array_query_errors(self):
         """One bad time fails the whole array query, as it fails a scalar one."""
-        with pytest.raises(IdealKickPointQueryError):
-            Pulse.ideal_kick(1.0, kick_center=2.0).value(np.array([1.0, 2.0, 3.0]))
         table = Pulse.tabulated([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
         with pytest.raises(OutOfRangeError, match="t=2.5"):
             table.value(np.array([0.5, 2.5, 3.0]))
@@ -124,6 +113,12 @@ class TestValue:
         with pytest.raises(ValueError, match="finite"):
             Pulse.tabulated([-1.0, 0.0, bad], [0.0, 1.0, 1.0])
 
+    def test_ideal_kick_is_not_a_shape(self):
+        """An ideal kick has no pointwise value; only ``propagate_kick`` applies it."""
+        with pytest.raises(ValueError, match="unknown pulse shape"):
+            Pulse(shape="ideal_kick", kick_area=1.0, kick_center=2.0)
+        assert not hasattr(Pulse, "ideal_kick")
+
     def test_tabulated_requires_increasing_times(self):
         with pytest.raises(ValueError):
             Pulse.tabulated([0.0, 1.0, 1.0], [0.0, 1.0, 2.0])
@@ -145,12 +140,6 @@ class TestArea:
         transfer action."""
         p = Pulse.harmonic(V33, 1.0)
         assert p.area(math.pi / 2.0).a == pytest.approx(V33, abs=1e-12)
-
-    def test_ideal_kick_step(self):
-        area = math.pi / math.sqrt(2.0)
-        p = Pulse.ideal_kick(area, kick_center=3.0)
-        assert p.area(3.0 - 1e-12).a == 0.0
-        assert p.area(3.0 + 1e-12).a == pytest.approx(area)
 
     def test_matches_quadrature_on_random_times(self):
         """Closed forms reproduce adaptive quadrature within 1e-9, 100 draws.
