@@ -32,7 +32,7 @@ component; ``DressedBasis`` derives it from the eigenvectors on request.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,14 +93,19 @@ class DressedBasis:
     ``m``, ``x``, ``y`` and ``det`` give the paper's (1, x, y) gauge: row j
     of ``m`` is (1, x_j, y_j), and ``m_inv`` is its exact inverse.  They
     raise RepeatedRootError where the gauge does not exist.
+
+    ``max_phase_rate`` is max |z_j|, taken once from ``z`` for the phase
+    guard of ``amplitudes_at``.
     """
 
     z: tuple[float, float, float]
     m_inv: np.ndarray
     ratios: CouplingRatios
+    max_phase_rate: float = field(init=False, repr=False)
 
     def __post_init__(self):
         self.m_inv.setflags(write=False)
+        object.__setattr__(self, "max_phase_rate", max(map(abs, self.z)))
 
     @property
     def m(self) -> np.ndarray:
@@ -284,7 +289,7 @@ def amplitudes_at(basis: DressedBasis, action: float) -> AmplitudeState:
     a_i(A) = sum_j m_inv[i, j] exp(-i z_j A); at A = 0 the inverse rows sum
     to the initial condition (1, 0, 0).
     """
-    _require_finite_phases(action, max(map(abs, basis.z)))
+    _require_finite_phases(action, basis.max_phase_rate)
     phases = np.exp(-1j * np.asarray(basis.z) * action)
     a = basis.m_inv @ phases
     return AmplitudeState(action=float(action), a=(complex(a[0]), complex(a[1]), complex(a[2])))

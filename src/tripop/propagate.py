@@ -19,16 +19,25 @@ Hh and H1 are H at t, t + h/2 and t + h:
 This is the four stages k1..k4 multiplied out, not a different scheme: the
 same stage times, the same weights and the same fourth-order error, with
 no eigen-decomposition, dressed basis or analytic action involved.  Only
-the rounding order differs from a stage-by-stage loop.  The core samples V
-once on the half-step grid, builds P with real stacked matrix products for
-a chunk of steps of N configurations at once, and then applies P step by
-step.  ``_CHUNK_CONFIG_STEPS`` bounds the configuration-steps in a chunk,
-and so the working memory of the stacked matrices, whatever the run length
-or the number of configurations.
+the rounding order differs from a stage-by-stage loop.
+
+The core advances N configurations at once, a chunk of steps at a time.  It
+samples each run's V on the half-step grid once per block of chunks, and
+builds P for every step of a chunk with real stacked matrix products.  P acts
+on (Re a, Im a) as the real block matrix [[Re P, -Im P], [Im P, Re P]], which
+numpy multiplies several times faster than a complex 3x3.  Between two
+records only the product of the step maps matters: each record interval's
+matrices are multiplied by a pairwise tree, a prefix scan over the chunk's
+interval products gives the state at each of its records, and the state is
+updated once per chunk.  ``_CHUNK_CONFIG_STEPS`` bounds the
+configuration-steps in a chunk and in a block, and so the working memory of
+the stacked matrices and drive samples, whatever the run length or the
+number of configurations.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -53,6 +62,8 @@ NORM_DRIFT_LIMIT = 1e-6
 # memory the table cap allows.  verify and leakage put every member or grid
 # point in one batch of 501 records at the default step, so about 80,000 fit.
 MAX_RUN_RECORDS = 40_000_000
+
+_log = logging.getLogger("tripop")
 
 
 @dataclass(frozen=True)
@@ -167,6 +178,9 @@ def integrate_batch(
     Returns one result per run: its trace, or, when that run's norm drift
     exceeds NORM_DRIFT_LIMIT or is not finite, the NormDriftExceededError
     that ``integrate`` would raise for it.  The other runs are unaffected.
+
+    Logs one debug record per batch to the ``tripop`` logger, and a warning
+    when a run's drift passes a tenth of NORM_DRIFT_LIMIT.
     """
     if not runs:
         return []
@@ -208,6 +222,18 @@ def integrate_batch(
     pulses = [run[2] for run in runs]
     record_steps, pops, _ = _rk4(k, e, pulses, dt, n_steps, config.record_every, False)
     drifts = np.max(np.abs(1.0 - pops.sum(axis=2)), axis=1)
+    worst = int(np.argmax(drifts))  # a NaN drift counts as the worst
+    _log.debug(
+        "RK4 batch: %d runs x %d steps, record every %d, chunks of %d steps, drive blocks of %d steps, "
+        "max norm drift %.3e",
+        len(runs), n_steps, config.record_every, *_chunk_sizes(len(runs), config.record_every), drifts[worst],
+    )
+    drifting = np.count_nonzero(~(drifts <= 0.1 * NORM_DRIFT_LIMIT))
+    if drifting:
+        _log.warning(
+            "norm drift past %.0e (a tenth of the limit) in %d of %d RK4 runs; the largest is %.3e, in run %d",
+            0.1 * NORM_DRIFT_LIMIT, drifting, len(runs), drifts[worst], worst,
+        )
     results: list[PopulationTrace | NormDriftExceededError] = []
     for i, drift in enumerate(drifts):
         if not drift <= NORM_DRIFT_LIMIT:
@@ -231,10 +257,26 @@ def require_traces(results: list[PopulationTrace | NormDriftExceededError]) -> l
     return results
 
 
-# Bigger chunks run faster but hold more memory: on the sweep benchmark, 2,048
-# configuration-steps took 0.19 s instead of 0.30 s but raised peak RSS by 12%
-# over the serial loop (the benchmark allows 10%); 256 raises it by 2.5%.
+# The one bound on the core's working memory: a chunk holds the step
+# matrices of at most this many configuration-steps, whatever the run length
+# or the number of runs, and a drive block spans at most this many steps, so
+# it holds at most 2 x 256 + 1 samples per run.  Bigger chunks run faster but
+# hold more: on the benchmark (2-vCPU Xeon VM), 1,024 took 15% off long_trace
+# and 24% off sweep but raised sweep's peak RSS by 5%; 2,048 raised it by 11%.
 _CHUNK_CONFIG_STEPS = 256
+
+
+def _chunk_sizes(n_runs: int, record_every: int) -> tuple[int, int]:
+    """Steps per chunk of step matrices, and per block of drive samples.
+
+    A chunk is _CHUNK_CONFIG_STEPS // n_runs steps (at least one), cut down
+    to whole record intervals when the stride fits in it.  A block is the
+    largest whole number of chunks within _CHUNK_CONFIG_STEPS steps.
+    """
+    chunk = max(1, _CHUNK_CONFIG_STEPS // n_runs)
+    if record_every <= chunk:
+        chunk -= chunk % record_every
+    return chunk, chunk * (_CHUNK_CONFIG_STEPS // chunk)
 
 
 def _rk4(
@@ -253,32 +295,41 @@ def _rk4(
     2 record_every, ... and at the last step.  Returns the record steps, the
     populations [N, n_records, n] and, if asked for, the amplitudes in the
     same shape (None otherwise).
+
+    A chunk (``_chunk_sizes``) holds whole record intervals or lies within
+    one, so Python work scales with the number of chunks, not of steps.
     """
     n_runs, n = e.shape
     record_steps = np.arange(0, n_steps + 1, record_every)
     if record_steps[-1] != n_steps:
         record_steps = np.append(record_steps, n_steps)
-    pops = np.empty((len(record_steps), n_runs, n))
-    amps = np.empty((len(record_steps), n_runs, n), dtype=complex) if record_amplitudes else None
-    a = np.zeros((n_runs, n, 1), dtype=complex)
-    a[:, 0] = 1.0
-    pops[0] = np.abs(a[..., 0]) ** 2
-    if amps is not None:
-        amps[0] = a[..., 0]
-    next_record = 1
-
     eye = np.eye(n)
+    pops = np.empty((len(record_steps), n_runs, n))
+    pops[0] = eye[0]
+    amps = np.empty((len(record_steps), n_runs, n), dtype=complex) if record_amplitudes else None
+    if amps is not None:
+        amps[0] = eye[0]
+    next_record = 1
+    a = np.zeros((n_runs, 2 * n, 1))  # (Re a, Im a)
+    a[:, 0] = 1.0
+
     e_diag = e[:, :, None] * eye
     h = dt[:, None, None]
     half_dt = 0.5 * dt
-    chunk = max(1, _CHUNK_CONFIG_STEPS // n_runs)
+    chunk, block = _chunk_sizes(n_runs, record_every)
+    v_first = v_last = first = 0
     # Overflow and NaN propagate into the amplitudes, where the drift gate catches them.
     with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, n_steps, chunk):
-            count = min(chunk, n_steps - first)
-            half_steps = np.arange(2 * first, 2 * (first + count) + 1)
-            v = np.stack([p.value(half_steps * hd) for p, hd in zip(pulses, half_dt)], axis=1)
-            hams = e_diag + v[:, :, None, None] * k  # [2 count + 1, N, n, n]
+        while first < n_steps:
+            last = min(first + chunk, n_steps)
+            if last // record_every > first // record_every:
+                last -= last % record_every  # end at the chunk's last record step
+            if last > v_last:
+                v_first, v_last = first, min(first + block, n_steps)
+                half_steps = np.arange(2 * v_first, 2 * v_last + 1)
+                v = np.stack([p.value(half_steps * hd) for p, hd in zip(pulses, half_dt)], axis=1)
+            v_chunk = v[2 * (first - v_first) : 2 * (last - v_first) + 1]
+            hams = e_diag + v_chunk[:, :, None, None] * k  # [2 (last - first) + 1, N, n, n]
             h0, hh, h1 = hams[0:-1:2], hams[1::2], hams[2::2]
             hh2 = hh @ hh
             hh_h0 = hh @ h0
@@ -286,15 +337,42 @@ def _rk4(
             h1_hh2 = h1_hh @ hh
             real = eye - h * h / 6.0 * (hh_h0 + hh2 + h1_hh) + h**4 / 24.0 * (h1_hh2 @ h0)
             imag = h**3 / 12.0 * (hh2 @ h0 + h1_hh2) - h / 6.0 * (h0 + 4.0 * hh + h1)
-            for step, p in enumerate(real + 1j * imag, start=first + 1):
-                a = p @ a
-                if step % record_every == 0 or step == n_steps:
-                    pops[next_record] = np.abs(a[..., 0]) ** 2
-                    if amps is not None:
-                        amps[next_record] = a[..., 0]
-                    next_record += 1
+            steps = np.empty((last - first, n_runs, 2 * n, 2 * n))
+            steps[..., :n, :n] = steps[..., n:, n:] = real
+            steps[..., n:, :n] = imag
+            steps[..., :n, n:] = -imag
+            intervals = steps.reshape(-1, min(record_every, last - first), *steps.shape[1:])
+            states = _prefix_products(_tree_products(intervals)) @ a  # [intervals, N, 2 n, 1]
+            a = states[-1]
+            if last % record_every and last != n_steps:
+                states = states[:-1]  # the chunk ends between records
+            recorded = slice(next_record, next_record + len(states))
+            amplitudes = states[..., :n, 0] + 1j * states[..., n:, 0]
+            pops[recorded] = np.abs(amplitudes) ** 2
+            if amps is not None:
+                amps[recorded] = amplitudes
+            next_record += len(states)
+            first = last
     pops = pops.transpose(1, 0, 2)
     return record_steps, pops, None if amps is None else amps.transpose(1, 0, 2)
+
+
+def _tree_products(p: np.ndarray) -> np.ndarray:
+    """p[:, L-1] @ ... @ p[:, 0] for each row of p [M, L, ...], multiplied pairwise."""
+    while p.shape[1] > 1:
+        even = p.shape[1] - p.shape[1] % 2
+        pairs = p[:, 1:even:2] @ p[:, 0:even:2]
+        p = np.concatenate((pairs, p[:, even:]), axis=1) if even < p.shape[1] else pairs
+    return p[:, 0]
+
+
+def _prefix_products(q: np.ndarray) -> np.ndarray:
+    """s[j] = q[j] @ ... @ q[0] along the first axis, by a log-depth scan."""
+    span = 1
+    while span < len(q):
+        q = np.concatenate((q[:span], q[span:] @ q[:-span]))
+        span *= 2
+    return q
 
 
 def propagate_kick(basis: DressedBasis, kick_area: float) -> AmplitudeState:

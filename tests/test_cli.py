@@ -6,6 +6,7 @@ back and checked against library results and published values.
 
 import csv
 import json
+import logging
 import math
 import struct
 import tempfile
@@ -495,6 +496,22 @@ class TestEnvOverride:
         # 20,000 steps/period with the default recording stride (every 10th step)
         assert len(read_csv(with_env)) == 2001
         assert with_env.read_bytes() == plain.read_bytes()
+
+
+class TestLogging:
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--alpha", "0", "--area", "1.0", "--periods", "0.5", "--steps-per-period", "4000"],
+        ["verify", "--max-product", "35", "--steps-per-period", "500", "--format", "json"],
+    ])
+    def test_files_are_the_same_with_logging_on(self, tmp_path, caplog, argv):
+        """The tripop logger's records, debug and drift warnings included,
+        never reach the output file."""
+        quiet, logged = tmp_path / "quiet", tmp_path / "logged"
+        quiet_code = main([*argv, "--out", str(quiet)])
+        caplog.set_level(logging.DEBUG, logger="tripop")
+        assert main([*argv, "--out", str(logged)]) == quiet_code
+        assert any(r.name == "tripop" and r.levelno == logging.DEBUG for r in caplog.records)
+        assert logged.read_bytes() == quiet.read_bytes()
 
 
 def bit_equal(a: float, b: float) -> bool:

@@ -278,6 +278,12 @@ class TestNonFinitePhase:
             with pytest.raises(ValueError, match="non-finite phase"):
                 EVALUATORS[evaluator](action)
 
+    def test_basis_carries_its_largest_phase_rate(self):
+        """The guard's rate, max |z_j|, is taken once when the basis is built."""
+        for ratios in random_ratios(20):
+            basis = build_dressed_basis(ratios)
+            assert basis.max_phase_rate == max(abs(z) for z in basis.z)
+
     @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
     def test_large_finite_phase_answers(self, evaluator):
         """A huge but finite phase is still evaluated and normalised."""

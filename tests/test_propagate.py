@@ -1,6 +1,7 @@
 """Tests for the RK4 oracle: unitarity, convergence order, analytic agreement,
 ideal-kick propagation, and the two-level decoupling limit."""
 
+import logging
 import math
 from dataclasses import replace
 
@@ -177,10 +178,18 @@ _unit = st.floats(-2.0, 2.0)
 
 @st.composite
 def rk4_runs(draw):
-    """N in 1..5 runs of random symmetric K, split E, pulse and step, sharing a step count."""
-    n_runs = draw(st.integers(1, 5))
+    """N runs of random symmetric K, split E, pulse and step, sharing a step count.
+
+    N in {1, 2, 5, 17, 40} gives chunks of 256 down to 6 steps, so the stride
+    falls on either side of a chunk; strides that divide the step count and
+    a stride of the whole run are drawn too.
+    """
+    n_runs = draw(st.sampled_from((1, 2, 5, 17, 40)))
     n_steps = draw(st.integers(40, 300))
-    record_every = draw(st.integers(3, 17).filter(lambda r: n_steps % r))
+    divisors = [d for d in range(1, n_steps + 1) if n_steps % d == 0]
+    record_every = draw(st.one_of(
+        st.integers(3, 17), st.integers(1, n_steps), st.sampled_from(divisors), st.just(n_steps)
+    ))
     runs = []
     for _ in range(n_runs):
         upper = np.array(draw(st.lists(_unit, min_size=6, max_size=6)))
@@ -205,17 +214,48 @@ class TestBatchedCore:
     @settings(max_examples=40, deadline=None)
     @given(rk4_runs())
     def test_core_matches_stagewise_rk4(self, case):
-        """The step-matrix core is the four-stage RK4, run by run, at every record."""
+        """The step-matrix core is the four-stage RK4, run by run, at every
+        record; the first, middle and last runs of a batch are checked."""
         runs, n_steps, record_every = case
         k = np.array([r[0] for r in runs])
         e = np.array([r[1] for r in runs])
         dt = np.array([r[3] for r in runs])
         steps, pops, amps = _rk4(k, e, [r[2] for r in runs], dt, n_steps, record_every, True)
         assert steps.tolist() == [*range(0, n_steps, record_every), n_steps]
-        for i, (ki, ei, pulse, dti) in enumerate(runs):
+        np.testing.assert_array_equal(pops, np.abs(amps) ** 2)
+        for i in sorted({0, len(runs) // 2, len(runs) - 1}):
+            ki, ei, pulse, dti = runs[i]
             reference = stagewise_rk4(ki, ei, pulse, dti, n_steps)[steps]
             np.testing.assert_allclose(amps[i], reference, rtol=0, atol=1e-12)
-            np.testing.assert_array_equal(pops[i], np.abs(amps[i]) ** 2)
+
+    def test_drive_is_sampled_once_per_block(self, monkeypatch):
+        """25 runs of 5,000 steps take chunks of 10 steps, but each run's drive
+        is sampled once per block of 250 steps: 20 calls of 501 half-step times."""
+        sampled = []
+        value = Pulse.value
+        monkeypatch.setattr(Pulse, "value", lambda pulse, t: sampled.append(np.size(t)) or value(pulse, t))
+        run = (RATIOS_33.coupling_matrix(), DEGENERATE, Pulse.harmonic(1.0, 1.0), T / 4)
+        traces = require_traces(integrate_batch([run] * 25, IntegratorConfig(steps_per_period=20000)))
+        assert len(traces[0].times) == 501
+        assert sampled == [501] * (25 * 20)
+
+    def test_batch_is_logged(self, caplog):
+        """One debug record per batch; a warning names the run whose drift
+        passes a tenth of the limit.  The package adds no handler."""
+        caplog.set_level(logging.DEBUG, logger="tripop")
+        config = IntegratorConfig(steps_per_period=126)
+        pulse = Pulse.harmonic(1.0, 1.0)
+        calm = RATIOS_33.coupling_matrix()
+        integrate_batch([(calm, DEGENERATE, pulse, T)] * 3, config)
+        integrate_batch([(calm, DEGENERATE, pulse, T), (8.0 * calm, DEGENERATE, pulse, T)], config)
+        records = [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
+        assert [level for _, level, _ in records] == ["DEBUG", "DEBUG", "WARNING"]
+        assert {name for name, _, _ in records} == {"tripop"}
+        assert records[0][2].startswith(
+            "RK4 batch: 3 runs x 126 steps, record every 10, chunks of 80 steps, drive blocks of 240 steps"
+        )
+        assert "in 1 of 2 RK4 runs" in records[2][2] and records[2][2].endswith("in run 1")
+        assert logging.getLogger("tripop").handlers == []
 
     def test_batch_matches_integrate(self, cond_15):
         """Each run of a batch gives the times, record count and populations
