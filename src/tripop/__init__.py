@@ -26,7 +26,6 @@ from .dressed import (
     build_dressed_basis,
     cubic_coefficients,
     populations_general_array,
-    solve_cubic,
 )
 from .errors import (
     InvalidConfigError,
@@ -108,7 +107,6 @@ __all__ = [
     "propagate_kick",
     "require_all_pass",
     "require_traces",
-    "solve_cubic",
     "verify_conditions",
     "two_level_p2_bound",
     "two_level_populations",

@@ -40,7 +40,7 @@ from .propagate import (
     propagate_kick,
     require_traces,
 )
-from .pulses import Pulse
+from .pulses import Pulse, harmonic_for_condition
 from .verification import verify_conditions
 
 
@@ -136,11 +136,11 @@ def cmd_verify(args) -> int:
     return 0 if all(c.passed for c in checks) else 1
 
 
-def _parse_grid(spec: str) -> list[tuple[float, float]]:
+def _parse_grid(spec: str, cap: int) -> list[tuple[float, float]]:
     """Grid spec 'omega12:<v|start:stop:count>,omega13:<...>' -> splitting pairs.
 
-    Each axis is given once, and a grid of more than ``MAX_RUN_RECORDS // 2``
-    points is refused before it is built.
+    Each axis is given once, and a grid of more than ``cap`` points is
+    refused before it is built.
     """
     axes: dict[str, tuple[float, float, int]] = {}
     for part in spec.split(","):
@@ -160,12 +160,9 @@ def _parse_grid(spec: str) -> list[tuple[float, float]]:
             raise ValueError("grid count must be >= 1")
     if set(axes) != {"omega12", "omega13"}:
         raise ValueError("grid must define both omega12 and omega13")
-    # Every run records its step 0 and its last step, so a batch of more than
-    # MAX_RUN_RECORDS // 2 runs never passes the records cap of integrate_batch;
-    # refusing it here keeps its per-point lists from being built first.
-    points, cap = axes["omega12"][2] * axes["omega13"][2], MAX_RUN_RECORDS // 2
+    points = axes["omega12"][2] * axes["omega13"][2]
     if points > cap:
-        raise ValueError(f"grid of {points} points is past the cap of {cap:.0e}")
+        raise ValueError(f"grid of {points} points is past the cap of {cap} for this run length")
     w12, w13 = ([a] if n == 1 else np.linspace(a, b, n).tolist()
                 for a, b, n in (axes["omega12"], axes["omega13"]))
     return [(a, b) for a in w12 for b in w13]
@@ -173,11 +170,14 @@ def _parse_grid(spec: str) -> list[tuple[float, float]]:
 
 def cmd_leakage(args) -> int:
     cond = condition_from_odd_pair(OddPair(args.n_o, args.n_op), beta=args.beta)
-    grid = _parse_grid(args.grid)  # absolute splittings
     if not 0.0 < args.omega < math.inf:
         raise ValueError(f"--omega must be positive and finite, got {args.omega!r}")
-    ratios = [(w12 / args.omega, w13 / args.omega) for w12, w13 in grid]
     config = IntegratorConfig(steps_per_period=args.steps_per_period)
+    # Every grid point is one run of the batch that leakage_scan integrates:
+    # a grid past the batch's records cap is refused before its lists are built.
+    n_steps = config.step_count(harmonic_for_condition(cond, args.omega), math.pi / (2.0 * args.omega))
+    grid = _parse_grid(args.grid, MAX_RUN_RECORDS // config.record_count(n_steps))  # absolute splittings
+    ratios = [(w12 / args.omega, w13 / args.omega) for w12, w13 in grid]
     deficits = leakage_scan(cond, ratios, config=config, omega=args.omega)
     header = ["omega12_ratio", "omega13_ratio", "deficit", "estimate"]
     rows = [

@@ -24,9 +24,10 @@ follow from the fixed-point relations
     x*z = alpha + eps2*x + y
     y*z = beta + x + eps3*y
 
-``solve_cubic`` keeps that derivation.  The gauge is u_j scaled to a unit
-first component, so it exists unless a dressed state has no level-1
-component; ``DressedBasis`` derives it from the eigenvectors on request.
+``cubic_coefficients`` is that cubic; the tests check that it vanishes at
+the y of the eigh basis.  The gauge is u_j scaled to a unit first
+component, so it exists unless a dressed state has no level-1 component;
+``DressedBasis`` derives it from the eigenvectors on request.
 """
 
 from __future__ import annotations
@@ -39,12 +40,6 @@ import numpy as np
 from .errors import RepeatedRootError
 
 ROOT_TOL = 1e-9
-RESIDUAL_TOL = 1e-9
-# A double root of the cubic (it has one all along beta = 0, eps1 = eps3)
-# comes out split by up to 3.3e-7 of max(1, |y|), and roots that close, or
-# a cubic that nearly vanishes, are resolved only to about eps over that
-# gap; such roots count as repeated.
-REPEATED_ROOT_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -133,7 +128,6 @@ class DressedBasis:
 class AmplitudeState:
     """Complex amplitudes of the three bare levels at a given action value."""
 
-    action: float
     a: tuple[complex, complex, complex]
 
     def norm(self) -> float:
@@ -167,112 +161,12 @@ def cubic_coefficients(ratios: CouplingRatios) -> tuple[float, float, float, flo
     return a, b, c, d
 
 
-def _cubic_roots_trig(a: float, b: float, c: float, d: float) -> list[float] | None:
-    """Three real roots via the trigonometric method, or None if the
-    discriminant is too close to zero to trust the closed form."""
-    p = (3.0 * a * c - b * b) / (3.0 * a * a)
-    q = (2.0 * b**3 - 9.0 * a * b * c + 27.0 * a * a * d) / (27.0 * a**3)
-    disc = -4.0 * p**3 - 27.0 * q * q
-    scale = max(abs(4.0 * p**3), 27.0 * q * q, 1e-300)
-    if disc / scale < ROOT_TOL:
-        return None  # repeated or complex pair; caller decides via companion matrix
-    # disc > 0 forces p < 0
-    m = 2.0 * math.sqrt(-p / 3.0)
-    arg = 3.0 * q / (p * m)
-    arg = min(1.0, max(-1.0, arg))
-    theta = math.acos(arg) / 3.0
-    shift = b / (3.0 * a)
-    return [m * math.cos(theta - 2.0 * math.pi * k / 3.0) - shift for k in range(3)]
-
-
-def _cubic_roots_companion(a: float, b: float, c: float, d: float) -> list[float]:
-    """Roots from numpy's companion-matrix eigensolver.  K is real symmetric, so
-    they are real, and a complex pair is a repeated root split by rounding."""
-    roots = np.roots([a, b, c, d])
-    max_imag = float(np.max(np.abs(roots.imag)))
-    if max_imag > ROOT_TOL * (1.0 + float(np.max(np.abs(roots.real)))):
-        raise RepeatedRootError(
-            f"cubic has a repeated root, split by rounding into a complex pair "
-            f"(max |Im| = {max_imag:.3e}); the dressed basis is singular"
-        )
-    return [float(r) for r in roots.real]
-
-
-def _polish_root(a: float, b: float, c: float, d: float, y: float) -> float:
-    # one or two Newton steps squeeze the closed-form roots to full precision
-    for _ in range(2):
-        f = ((a * y + b) * y + c) * y + d
-        df = (3.0 * a * y + 2.0 * b) * y + c
-        if df == 0.0:
-            break
-        step = f / df
-        y -= step
-        if abs(step) < 1e-16 * max(1.0, abs(y)):
-            break
-    return y
-
-
-def solve_cubic(ratios: CouplingRatios) -> tuple[float, float, float]:
-    """Real roots of the eigenvalue cubic, sorted for stable downstream indexing.
-
-    A root with |y| < 1e-9 (present whenever beta = +-1 and eps = 0) is
-    placed last; the remaining roots are sorted in descending order.
-
-    Raises RepeatedRootError when the cubic degenerates: a vanishing leading
-    coefficient, which signals a dressed state orthogonal to level 1, or a
-    repeated root, also one that rounding splits into a complex pair (the
-    spectrum of the real symmetric K is always real).
-    """
-    a, b, c, d = cubic_coefficients(ratios)
-    scale = max(abs(a), abs(b), abs(c), abs(d))
-    size = max(1.0, abs(ratios.alpha), abs(ratios.beta), *(abs(e) for e in ratios.eps)) ** 3
-    if scale <= REPEATED_ROOT_TOL * size:
-        raise RepeatedRootError(
-            "eigenvalue cubic vanishes (|alpha| = |beta| = 1 with equal diagonals, "
-            "or nearly so); the dressed basis is degenerate"
-        )
-    if abs(a) <= ROOT_TOL * scale:
-        raise RepeatedRootError(
-            "leading cubic coefficient vanishes (|alpha| = |beta| up to diagonal "
-            "terms); one dressed state decouples from level 1"
-        )
-
-    roots = _cubic_roots_trig(a, b, c, d)
-    if roots is None:
-        roots = _cubic_roots_companion(a, b, c, d)
-    roots = [_polish_root(a, b, c, d, y) for y in roots]
-
-    ymax = max(abs(y) for y in roots)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if abs(roots[i] - roots[j]) < REPEATED_ROOT_TOL * max(1.0, ymax):
-                raise RepeatedRootError(
-                    f"cubic roots {roots[i]:.6g} and {roots[j]:.6g} coincide within "
-                    "tolerance; the dressed basis is singular"
-                )
-
-    for y in roots:
-        residual = abs(((a * y + b) * y + c) * y + d)
-        if residual >= RESIDUAL_TOL * scale:
-            raise RepeatedRootError(
-                f"cubic root {y!r} has residual {residual:.3e} relative to "
-                f"coefficient scale {scale:.3e}"
-            )
-
-    roots.sort(reverse=True)
-    zero = [y for y in roots if abs(y) < ROOT_TOL]
-    if zero:
-        roots = [y for y in roots if abs(y) >= ROOT_TOL] + zero
-    return (roots[0], roots[1], roots[2])
-
-
 def build_dressed_basis(ratios: CouplingRatios) -> DressedBasis:
     """Dressed basis of the coupling-ratio matrix, for every finite coupling.
 
-    Where the paper's gauge exists the states are ordered as the cubic's
-    roots are: y descending, a zero root last.  For eps = 0 and beta = +-1
-    this reproduces the sign pattern x = (beta, beta, -beta) with
-    y = (y+, y-, 0).
+    Where the paper's gauge exists the states are ordered by their y:
+    descending, a zero y last.  For eps = 0 and beta = +-1 this reproduces
+    the sign pattern x = (beta, beta, -beta) with y = (y+, y-, 0).
     """
     z, u = np.linalg.eigh(ratios.coupling_matrix())
     m_inv = u * u[0]
@@ -292,7 +186,7 @@ def amplitudes_at(basis: DressedBasis, action: float) -> AmplitudeState:
     _require_finite_phases(action, basis.max_phase_rate)
     phases = np.exp(-1j * np.asarray(basis.z) * action)
     a = basis.m_inv @ phases
-    return AmplitudeState(action=float(action), a=(complex(a[0]), complex(a[1]), complex(a[2])))
+    return AmplitudeState(a=(complex(a[0]), complex(a[1]), complex(a[2])))
 
 
 def populations_general_array(basis: DressedBasis, actions: np.ndarray) -> np.ndarray:

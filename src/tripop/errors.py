@@ -6,11 +6,7 @@ class TripopError(Exception):
 
 
 class RepeatedRootError(TripopError):
-    """The eigenvalue cubic degenerates, or the paper's (1, x, y) gauge does not exist.
-
-    The cubic degenerates at a vanishing leading coefficient or a repeated
-    root; the gauge is missing where a dressed state has no level-1 component.
-    """
+    """The paper's (1, x, y) gauge does not exist: a dressed state has no level-1 component."""
 
 
 class InvalidPairError(TripopError):

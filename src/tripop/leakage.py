@@ -22,7 +22,7 @@ The drive of a measured or estimated deficit is the condition's own: its
 harmonic pulse and its couplings, the direct coupling beta included, so
 no function here takes beta.  The deficit is that of level 2, so these
 functions refuse a target-3 condition.  Every estimate and deficit is a
-plain float.
+plain float, and a NaN or infinite input raises ValueError.
 """
 
 from __future__ import annotations
@@ -47,6 +47,11 @@ from .pulses import Pulse, harmonic_for_condition
 _TWO_LEVEL_COUPLING = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
+def _require_finite(what: str, *values: float) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{what} must be finite, got {values}")
+
+
 def _require_level_two(cond: TransferCondition) -> None:
     if cond.target != 2:
         raise ValueError(f"the level-2 deficit needs a target-2 condition, got target {cond.target}")
@@ -68,6 +73,7 @@ def delta_p2_early(
     The estimate vanishes identically when V12(0) = 0 (alpha = 0 drives);
     the residual deficit is then of higher order.
     """
+    _require_finite("early-time parameters", v12_0, v13_0, v23_0, omega12, omega13, t)
     if t < 0:
         raise ValueError("t must be non-negative")
     bracket = 2.0 * (2.0 * omega13 - omega12) * v12_0 * v13_0 * v23_0 + omega12**2 * v12_0**2
@@ -84,6 +90,7 @@ def delta_p2_at_t0(cond: TransferCondition, omega12_ratio: float, omega13_ratio:
     docstring for the caveats on the linear term.
     """
     _require_level_two(cond)
+    _require_finite("splitting ratios", omega12_ratio, omega13_ratio)
     n1, n2 = cond.n1, cond.n2
     bracket = (
         (math.pi / 3.0) * cond.beta * n1 * n2 * (n2 - n1) * (2.0 * omega13_ratio - omega12_ratio)
@@ -157,8 +164,7 @@ def two_level_populations(eps1: float, eps2: float, action: float) -> tuple[floa
     p2 <= 1 / (1 + (eps2 - eps1)^2 / 4).  Raises ValueError unless all three
     inputs are finite.
     """
-    if not all(math.isfinite(v) for v in (eps1, eps2, action)):
-        raise ValueError(f"two-level parameters must be finite, got {(eps1, eps2, action)}")
+    _require_finite("two-level parameters", eps1, eps2, action)
     d = eps2 - eps1
     s = math.sqrt(d * d + 4.0)
     y_plus, y_minus = 0.5 * (d + s), 0.5 * (d - s)
@@ -168,7 +174,8 @@ def two_level_populations(eps1: float, eps2: float, action: float) -> tuple[floa
 
 
 def two_level_p2_bound(eps1: float, eps2: float) -> float:
-    """Supremum of p2 over the action for the given diagonal ratios."""
+    """Supremum of p2 over the action for the given diagonal ratios; both must be finite."""
+    _require_finite("diagonal ratios", eps1, eps2)
     return 1.0 / (1.0 + (eps2 - eps1) ** 2 / 4.0)
 
 

@@ -41,6 +41,7 @@ import logging
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -100,20 +101,41 @@ class IntegratorConfig:
 
     The step is the drive period (or, failing that, the integration window)
     divided by ``steps_per_period``.  Every ``record_every``-th step lands
-    in the trace.  Both counts are at most 2**53, which floats hold exactly.
+    in the trace.  Both counts are integers of at most 2**53, which floats
+    hold exactly.
     """
 
     steps_per_period: int = DEFAULT_STEPS_PER_PERIOD
     record_every: int = DEFAULT_STEPS_PER_PERIOD // DEFAULT_SAMPLES_PER_PERIOD
 
     def __post_init__(self):
-        if not (0 < self.steps_per_period <= 2**53 and 0 < self.record_every <= 2**53):
-            raise InvalidConfigError(f"steps_per_period and record_every must be in 1 .. 2**53, got {self}")
+        if not all(isinstance(n, Integral) and 0 < n <= 2**53 for n in (self.steps_per_period, self.record_every)):
+            raise InvalidConfigError(f"steps_per_period and record_every must be integers in 1 .. 2**53, got {self}")
 
     def resolve_dt(self, pulse: Pulse, t_end: float) -> float:
         if pulse.shape == "harmonic":
             return pulse.period / self.steps_per_period
         return t_end / self.steps_per_period
+
+    def step_count(self, pulse: Pulse, t_end: float) -> int:
+        """Whole steps of a run to ``t_end``, each of about ``resolve_dt``.
+
+        t / (t / n) can round to either side of n: a ratio within a relative
+        1e-12 of a whole count (an ulp outgrows any absolute bound) takes it,
+        any other is rounded up, so no whole step is lost.
+        """
+        if not 0 < t_end < math.inf:
+            raise InvalidConfigError(f"t_end must be positive and finite, got {t_end!r}")
+        dt_asked = self.resolve_dt(pulse, t_end)
+        ratio = t_end / dt_asked if dt_asked > 0.0 else math.inf
+        if not ratio < math.inf:
+            raise InvalidConfigError(f"t_end {t_end!r} at step {dt_asked!r} needs more steps than a float holds")
+        nearest = round(ratio)
+        return max(1, nearest if abs(ratio - nearest) <= 1e-12 * ratio else math.ceil(ratio))
+
+    def record_count(self, n_steps: int) -> int:
+        """Records of a run of ``n_steps`` steps: step 0, every ``record_every``-th, and the last."""
+        return -(-n_steps // self.record_every) + 1
 
 
 @dataclass(frozen=True)
@@ -189,8 +211,7 @@ def integrate_batch(
     dt = np.empty(len(runs))
     step_counts = set()
     for i, (coupling, energies, pulse, t_end) in enumerate(runs):
-        if not 0 < t_end < math.inf:
-            raise InvalidConfigError(f"t_end must be positive and finite, got {t_end!r}")
+        n_steps = config.step_count(pulse, t_end)
         coupling = np.asarray(coupling, dtype=float)
         if not (
             coupling.shape == (3, 3)
@@ -200,19 +221,11 @@ def integrate_batch(
             raise InvalidConfigError(f"coupling must be a finite symmetric 3x3 matrix, got {coupling}")
         k[i] = coupling
         e[i] = energies.e
-        # t / (t / n) can round to either side of n: a ratio within a relative 1e-12 of a whole count
-        # (an ulp outgrows any absolute bound) takes it, any other is rounded up; no whole step is lost.
-        dt_asked = config.resolve_dt(pulse, t_end)
-        ratio = t_end / dt_asked if dt_asked > 0.0 else math.inf
-        if not ratio < math.inf:
-            raise InvalidConfigError(f"t_end {t_end!r} at step {dt_asked!r} needs more steps than a float holds")
-        nearest = round(ratio)
-        n_steps = max(1, nearest if abs(ratio - nearest) <= 1e-12 * ratio else math.ceil(ratio))
         step_counts.add(n_steps)
         dt[i] = t_end / n_steps
     if len(step_counts) != 1:
         raise InvalidConfigError(f"runs in one batch must share a step count, got {sorted(step_counts)}")
-    n_records = -(-n_steps // config.record_every) + 1
+    n_records = config.record_count(n_steps)
     if len(runs) * n_records > MAX_RUN_RECORDS:
         raise InvalidConfigError(
             f"{len(runs)} runs of {n_steps} steps, recorded every {config.record_every}, "

@@ -34,9 +34,8 @@ _erf = np.vectorize(math.erf, otypes=[float])  # numpy has no erf
 
 
 class ActionValue(NamedTuple):
-    """Running action A(t) at time t (dimensionless, hbar = 1); both are arrays for an array query."""
+    """Running action A(t) (dimensionless, hbar = 1); an array for an array query."""
 
-    t: float | np.ndarray
     a: float | np.ndarray
 
 
@@ -140,7 +139,7 @@ class Pulse:
             k = np.minimum(np.searchsorted(knots, u, side="right") - 1, len(knots) - 2)
             from_start = cumulative[k] + 0.5 * (values[k] + np.interp(u, knots, values)) * (u - knots[k])
             a = from_start[:-1].reshape(ts.shape) - from_start[-1]
-        return ActionValue(t=_unwrap(ts), a=_unwrap(a))
+        return ActionValue(a=_unwrap(a))
 
     # -- tabulated helpers ----------------------------------------------
 

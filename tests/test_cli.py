@@ -30,6 +30,7 @@ from tripop import (
     verify_conditions,
 )
 from tripop import conditions as conditions_module
+from tripop import cli as cli_module
 from tripop.cli import main
 
 TABLE_ROWS = {
@@ -464,6 +465,8 @@ class TestOversizedRequests:
             ["leakage", "--n-o", "1", "--n-op", "1", "--grid", "omega12:0:1:100000,omega13:0:1:100000"],
             # 20,005,000 points: past MAX_RUN_RECORDS // 2, since each run records two steps at least
             ["leakage", "--n-o", "1", "--n-op", "1", "--grid", "omega12:0:1:5000,omega13:0:1:4001"],
+            # one point past the cap at the default step, where each run makes 501 records
+            ["leakage", "--n-o", "1", "--n-op", "1", "--grid", "omega12:0:0.1:79841,omega13:0"],
         ],
     )
     def test_refused_before_allocating(self, tmp_path, capsys, argv):
@@ -482,6 +485,25 @@ class TestOversizedRequests:
         assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
         assert elapsed < 1.0 and peak < 10e6
         assert not out.exists()
+
+    def test_largest_leakage_grid_reaches_the_scan(self, tmp_path, monkeypatch):
+        """79,840 points of 501 records fill the records cap without passing
+        it, so the whole grid reaches leakage_scan."""
+
+        class Reached(Exception):
+            pass
+
+        points = []
+
+        def reached(cond, omega_ratios, **kwargs):
+            points.append(len(omega_ratios))
+            raise Reached
+
+        monkeypatch.setattr(cli_module, "leakage_scan", reached)
+        argv = ["leakage", "--n-o", "1", "--n-op", "1", "--grid", "omega12:0:0.1:79840,omega13:0"]
+        with pytest.raises(Reached):
+            main([*argv, "--out", str(tmp_path / "out.csv")])
+        assert points == [79840]
 
 
 class TestEnvOverride:

@@ -18,7 +18,6 @@ from tripop import (
     CouplingRatios,
     OddPair,
     RepeatedRootError,
-    TripopError,
     amplitudes_at,
     build_dressed_basis,
     condition_from_odd_pair,
@@ -26,7 +25,6 @@ from tripop import (
     populations_closed_form_array,
     populations_general_array,
     propagate_kick,
-    solve_cubic,
 )
 
 RNG = np.random.default_rng(7)
@@ -47,63 +45,48 @@ def random_ratios(n, alpha_max=10.0):
     return out
 
 
+def cubic_at(ratios, y):
+    """The paper's cubic at y, and the scale of its coefficients."""
+    a, b, c, d = cubic_coefficients(ratios)
+    return ((a * y + b) * y + c) * y + d, max(abs(a), abs(b), abs(c), abs(d))
+
+
 class TestSolveCubic:
+    """The eigh basis solves the paper's cubic: its gauge y are the roots."""
+
     def test_alpha0_beta1_roots(self):
         """alpha=0, beta=1 factorizes to y(y^2 - 2): roots {sqrt2, -sqrt2, 0}."""
-        roots = solve_cubic(CouplingRatios(0.0, 1.0))
-        np.testing.assert_allclose(roots, [SQRT2, -SQRT2, 0.0], atol=1e-14)
+        y = build_dressed_basis(CouplingRatios(0.0, 1.0)).y
+        np.testing.assert_allclose(y, [SQRT2, -SQRT2, 0.0], atol=1e-14)
 
     def test_table_alpha_roots(self):
         """For beta=1 the nonzero roots solve y^2 + alpha*y - 2 = 0."""
         alpha = 2.5298221281347035
         expected_plus = (-alpha + math.sqrt(alpha**2 + 8.0)) / 2.0
         expected_minus = (-alpha - math.sqrt(alpha**2 + 8.0)) / 2.0
-        roots = solve_cubic(CouplingRatios(alpha, 1.0))
-        np.testing.assert_allclose(roots, [expected_plus, expected_minus, 0.0], atol=1e-12)
-        np.testing.assert_allclose(roots[:2], [0.6324555320336759, -3.1622776601683795], atol=1e-9)
-
-    def test_decoupled_system_raises(self):
-        """alpha = beta = 0 leaves level 1 uncoupled; the cubic degenerates."""
-        with pytest.raises(RepeatedRootError):
-            solve_cubic(CouplingRatios(0.0, 0.0))
-
-    def test_equal_magnitude_couplings_raise(self):
-        """|alpha| = |beta| puts one dressed state orthogonal to level 1."""
-        with pytest.raises(RepeatedRootError):
-            solve_cubic(CouplingRatios(2.0, 2.0))
-        with pytest.raises(RepeatedRootError):
-            solve_cubic(CouplingRatios(1.0, 1.0))
-
-    def test_repeated_roots_raise(self):
-        """beta = 0 gives the double root y = 1/alpha, which floating point
-        splits by ~1e-8, at alpha = 1 + 1e-5 and 2.5 into a complex pair; a
-        cubic that vanishes but for a 1e-194 diagonal term is degenerate too."""
-        for alpha in (1.0, 1.0 + 1e-5, 2.5):
-            with pytest.raises(RepeatedRootError):
-                solve_cubic(CouplingRatios(alpha, 0.0))
-        with pytest.raises(RepeatedRootError):
-            solve_cubic(CouplingRatios(1.0, 1.0, eps=(0.0, 0.0, 1e-194)))
+        y = build_dressed_basis(CouplingRatios(alpha, 1.0)).y
+        np.testing.assert_allclose(y, [expected_plus, expected_minus, 0.0], atol=1e-12)
+        np.testing.assert_allclose(y[:2], [0.6324555320336759, -3.1622776601683795], atol=1e-9)
 
     def test_roots_match_companion_matrix_oracle(self):
-        """Closed-form roots agree with numpy's companion-matrix eigenvalues."""
+        """The gauge y agree with numpy's companion-matrix roots of the cubic."""
         for ratios in random_ratios(100):
-            roots = np.sort(solve_cubic(ratios))
+            y = np.sort(build_dressed_basis(ratios).y)
             oracle = np.sort(np.roots(cubic_coefficients(ratios)).real)
-            np.testing.assert_allclose(roots, oracle, atol=1e-10, rtol=1e-10)
+            np.testing.assert_allclose(y, oracle, atol=1e-10, rtol=1e-10)
 
     def test_root_residuals(self):
-        """Every root satisfies the cubic to < 1e-9 of the coefficient scale."""
+        """Every gauge y satisfies the cubic to < 1e-9 of the coefficient scale."""
         for ratios in random_ratios(100):
-            a, b, c, d = cubic_coefficients(ratios)
-            scale = max(abs(a), abs(b), abs(c), abs(d))
-            for y in solve_cubic(ratios):
-                assert abs(((a * y + b) * y + c) * y + d) < 1e-9 * scale
+            for y in build_dressed_basis(ratios).y:
+                residual, scale = cubic_at(ratios, y)
+                assert abs(residual) < 1e-9 * scale
 
     def test_zero_root_placed_last(self):
         """beta = -1 also carries the zero root, slotted last."""
-        roots = solve_cubic(CouplingRatios(3.0, -1.0))
-        assert roots[2] == pytest.approx(0.0, abs=1e-12)
-        assert roots[0] > roots[1]
+        y = build_dressed_basis(CouplingRatios(3.0, -1.0)).y
+        assert y[2] == pytest.approx(0.0, abs=1e-12)
+        assert y[0] > y[1]
 
     def test_eps_case_reduces_to_shifted_quadratic(self):
         """For eps1 = eps2 != eps3 and beta = +-1 the nonzero roots solve
@@ -114,13 +97,12 @@ class TestSolveCubic:
         where the upper sign belongs to beta = +1 (re-derived from the full
         cubic; checked against its companion-matrix roots)."""
         for alpha, d, beta in [(0.7, 0.3, 1.0), (2.0, -0.4, 1.0), (0.0, 0.5, 1.0), (0.7, 0.3, -1.0)]:
-            ratios = CouplingRatios(alpha, beta, eps=(0.0, 0.0, d))
-            roots = solve_cubic(ratios)
+            y = build_dressed_basis(CouplingRatios(alpha, beta, eps=(0.0, 0.0, d))).y
             s = 1.0 if beta > 0 else -1.0
             atilde = (alpha * (1 - alpha**2) + alpha * d**2 - s * d) / (1 - alpha**2 - s * alpha * d)
             quad = sorted(np.roots([1.0, atilde, -2.0]).real, reverse=True)
-            np.testing.assert_allclose(roots[:2], quad, atol=1e-10)
-            assert roots[2] == pytest.approx(0.0, abs=1e-12)
+            np.testing.assert_allclose(y[:2], quad, atol=1e-10)
+            assert y[2] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestBuildDressedBasis:
@@ -168,10 +150,12 @@ class TestBuildDressedBasis:
 
     def test_gauge_missing_where_a_state_decouples_from_level_1(self):
         """At alpha = beta = 2 the state (0, 1, -1)/sqrt2 has no level-1
-        component, so no row (1, x, y) describes it."""
-        basis = build_dressed_basis(CouplingRatios(2.0, 2.0))
-        with pytest.raises(RepeatedRootError):
-            basis.x
+        component, and at alpha = beta = 0 neither has (0, 1, +-1)/sqrt2, so
+        no row (1, x, y) describes them."""
+        for alpha, beta in [(2.0, 2.0), (0.0, 0.0)]:
+            basis = build_dressed_basis(CouplingRatios(alpha, beta))
+            with pytest.raises(RepeatedRootError):
+                basis.x
 
     def test_rows_are_coupling_matrix_eigenvectors(self):
         """(1, x_j, y_j) is an eigenvector of the ratio matrix with eigenvalue z_j."""
@@ -292,8 +276,11 @@ class TestNonFinitePhase:
         np.testing.assert_allclose(total, 1.0, atol=1e-10)
 
 
-# Couplings on or next to |alpha| = |beta|, where the paper's cubic degenerates.
-CUBIC_REFUSALS = [(1.0 + 1e-7, 1.0), (1.0, 1.0), (2.0, 2.0), (2.0, -2.0)]
+# Couplings where the paper's cubic degenerates: on or next to |alpha| = |beta|,
+# and at beta = 0, where it has the double root y = 1/alpha.
+CUBIC_REFUSALS = [
+    (1.0 + 1e-7, 1.0), (1.0, 1.0), (2.0, 2.0), (2.0, -2.0), (1.0, 0.0), (1.0 + 1e-5, 0.0), (2.5, 0.0),
+]
 
 
 class TestEveryCoupling:
@@ -315,14 +302,16 @@ class TestEveryCoupling:
         st.floats(-5.0, 5.0),
         st.one_of(st.just((0.0, 0.0, 0.0)), st.tuples(*[st.floats(-1.0, 1.0)] * 3)),
     )
-    def test_cubic_roots_are_the_gauge_y(self, alpha, beta, eps):
-        """The basis exists for every coupling, its z are eigvalsh(K), and
-        wherever solve_cubic returns, its roots are the gauge's y (1e-9 relative).
+    def test_cubic_vanishes_at_every_gauge_y(self, alpha, beta, eps):
+        """The basis exists for every coupling, its z are eigvalsh(K), and the
+        paper's cubic vanishes at each of its gauge y, to 1e-9 of the
+        coefficient scale times max(1, |y|)^3.
 
-        The comparison is skipped where the eigenvectors fix y = u[2]/u[0] only
+        The check is skipped where the eigenvectors fix y = u[2]/u[0] only
         to about eps / (gap * |u[0]|), with gap the smallest spacing of z: next
         to a repeated z that reached 4e-9 of y at alpha = -beta = 0.99999,
         eps = (-1.2e-7, 2.2e-16, -1.2e-7), against a 50-digit eigensolver.
+        Past the skip |u[0]| > 1e-7, so the gauge exists.
         """
         ratios = CouplingRatios(alpha, beta, eps=eps)
         basis = build_dressed_basis(ratios)
@@ -332,11 +321,8 @@ class TestEveryCoupling:
         )
         p = populations_general_array(basis, np.linspace(0.0, 10.0, 11))
         np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        try:
-            roots = np.sort(solve_cubic(ratios))
-        except TripopError:
-            return
         if np.min(np.diff(z)) * np.sqrt(np.min(basis.m_inv[0])) < 2.2e-16 / 1e-10:
             return
-        y = np.sort(basis.y)
-        assert np.all(np.abs(roots - y) <= 1e-9 * np.maximum(1.0, np.abs(roots))), (roots, y)
+        for y in basis.y:
+            residual, scale = cubic_at(ratios, y)
+            assert abs(residual) <= 1e-9 * scale * max(1.0, abs(y)) ** 3, (y, residual, scale)

@@ -9,6 +9,7 @@ prefactor does not (the measured-to-estimate ratio is frozen here).
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -183,6 +184,28 @@ class TestMeasuredScan:
             measured_deficit(cond, 0.01, 0.0, config=SCAN)
         with pytest.raises(ValueError, match="target-2"):
             delta_p2_at_t0(cond, 0.01, 0.0)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+# Each estimate with finite arguments; the test puts a non-finite value in each slot in turn.
+FINITE_CALLS = {
+    "delta_p2_early": (delta_p2_early, (1.0, 1.0, 1.0, 0.1, 0.0, 0.5)),
+    "delta_p2_at_t0": (partial(delta_p2_at_t0, condition_from_odd_pair(OddPair(-1, 3))), (0.01, 0.0)),
+    "two_level_p2_bound": (two_level_p2_bound, (0.0, 0.3)),
+    "two_level_populations": (two_level_populations, (0.0, 0.3, 1.0)),
+}
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize(
+    "name, slot", [(name, slot) for name, (_, args) in FINITE_CALLS.items() for slot in range(len(args))]
+)
+def test_non_finite_input_is_refused(name, slot, bad):
+    """A NaN or infinite argument raises ValueError instead of returning NaN."""
+    function, args = FINITE_CALLS[name]
+    assert np.all(np.isfinite(function(*args)))
+    with pytest.raises(ValueError, match="must be finite"):
+        function(*args[:slot], bad, *args[slot + 1 :])
 
 
 class TestTwoLevel:

@@ -143,6 +143,12 @@ class TestIntegrate:
         with pytest.raises(InvalidConfigError, match="2\\*\\*53"):
             IntegratorConfig(**{field: 2**53 + 1})
 
+    @pytest.mark.parametrize("field, value", [("record_every", 2.5), ("steps_per_period", 4000.5)])
+    def test_non_integer_counts_are_refused(self, field, value):
+        """A fractional count is refused when the config is built, not deep in the core."""
+        with pytest.raises(InvalidConfigError, match="integers"):
+            IntegratorConfig(**{field: value})
+
     def test_nondegenerate_norm_conserved(self):
         """Splittings change populations but the evolution stays unitary."""
         energies = LevelEnergies.from_splittings(0.3, -0.2)
