@@ -21,22 +21,36 @@ same stage times, the same weights and the same fourth-order error, with
 no eigen-decomposition, dressed basis or analytic action involved.  Only
 the rounding order differs from a stage-by-stage loop.
 
+Each H is diag(E) + V K, so P is a polynomial in the step's three drive
+samples: linear in V(t), at most quadratic in V(t + h/2) and linear in
+V(t + h).  Over the 12 monomials mu_m of these samples,
+
+    P = I + sum_m mu_m M_m,
+
+where each M_m collects the words in diag(E) and K of the formula above
+that carry monomial m, with their powers of h.  The M_m are expanded once
+per batch, not fitted to P at sample drives, which would lose the h^4 terms
+to cancellation.  I is added after the sum, as in the formula: folding it
+into the constant M_m would round the same way in every step, a bias that
+grows with the run length.
+
 The core advances N configurations at once, a chunk of steps at a time.  It
 samples each run's V on the half-step grid once per block of chunks, and
-builds P for every step of a chunk with real stacked matrix products.  P acts
-on (Re a, Im a) as the real block matrix [[Re P, -Im P], [Im P, Re P]], which
-numpy multiplies several times faster than a complex 3x3.  Between two
-records only the product of the step maps matters: each record interval's
-matrices are multiplied by a pairwise tree, a prefix scan over the chunk's
-interval products gives the state at each of its records, and the state is
-updated once per chunk.  ``_CHUNK_CONFIG_STEPS`` bounds the
-configuration-steps in a chunk and in a block, and so the working memory of
-the stacked matrices and drive samples, whatever the run length or the
-number of configurations.
+builds P for every step of a chunk with one stacked product of the chunk's
+monomials and the run's M_m.  P acts on (Re a, Im a) as the real block
+matrix [[Re P, -Im P], [Im P, Re P]], which numpy multiplies several times
+faster than a complex 3x3.  Between two records only the product of the
+step maps matters: each record interval's matrices are multiplied by a
+pairwise tree, a prefix scan over the chunk's interval products gives the
+state at each of its records, and the state is updated once per chunk.
+``_CHUNK_CONFIG_STEPS`` bounds the configuration-steps in a chunk and in a
+block, and so the working memory of the stacked matrices and drive samples,
+whatever the run length or the number of configurations.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from collections.abc import Sequence
@@ -274,8 +288,9 @@ def require_traces(results: list[PopulationTrace | NormDriftExceededError]) -> l
 # matrices of at most this many configuration-steps, whatever the run length
 # or the number of runs, and a drive block spans at most this many steps, so
 # it holds at most 2 x 256 + 1 samples per run.  Bigger chunks run faster but
-# hold more: on the benchmark (2-vCPU Xeon VM), 1,024 took 15% off long_trace
-# and 24% off sweep but raised sweep's peak RSS by 5%; 2,048 raised it by 11%.
+# hold more: on the benchmark (2-vCPU Xeon VM, medians of three runs against
+# six at 256), 1,024 took 12% off long_trace and 29% off sweep but raised
+# sweep's peak RSS by 4%; 2,048 took 15% and 32% off and raised it by 6%.
 _CHUNK_CONFIG_STEPS = 256
 
 
@@ -309,7 +324,10 @@ def _rk4(
     populations [N, n_records, n] and, if asked for, the amplitudes in the
     same shape (None otherwise).
 
-    A chunk (``_chunk_sizes``) holds whole record intervals or lies within
+    Each run's step coefficients M [12, (2 n)^2] (``_step_coefficients``)
+    are made once.  A chunk's step matrices are then one stacked product,
+    the monomials [N, steps, 12] of its drive samples times M, plus I.  A
+    chunk (``_chunk_sizes``) holds whole record intervals or lies within
     one, so Python work scales with the number of chunks, not of steps.
     """
     n_runs, n = e.shape
@@ -326,8 +344,7 @@ def _rk4(
     a = np.zeros((n_runs, 2 * n, 1))  # (Re a, Im a)
     a[:, 0] = 1.0
 
-    e_diag = e[:, :, None] * eye
-    h = dt[:, None, None]
+    coefficients = _step_coefficients(k, e, dt).reshape(n_runs, len(_MONOMIALS), 4 * n * n)
     half_dt = 0.5 * dt
     chunk, block = _chunk_sizes(n_runs, record_every)
     v_first = v_last = first = 0
@@ -340,20 +357,18 @@ def _rk4(
             if last > v_last:
                 v_first, v_last = first, min(first + block, n_steps)
                 half_steps = np.arange(2 * v_first, 2 * v_last + 1)
-                v = np.stack([p.value(half_steps * hd) for p, hd in zip(pulses, half_dt)], axis=1)
-            v_chunk = v[2 * (first - v_first) : 2 * (last - v_first) + 1]
-            hams = e_diag + v_chunk[:, :, None, None] * k  # [2 (last - first) + 1, N, n, n]
-            h0, hh, h1 = hams[0:-1:2], hams[1::2], hams[2::2]
-            hh2 = hh @ hh
-            hh_h0 = hh @ h0
-            h1_hh = h1 @ hh
-            h1_hh2 = h1_hh @ hh
-            real = eye - h * h / 6.0 * (hh_h0 + hh2 + h1_hh) + h**4 / 24.0 * (h1_hh2 @ h0)
-            imag = h**3 / 12.0 * (hh2 @ h0 + h1_hh2) - h / 6.0 * (h0 + 4.0 * hh + h1)
-            steps = np.empty((last - first, n_runs, 2 * n, 2 * n))
-            steps[..., :n, :n] = steps[..., n:, n:] = real
-            steps[..., n:, :n] = imag
-            steps[..., :n, n:] = -imag
+                v = np.stack([p.value(half_steps * hd) for p, hd in zip(pulses, half_dt)])
+            v_chunk = v[:, 2 * (first - v_first) : 2 * (last - v_first) + 1]
+            # (1, vh, vh^2) x (1, v1), then the same times v0: the order of _MONOMIALS
+            mono = np.empty((n_runs, last - first, len(_MONOMIALS)))
+            mono[..., 0] = 1.0
+            mono[..., 2] = v_chunk[:, 1::2]
+            mono[..., 4] = mono[..., 2] ** 2
+            mono[..., 1:6:2] = mono[..., 0:6:2] * v_chunk[:, 2::2, None]
+            mono[..., 6:] = mono[..., :6] * v_chunk[:, 0:-1:2, None]
+            steps = mono @ coefficients  # P - I, [N, last - first, (2 n)^2]
+            steps[..., :: 2 * n + 1] += 1.0
+            steps = steps.reshape(n_runs, last - first, 2 * n, 2 * n).swapaxes(0, 1)
             intervals = steps.reshape(-1, min(record_every, last - first), *steps.shape[1:])
             states = _prefix_products(_tree_products(intervals)) @ a  # [intervals, N, 2 n, 1]
             a = states[-1]
@@ -368,6 +383,52 @@ def _rk4(
             first = last
     pops = pops.transpose(1, 0, 2)
     return record_steps, pops, None if amps is None else amps.transpose(1, 0, 2)
+
+
+# Exponents of (V(t), V(t + h/2), V(t + h)) in the monomials of a step's
+# drive samples that P is linear in, in the column order the core uses.
+_MONOMIALS = tuple(itertools.product((0, 1), (0, 1, 2), (0, 1)))
+
+# The step formula as P = I + sum of w (-i h)^L H[s_1] ... H[s_L]: the
+# weight w and the sample s (0: t, 1: t + h/2, 2: t + h) of each factor H.
+_RK4_WORDS = (
+    (1 / 6, (0,)), (4 / 6, (1,)), (1 / 6, (2,)),
+    (1 / 6, (1, 0)), (1 / 6, (1, 1)), (1 / 6, (2, 1)),
+    (1 / 12, (1, 1, 0)), (1 / 12, (2, 1, 1)),
+    (1 / 24, (2, 1, 1, 0)),
+)
+
+
+def _step_coefficients(k: np.ndarray, e: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """M [N, 12, 2 n, 2 n], real block form, with P - I = sum_m mu_m M_m.
+
+    mu_m is the monomial _MONOMIALS[m] of the step's drive samples.  Each
+    factor H = diag(E) + V K of a word in _RK4_WORDS contributes diag(E) or
+    V K, so the word expands into words in diag(E) and K; each goes, with
+    its weight and power of h, into the M_m of its V factors.  The identity
+    is left out, so the core adds it last.
+    """
+    n = e.shape[1]
+    letters = (e[:, :, None] * np.eye(n), k)  # diag(E), K
+    words = {(0,): letters[0], (1,): letters[1]}
+    for length in range(2, 5):
+        for picks in itertools.product((0, 1), repeat=length):
+            words[picks] = words[picks[:-1]] @ letters[picks[-1]]
+    parts = np.zeros((2, len(e), len(_MONOMIALS), n, n))  # real, imaginary
+    for weight, samples in _RK4_WORDS:
+        phase = (-1j) ** len(samples)  # +-1 or +-i
+        scale = (phase.real + phase.imag) * weight * dt[:, None, None] ** len(samples)
+        for picks in itertools.product((0, 1), repeat=len(samples)):
+            exponents = [0, 0, 0]
+            for pick, sample in zip(picks, samples):
+                exponents[sample] += pick
+            parts[len(samples) % 2, :, _MONOMIALS.index(tuple(exponents))] += scale * words[picks]
+    real, imag = parts
+    m = np.empty((len(e), len(_MONOMIALS), 2 * n, 2 * n))
+    m[..., :n, :n] = m[..., n:, n:] = real
+    m[..., n:, :n] = imag
+    m[..., :n, n:] = -imag
+    return m
 
 
 def _tree_products(p: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for the RK4 oracle: unitarity, convergence order, analytic agreement,
 ideal-kick propagation, and the two-level decoupling limit."""
 
+import functools
 import logging
 import math
 from dataclasses import replace
@@ -160,26 +161,39 @@ class TestIntegrate:
         assert energies.omega13 == pytest.approx(-0.2)
 
 
+_unit = st.floats(-2.0, 2.0)
+
+
+def stagewise_step(k, e, v, dt, a):
+    """One four-stage RK4 step of i da/dt = (diag(e) + V k) a, with V = v[0],
+    v[1], v[2] at the step's start, midpoint and end."""
+
+    def deriv(vt, a):
+        return -1j * (e * a + vt * (k @ a))
+
+    k1 = deriv(v[0], a)
+    k2 = deriv(v[1], a + 0.5 * dt * k1)
+    k3 = deriv(v[1], a + 0.5 * dt * k2)
+    k4 = deriv(v[2], a + dt * k3)
+    return a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def stagewise_rk4(k, e, pulse, dt, n_steps):
     """Amplitudes after every step of a plain four-stage RK4 loop."""
-
-    def deriv(t, a):
-        return -1j * (e * a + pulse.value(t) * (k @ a))
-
     a = np.array([1.0, 0.0, 0.0], dtype=complex)
     out = [a]
     for step in range(n_steps):
         t = step * dt
-        k1 = deriv(t, a)
-        k2 = deriv(t + 0.5 * dt, a + 0.5 * dt * k1)
-        k3 = deriv(t + 0.5 * dt, a + 0.5 * dt * k2)
-        k4 = deriv(t + dt, a + dt * k3)
-        a = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        a = stagewise_step(k, e, [pulse.value(t), pulse.value(t + 0.5 * dt), pulse.value(t + dt)], dt, a)
         out.append(a)
     return np.array(out)
 
 
-_unit = st.floats(-2.0, 2.0)
+def _symmetric(draw):
+    upper = np.array(draw(st.lists(_unit, min_size=6, max_size=6)))
+    k = np.zeros((3, 3))
+    k[np.triu_indices(3)] = upper
+    return k + np.triu(k, 1).T
 
 
 @st.composite
@@ -198,10 +212,7 @@ def rk4_runs(draw):
     ))
     runs = []
     for _ in range(n_runs):
-        upper = np.array(draw(st.lists(_unit, min_size=6, max_size=6)))
-        k = np.zeros((3, 3))
-        k[np.triu_indices(3)] = upper
-        k = k + np.triu(k, 1).T
+        k = _symmetric(draw)
         e = np.array(draw(st.lists(_unit, min_size=3, max_size=3)))
         t_end = draw(st.floats(0.2, 2.0))
         shape = draw(st.sampled_from(("harmonic", "gaussian_kick", "tabulated")))
@@ -233,6 +244,51 @@ class TestBatchedCore:
             ki, ei, pulse, dti = runs[i]
             reference = stagewise_rk4(ki, ei, pulse, dti, n_steps)[steps]
             np.testing.assert_allclose(amps[i], reference, rtol=0, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_monomial_matrices_make_one_rk4_step(self, data):
+        """I + sum_m mu_m(v0, vh, v1) M_m is one four-stage step, column by
+        column of the real block form, for random K, split E, h and drive
+        samples with h |v| ||K|| <= 1."""
+        k = _symmetric(data.draw)
+        e = np.array(data.draw(st.lists(_unit, min_size=3, max_size=3)))
+        v = np.array(data.draw(st.lists(_unit, min_size=3, max_size=3)))
+        h = data.draw(st.floats(1e-6, 1.0)) / max(1.0, np.max(np.abs(v)) * np.linalg.norm(k, 2))
+        m = propagate._step_coefficients(k[None], e[None], np.array([h]))[0]
+        mono = np.prod(v ** np.array(propagate._MONOMIALS), axis=1)
+        p = np.eye(6) + np.tensordot(mono, m, 1)
+        for column, a in enumerate([*np.eye(3), *(1j * np.eye(3))]):
+            expected = stagewise_step(k, e, v, h, a)
+            np.testing.assert_allclose(p[:, column], [*expected.real, *expected.imag], rtol=0, atol=1e-14)
+
+    def test_long_run_has_no_per_step_rounding_bias(self, cond_15):
+        """20,000 steps of the kick subcommand's width-0.05 Gaussian on split
+        levels: a rounding bias repeated in every step grows with the run
+        length, past what the property's 300 steps can show."""
+        k = cond_15.ratios().coupling_matrix()
+        e = np.array(LevelEnergies.from_splittings(1.0, 1.0).e)
+        pulse = Pulse.gaussian_kick(cond_15.action_t0, 0.5, 0.05)
+        n_steps, dt = 20000, 1.0 / 20000
+        steps, _, amps = _rk4(k[None], e[None], [pulse], np.array([dt]), n_steps, 10, True)
+        reference = stagewise_rk4(k, e, pulse, dt, n_steps)[steps]
+        np.testing.assert_allclose(amps[0], reference, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 6, 7, 16])
+    def test_tree_products_multiply_in_order(self, length):
+        """Each row's product is p[L-1] @ ... @ p[0], for odd and even L."""
+        p = np.eye(6) + 0.3 * np.random.default_rng(length).normal(size=(4, length, 6, 6))
+        expected = [functools.reduce(lambda acc, x: x @ acc, row) for row in p]
+        np.testing.assert_allclose(propagate._tree_products(p), expected, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("length", range(1, 18))
+    def test_prefix_products_are_running_products(self, length):
+        """s[j] = q[j] @ ... @ q[0], lengths on and off the powers of two."""
+        q = np.eye(6) + 0.3 * np.random.default_rng(length).normal(size=(length, 2, 6, 6))
+        expected = [q[0]]
+        for x in q[1:]:
+            expected.append(x @ expected[-1])
+        np.testing.assert_allclose(propagate._prefix_products(q), expected, rtol=1e-13, atol=1e-13)
 
     def test_drive_is_sampled_once_per_block(self, monkeypatch):
         """25 runs of 5,000 steps take chunks of 10 steps, but each run's drive
