@@ -34,7 +34,6 @@ from .errors import (
     OutOfRangeError,
     RepeatedRootError,
     TripopError,
-    VerificationFailedError,
 )
 from .leakage import (
     delta_p2_at_t0,
@@ -57,7 +56,7 @@ from .propagate import (
     require_traces,
 )
 from .pulses import ActionValue, Pulse, harmonic_for_condition, load_tabulated_pulse
-from .verification import ConditionCheck, check_condition, require_all_pass, verify_conditions
+from .verification import ConditionCheck, check_condition, verify_conditions
 
 __version__ = "0.1.0"
 
@@ -80,7 +79,6 @@ __all__ = [
     "RepeatedRootError",
     "TransferCondition",
     "TripopError",
-    "VerificationFailedError",
     "amplitudes_at",
     "build_dressed_basis",
     "check_condition",
@@ -105,7 +103,6 @@ __all__ = [
     "populations_closed_form_array",
     "populations_general_array",
     "propagate_kick",
-    "require_all_pass",
     "require_traces",
     "verify_conditions",
     "two_level_p2_bound",

@@ -27,24 +27,30 @@ condition with alpha of opposite sign at the same positive action is simply
 the order-swapped pair (n2, n1).  Enumeration therefore emits only r > 0
 rows, with both alpha signs appearing through the pair order.
 
-A ``TransferCondition`` is the whole drive: its sign of r, its direct
-coupling beta = +-1 and its target level.  ``condition_from_odd_pair`` is
-the one constructor of all three choices, and ``TransferCondition.ratios``
-gives the couplings that realize the condition; no caller picks beta apart
-from the condition.
+A ``TransferCondition`` is its odd pair and three drive choices: the sign
+of r, the direct coupling beta = +-1 and the target level.  n1, n2, r, alpha
+and A(t0) are derived from these by ``_family_floats``, the one float
+formula that ``family_table`` and ``validate_condition`` use too, so nothing
+stored can disagree with the laws above.  The checks that remain are on the
+inputs: ``OddPair`` refuses non-integer, even and n1*n2 <= 0 entries, and the
+condition refuses a sign, beta or target outside its choices.
+``family_table`` keeps its integer checks, which guard the enumerator.
+``TransferCondition.ratios`` gives the couplings that realize the condition;
+no caller picks beta apart from the condition.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
 from .dressed import CouplingRatios, _require_finite_phases
 from .errors import InvalidPairError
 
-CONDITION_TOL = 1e-12
 # The most candidates one lookup may test (its columns peak near 130 MB), and
 # the most members ``family_integers`` may return.
 MAX_LOOKUP_CANDIDATES = 2_000_000
@@ -58,6 +64,8 @@ class OddPair:
     n_op: int
 
     def __post_init__(self):
+        if not (isinstance(self.n_o, Integral) and isinstance(self.n_op, Integral)):
+            raise InvalidPairError(f"({self.n_o!r}, {self.n_op!r}) must both be integers")
         if self.n_o % 2 == 0 or self.n_op % 2 == 0:
             raise InvalidPairError(f"({self.n_o}, {self.n_op}) must both be odd")
         if self.n1 * self.n2 <= 0:
@@ -75,38 +83,20 @@ class OddPair:
         return self.n_o + 2 * self.n_op
 
 
-_EVEN_SUM = "(n1 + n2)/3 must be an even integer"
-_ODD_THIRDS = "(2n1 - n2)/3 and (2n2 - n1)/3 must be odd"
-
-
-def _law_residuals(n1, n2, r, action_t0, structural) -> dict:
-    """Residuals of the three family laws; plain arithmetic, so the
-    arguments may be scalars or arrays (``family_table``)."""
-    return {
-        "3 r A(t0) = pi": abs(3.0 * r * action_t0 - math.pi),
-        "alpha = r (n2 - n1)": abs(structural - r * (n2 - n1)),
-        "r^2 n1 n2 = 2": abs(r**2 * n1 * n2 - 2.0),
-    }
-
-
 @dataclass(frozen=True)
 class TransferCondition:
-    """One member of the complete-transfer family.
+    """One member of the complete-transfer family: an odd pair, the sign of
+    r, the direct coupling beta = +-1 and the target level.
 
     ``target`` is the level that becomes fully occupied at the transfer
-    action.  For target 2 the couplings are (alpha, beta = +-1); for target 3
-    the roles of the two level-1 couplings are interchanged, so ``alpha`` is
-    +-1 and ``beta`` carries the r(n2-n1) value.
+    action.  ``alpha`` is r(n2 - n1) for either target; ``ratios`` puts
+    (alpha, beta) on (V12, V13) for target 2 and interchanges them for
+    target 3.
     """
 
     pair: OddPair
-    n1: int
-    n2: int
-    r: float
-    alpha: float
-    beta: float
-    action_t0: float
-    sign: int
+    sign: int = 1
+    beta: float = 1.0
     target: int = 2
 
     def __post_init__(self):
@@ -114,26 +104,38 @@ class TransferCondition:
             raise ValueError("sign must be +1 or -1")
         if self.target not in (2, 3):
             raise ValueError("target level must be 2 or 3")
-        structural = self.alpha if self.target == 2 else self.beta
-        direct = self.beta if self.target == 2 else self.alpha
-        if direct not in (-1.0, 1.0):
+        if self.beta not in (-1.0, 1.0):
             raise ValueError("the direct 1<->3 coupling ratio must be +-1")
-        limit = CONDITION_TOL * max(1.0, abs(self.action_t0))
-        for name, err in _law_residuals(self.n1, self.n2, self.r, self.action_t0, structural).items():
-            if err > limit:
-                raise ValueError(f"condition invariant {name} violated by {err:.3e}")
-        if (self.n1 + self.n2) % 6 != 0:
-            raise ValueError(_EVEN_SUM)
-        for v in ((2 * self.n1 - self.n2) // 3, (2 * self.n2 - self.n1) // 3):
-            if v % 2 == 0:
-                raise ValueError(_ODD_THIRDS)
+
+    @property
+    def n1(self) -> int:
+        return self.pair.n1
+
+    @property
+    def n2(self) -> int:
+        return self.pair.n2
 
     @property
     def product(self) -> int:
         return self.n1 * self.n2
 
+    # cached: each numpy evaluation costs about 2 us, and loops over the family reread them
+    @cached_property
+    def r(self) -> float:
+        return self.sign * float(_family_floats(self.n1, self.n2)[0])
+
+    @cached_property
+    def action_t0(self) -> float:
+        return self.sign * float(_family_floats(self.n1, self.n2)[1])
+
+    @cached_property
+    def alpha(self) -> float:
+        return self.sign * float(_family_floats(self.n1, self.n2)[2])
+
     def ratios(self) -> CouplingRatios:
         """Coupling ratios realizing this condition (eps = 0)."""
+        if self.target == 3:
+            return CouplingRatios(alpha=self.beta, beta=self.alpha)
         return CouplingRatios(alpha=self.alpha, beta=self.beta)
 
 
@@ -154,36 +156,8 @@ class CaseClassification:
 
 def condition_from_odd_pair(pair: OddPair, sign: int = 1, beta: int = 1, target: int = 2) -> TransferCondition:
     """Family member for one odd pair, sign of r, direct coupling beta = +-1
-    and target level.
-
-    Both closed forms of r, via n1*n2 and via (n_o, n_o'), agree:
-    n1*n2 = 2*n_o^2 + 5*n_o*n_o' + 2*n_o'^2.  Transfer into level 3 follows
-    from the level-2 member by interchanging the two level-1 couplings, so a
-    target-3 condition carries alpha = beta and beta = r(n2 - n1).
-    """
-    if sign not in (-1, 1):
-        raise ValueError("sign must be +1 or -1")
-    n1, n2 = pair.n1, pair.n2
-    product = n1 * n2
-    r = sign * math.sqrt(2.0 / product)
-    r_alt = sign / math.sqrt(pair.n_o**2 + 2.5 * pair.n_o * pair.n_op + pair.n_op**2)
-    if abs(r - r_alt) > CONDITION_TOL:
-        raise InvalidPairError(f"inconsistent r formulas for pair {pair}: {r} vs {r_alt}")
-    alpha, beta = r * (n2 - n1), float(beta)
-    if target == 3:
-        alpha, beta = beta, alpha
-    # TransferCondition refuses a direct coupling other than +-1 and a target other than 2 or 3
-    return TransferCondition(
-        pair=pair,
-        n1=n1,
-        n2=n2,
-        r=r,
-        alpha=alpha,
-        beta=beta,
-        action_t0=math.pi / (3.0 * r),
-        sign=sign,
-        target=target,
-    )
+    and target level; beta is stored as a float."""
+    return TransferCondition(pair, sign, float(beta), target)
 
 
 def family_integers(
@@ -265,8 +239,10 @@ def classify_cases(cond: TransferCondition) -> CaseClassification:
 
 
 def _family_floats(n1: np.ndarray, n2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """r, A(t0) and alpha of the sign +1 members as columns, with the float
-    expressions of ``condition_from_odd_pair``, so the values are bit-equal."""
+    """r, A(t0) and alpha = r (n2 - n1) of the sign +1 members; n1 and n2 may
+    be ints or int arrays.  The one float formula of the family:
+    ``TransferCondition``, ``family_table`` and ``validate_condition`` all
+    read their values from it."""
     r = np.sqrt(2.0 / (n1 * n2))
     return r, np.pi / (3.0 * r), r * (n2 - n1)
 
@@ -276,22 +252,18 @@ def family_table(max_product: int) -> dict[str, np.ndarray]:
     order of ``enumerate_conditions(max_product)``.
 
     Columns: n1, n2, n_e = n_o + n_o', n_o, n_op, the ``classify_cases``
-    sets (k_case_*, kp_case_*), A_t0 and alpha.  The values equal those of
-    the objects bit for bit, and the ``TransferCondition`` invariants and the
-    ``classify_cases`` identities and parities are checked on whole columns,
-    raising the same ``ValueError`` for the first row that fails.
+    sets (k_case_*, kp_case_*), A_t0 and alpha.  The floats come from
+    ``_family_floats``, as the objects' do, so they are equal bit for bit.
+    The integer checks guard the enumerator: the even sum, the odd thirds
+    and the ``classify_cases`` identities and parities are checked on whole
+    columns, raising the same ``ValueError`` for the first row that fails.
     """
     n1, n2 = family_integers(max_product)
-    r, action, alpha = _family_floats(n1, n2)
-    limit = CONDITION_TOL * np.maximum(1.0, action)
-    for name, err in _law_residuals(n1, n2, r, action, alpha).items():
-        bad = np.flatnonzero(err > limit)
-        if bad.size:
-            raise ValueError(f"condition invariant {name} violated by {err[bad[0]]:.3e}")
+    _, action, alpha = _family_floats(n1, n2)
     if np.any((n1 + n2) % 6 != 0):
-        raise ValueError(_EVEN_SUM)
+        raise ValueError("(n1 + n2)/3 must be an even integer")
     if np.any(((2 * n1 - n2) // 3) % 2 == 0) or np.any(((2 * n2 - n1) // 3) % 2 == 0):
-        raise ValueError(_ODD_THIRDS)
+        raise ValueError("(2n1 - n2)/3 and (2n2 - n1)/3 must be odd")
     identities = _case_identities(n1, n2)
     for (k, kp), product, (pk, pkp) in identities:
         bad = np.flatnonzero((product != n1 * n2) | (k % 2 != pk) | (kp % 2 != pkp))
@@ -408,7 +380,7 @@ def validate_condition(
     n1 and n2.  The box is widened by one integer on each side and capped at
     the product bound; for tol >= 1 it is the whole range.  The box is tested
     as columns: A = pi/(3r) and alpha = r(n2 - n1) with r = sqrt(2/(n1 n2)),
-    the float expressions of ``condition_from_odd_pair``, go through
+    from ``_family_floats`` as for the conditions themselves, go through
     |A - |A(t0)|| <= tol A and |alpha - alpha_in| <= tol max(1, |alpha|), and
     only the first passing row in (n1*n2, n1) order becomes a condition.
 

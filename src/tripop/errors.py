@@ -23,7 +23,3 @@ class NormDriftExceededError(TripopError):
 
 class InvalidConfigError(TripopError):
     """Integrator configuration is unusable (bad step or stride, or too many records)."""
-
-
-class VerificationFailedError(TripopError):
-    """At least one transfer-condition verification check failed."""

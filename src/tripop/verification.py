@@ -19,7 +19,7 @@ from .conditions import (
     enumerate_conditions,
     populations_closed_form_array,
 )
-from .errors import NormDriftExceededError, VerificationFailedError
+from .errors import NormDriftExceededError
 from .propagate import DEFAULT_STEPS_PER_PERIOD, IntegratorConfig, LevelEnergies, integrate_batch
 from .pulses import harmonic_for_condition
 
@@ -91,15 +91,3 @@ def _check_conditions(conds: list[TransferCondition], steps_per_period: int) -> 
             passed=passed,
         ))
     return checks
-
-
-def require_all_pass(checks: list[ConditionCheck]) -> None:
-    failures = [c for c in checks if not c.passed]
-    if failures:
-        first = failures[0]
-        raise VerificationFailedError(
-            f"{len(failures)} of {len(checks)} conditions failed verification; first: "
-            f"(n1={first.condition.n1}, n2={first.condition.n2}) "
-            f"analytic_error={first.analytic_error:.3e} "
-            f"ode_deviation={first.ode_deviation:.3e} cases_ok={first.cases_ok}"
-        )

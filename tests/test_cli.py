@@ -12,6 +12,7 @@ import struct
 import tempfile
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -248,19 +249,20 @@ class TestVerify:
         assert [r["status"] for r in rows] == ["pass"] * 3
         assert all(float(r["ode_deviation"]) < 1e-6 for r in rows)
 
-    def test_exit_code_contract_on_injected_fault(self):
-        """A perturbed coupling ratio must fail the check battery; the library
-        rejects it at construction, which the harness reports as a failure."""
-        from dataclasses import replace
-
-        import tripop.verification as verification
-
-        cond = condition_from_odd_pair(OddPair(1, 1))
-        object.__setattr__(cond, "alpha", cond.alpha + 1e-3)  # bypass validation
-        check = verification.check_condition(cond, steps_per_period=2000)
-        assert not check.passed
-        with pytest.raises(Exception):
-            verification.require_all_pass([check])
+    def test_exit_code_contract_on_injected_fault(self, tmp_path, monkeypatch):
+        """A coupling ratio off the family by 1e-3 drives RK4 away from the
+        closed form: every member fails and ``verify`` exits 1."""
+        ratios = conditions_module.TransferCondition.ratios
+        monkeypatch.setattr(
+            conditions_module.TransferCondition, "ratios",
+            lambda cond: replace(ratios(cond), alpha=ratios(cond).alpha + 1e-3),
+        )
+        out = tmp_path / "verify.csv"
+        code = main(["verify", "--max-product", "9", "--steps-per-period", "2000", "--out", str(out)])
+        assert code == 1
+        rows = read_csv(out)
+        assert len(rows) == 3 and [r["status"] for r in rows] == ["fail"] * 3
+        assert all(float(r["ode_deviation"]) >= 1e-6 for r in rows)
 
     def test_library_verify_matches_cli(self):
         checks = verify_conditions(9, steps_per_period=2000)

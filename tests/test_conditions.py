@@ -7,6 +7,7 @@ brute-force scans.
 
 import bisect
 import functools
+import itertools
 import math
 import time
 import tracemalloc
@@ -144,6 +145,15 @@ class TestOddPair:
         with pytest.raises(InvalidPairError):
             OddPair(1, -1)
 
+    @pytest.mark.parametrize("n_o,n_op", [(1.5, 3), (1.0, 3.0), (math.nan, 1), (3, math.inf)])
+    def test_rejects_non_integer_entries(self, n_o, n_op):
+        with pytest.raises(InvalidPairError, match="integers"):
+            OddPair(n_o, n_op)
+
+    def test_accepts_numpy_integers(self):
+        pair = OddPair(np.int64(1), np.int64(3))
+        assert (pair.n1, pair.n2) == (5, 7)
+
 
 class TestConditionFromOddPair:
     def test_simplest_member(self, cond_33):
@@ -169,16 +179,24 @@ class TestConditionFromOddPair:
         assert twin.alpha == pytest.approx(8.128, abs=5e-4)
 
     def test_invariants_exhaustive(self):
-        """Family laws hold exactly for every valid pair with |n_o|, |n_o'| <= 15."""
+        """Family laws hold for every valid pair with |n_o|, |n_o'| <= 15,
+        both signs, both beta and both targets; r also equals the paper's
+        second closed form sign / sqrt(n_o^2 + 2.5 n_o n_o' + n_o'^2), and
+        ``ratios`` puts (alpha, beta) on the target's couplings."""
         for pair in all_valid_pairs(15):
-            for sign in (1, -1):
-                cond = condition_from_odd_pair(pair, sign=sign)
+            for sign, beta, target in itertools.product((1, -1), (1, -1), (2, 3)):
+                cond = condition_from_odd_pair(pair, sign=sign, beta=beta, target=target)
                 assert 3.0 * cond.r * cond.action_t0 == pytest.approx(math.pi, abs=1e-12)
                 assert cond.alpha == pytest.approx(cond.r * (cond.n2 - cond.n1), abs=1e-12)
                 assert cond.r**2 * cond.n1 * cond.n2 == pytest.approx(2.0, abs=1e-12)
+                r_alt = sign / math.sqrt(pair.n_o**2 + 2.5 * pair.n_o * pair.n_op + pair.n_op**2)
+                assert cond.r == pytest.approx(r_alt, abs=1e-12)
                 assert (cond.n1 + cond.n2) % 6 == 0
                 assert ((2 * cond.n1 - cond.n2) // 3) % 2 != 0
                 assert ((2 * cond.n2 - cond.n1) // 3) % 2 != 0
+                ratios = cond.ratios()
+                couplings = (ratios.alpha, ratios.beta) if target == 2 else (ratios.beta, ratios.alpha)
+                assert couplings == (cond.alpha, beta)
 
     @pytest.mark.parametrize("target", [2, 3])
     @pytest.mark.parametrize("field,bad", [("sign", 0), ("beta", 0), ("beta", 2), ("beta", 0.5)])
@@ -559,7 +577,8 @@ class TestConditionForTarget:
 
     def test_target_three_swaps_couplings(self):
         cond = condition_from_odd_pair(OddPair(1, 1), target=3)
-        assert cond.alpha == 1.0 and cond.beta == 0.0 and cond.target == 3
+        ratios = cond.ratios()
+        assert ratios.alpha == 1.0 and ratios.beta == 0.0 and cond.target == 3
 
     def test_target_three_closed_form(self):
         """Swapped closed form reaches full level-3 occupation at A(t0)."""
@@ -570,10 +589,6 @@ class TestConditionForTarget:
             assert p[0] == pytest.approx(0.0, abs=1e-12)
             assert p[1] == pytest.approx(0.0, abs=1e-12)
 
-    def test_tampered_condition_fails_validation(self, cond_15):
-        with pytest.raises(ValueError):
-            replace(cond_15, alpha=cond_15.alpha + 1e-3)
-
     @pytest.mark.parametrize("beta", [1, -1])
     def test_target_three_matches_general_form(self, beta):
         """For target 3, the closed form equals the general cosine-sum
@@ -581,7 +596,7 @@ class TestConditionForTarget:
         actions in +-1.2 A(t0)."""
         for pair in (OddPair(1, 1), OddPair(-1, 3), OddPair(23, -11)):
             cond = condition_from_odd_pair(pair, beta=beta, target=3)
-            assert cond.alpha == beta
+            assert cond.ratios().alpha == beta
             actions = np.linspace(-1.2, 1.2, 1000) * abs(cond.action_t0)
             closed = populations_closed_form_array(cond, actions)
             general = populations_general_array(build_dressed_basis(cond.ratios()), actions)

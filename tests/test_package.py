@@ -89,12 +89,24 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 _SPAN_READERS = {"spans", "total_s", "durations_us", "attr_sum", "hot_durations_ns"}
 
 
+def _traced_names() -> set[str]:
+    """Every ``<module>.<name>`` that ``bench/tracer.py`` traces: the keys of
+    ``OBSERVERS`` and ``HOT``, and the functions whose spans it reads."""
+    names = set()
+    for node in ast.walk(ast.parse((BENCH / "tracer.py").read_text())):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) in ("OBSERVERS", "HOT") for t in node.targets):
+            names.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant) and "." in str(c.value))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in _SPAN_READERS and node.args:
+            if isinstance(node.args[0], ast.Constant):
+                names.add(node.args[0].value)
+    return names
+
+
 def _bench_names() -> set[str]:
     """Every ``<module>.<name>`` of ``tripop`` that the benchmark reads:
     attributes of the tripop modules that ``bench/workloads.py`` imports,
-    the names it imports from a tripop module, the keys of ``OBSERVERS`` and
-    ``HOT`` in ``bench/tracer.py``, and the functions whose spans it reads."""
-    names = set()
+    the names it imports from a tripop module, and ``_traced_names``."""
+    names = _traced_names()
     workloads = ast.parse((BENCH / "workloads.py").read_text())
     modules = set()
     for node in ast.walk(workloads):
@@ -105,13 +117,16 @@ def _bench_names() -> set[str]:
     for node in ast.walk(workloads):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
             names.add(f"{node.value.id}.{node.attr}")
-    for node in ast.walk(ast.parse((BENCH / "tracer.py").read_text())):
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) in ("OBSERVERS", "HOT") for t in node.targets):
-            names.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant) and "." in str(c.value))
-        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in _SPAN_READERS and node.args:
-            if isinstance(node.args[0], ast.Constant):
-                names.add(node.args[0].value)
     return names
+
+
+def _resolve(name: str):
+    """The object ``<module>.<attr>...`` names in ``tripop``, or None."""
+    module, *path = name.split(".")
+    obj = importlib.import_module(f"tripop.{module}")
+    for attr in path:
+        obj = getattr(obj, attr, None)
+    return obj
 
 
 def test_bench_names_resolve():
@@ -119,12 +134,19 @@ def test_bench_names_resolve():
     module attribute, traced function and hot method it names."""
     names = _bench_names()
     assert {"cli.main", "leakage.measured_deficit", "pulses.Pulse.value", "propagate.integrate"} <= names
-    missing = []
+    assert [name for name in sorted(names) if _resolve(name) is None] == []
+
+
+def test_traced_names_are_plain_functions_of_their_module():
+    """``Tracer.install`` wraps only plain functions defined in the module
+    they are named under and skips anything else without a word, so a traced
+    name turned into a class, an alias of another module's function or a
+    callable object would read 0."""
+    names = _traced_names()
+    assert {"conditions.condition_from_odd_pair", "pulses.Pulse.value", "propagate.integrate"} <= names
+    offenders = []
     for name in sorted(names):
-        module, *path = name.split(".")
-        obj = importlib.import_module(f"tripop.{module}")
-        for attr in path:
-            obj = getattr(obj, attr, None)
-        if obj is None:
-            missing.append(name)
-    assert missing == []
+        obj = _resolve(name)
+        if not inspect.isfunction(obj) or obj.__module__ != f"tripop.{name.split('.')[0]}":
+            offenders.append(name)
+    assert offenders == []
