@@ -74,17 +74,54 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         )
 
 
-def _write_rows(path: str, fmt: str, command: str, params: dict, header: list[str], rows: list[list]) -> None:
+# repr of a non-finite float, and its JSON spelling (as json.dump writes it)
+_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_fmt(value) -> str:
+    if isinstance(value, str) or value is None:
+        return json.dumps(value)
+    text = _fmt(value)
+    return _JSON_CONSTANTS.get(text, text)
+
+
+def _write_json(path: str, command: str, params: dict, header: list[str], rows) -> None:
+    """Write ``{"meta": ..., "rows": [dict(zip(header, row)), ...]}`` in exactly
+    the layout of ``json.dump(..., indent=2)``, each row through one line
+    template of the header instead of the pure-Python encoder.
+
+    A row of plain Python ints and floats is written with ``repr``; any other
+    row goes value by value through ``_json_fmt``.
+    """
+    meta = {"command": command, "parameters": params, "version": __version__}
+    head = json.dumps({"meta": meta, "rows": []}, indent=2).removesuffix("[]\n}")
+    keys = (json.dumps(key).replace("{", "{{").replace("}", "}}") for key in header)
+    template = "    {{\n" + ",\n".join(f"      {key}: {{}}" for key in keys) + "\n    }}"
+    if isinstance(rows, np.ndarray):
+        rows = map(np.ndarray.tolist, rows)
+
+    def text(row) -> str:
+        if _PLAIN.issuperset(map(type, row)):
+            reprs = list(map(repr, row))
+            return template.format(*map(_JSON_CONSTANTS.get, reprs, reprs))
+        return template.format(*map(_json_fmt, row))
+
+    texts = map(text, rows)  # row by row, so the file is never held whole in memory
+    first = next(texts, None)
+    with open(path, "w") as fh:
+        if first is None:
+            fh.write(head + "[]\n}\n")
+            return
+        fh.write(head + "[\n" + first)
+        fh.writelines(",\n" + t for t in texts)
+        fh.write("\n  ]\n}\n")
+
+
+def _write_rows(path: str, fmt: str, command: str, params: dict, header: list[str], rows) -> None:
     if fmt == "csv":
         _write_csv(path, header, rows)
-        return
-    payload = {
-        "meta": {"command": command, "parameters": params, "version": __version__},
-        "rows": [dict(zip(header, row)) for row in rows],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    else:
+        _write_json(path, command, params, header, rows)
 
 
 # -- subcommand implementations ---------------------------------------------

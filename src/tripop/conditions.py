@@ -119,18 +119,23 @@ class TransferCondition:
     def product(self) -> int:
         return self.n1 * self.n2
 
-    # cached: each numpy evaluation costs about 2 us, and loops over the family reread them
+    # cached: a numpy evaluation costs about 2 us, and loops over the family reread them
+    @cached_property
+    def _floats(self) -> tuple[float, float, float]:
+        """sign * (r, A(t0), alpha), from one ``_family_floats`` evaluation."""
+        return tuple(self.sign * float(v) for v in _family_floats(self.n1, self.n2))
+
     @cached_property
     def r(self) -> float:
-        return self.sign * float(_family_floats(self.n1, self.n2)[0])
+        return self._floats[0]
 
     @cached_property
     def action_t0(self) -> float:
-        return self.sign * float(_family_floats(self.n1, self.n2)[1])
+        return self._floats[1]
 
     @cached_property
     def alpha(self) -> float:
-        return self.sign * float(_family_floats(self.n1, self.n2)[2])
+        return self._floats[2]
 
     def ratios(self) -> CouplingRatios:
         """Coupling ratios realizing this condition (eps = 0)."""

@@ -56,7 +56,7 @@ class CouplingRatios:
 
     def __post_init__(self):
         values = (self.alpha, self.beta, *self.eps)
-        if not all(math.isfinite(v) for v in values):
+        if not all(map(math.isfinite, values)):
             raise ValueError(f"coupling ratios must be finite, got {values}")
         if len(self.eps) != 3:
             raise ValueError("eps must hold exactly three diagonal ratios")
@@ -65,15 +65,13 @@ class CouplingRatios:
         """Symmetric 3x3 ratio matrix K with K[1,2] = 1 and K[j,j] = eps_j."""
         a, b = self.alpha, self.beta
         e1, e2, e3 = self.eps
-        return np.array([[e1, a, b], [a, e2, 1.0], [b, 1.0, e3]])
+        return np.array((e1, a, b, a, e2, 1.0, b, 1.0, e3)).reshape(3, 3)
 
 
-def _has_gauge(m_inv: np.ndarray) -> bool:
-    """Whether every dressed state has a level-1 component, |u_j[0]| > ROOT_TOL.
-
-    m_inv[0, j] = u_j[0]^2, so the test needs no eigenvectors.
-    """
-    return bool(np.min(m_inv[0]) > ROOT_TOL**2)
+def _has_gauge(level1_weights: list[float]) -> bool:
+    """Whether every dressed state has a level-1 component, |u_j[0]| > ROOT_TOL,
+    from the weights u_j[0]^2 (the first row of ``m_inv``) as Python floats."""
+    return min(level1_weights) > ROOT_TOL**2
 
 
 @dataclass(frozen=True)
@@ -104,7 +102,7 @@ class DressedBasis:
 
     @property
     def m(self) -> np.ndarray:
-        if not _has_gauge(self.m_inv):
+        if not _has_gauge(self.m_inv[0].tolist()):
             raise RepeatedRootError(
                 "a dressed state has no level-1 component (as at |alpha| = |beta| with "
                 "equal diagonals); the (1, x, y) gauge does not exist"
@@ -169,12 +167,14 @@ def build_dressed_basis(ratios: CouplingRatios) -> DressedBasis:
     the sign pattern x = (beta, beta, -beta) with y = (y+, y-, 0).
     """
     z, u = np.linalg.eigh(ratios.coupling_matrix())
-    m_inv = u * u[0]
-    if _has_gauge(m_inv):
-        y = u[2] / u[0]
+    z = z.tolist()
+    first, third = u[0].tolist(), u[2].tolist()
+    if _has_gauge([c * c for c in first]):
+        y = [b / a for a, b in zip(first, third)]
         order = sorted(range(3), key=lambda j: (abs(y[j]) < ROOT_TOL, -y[j]))
-        z, m_inv = z[order], m_inv[:, order]
-    return DressedBasis(z=tuple(z.tolist()), m_inv=m_inv, ratios=ratios)
+        if order != [0, 1, 2]:
+            z, u = [z[j] for j in order], u.take(order, axis=1)
+    return DressedBasis(z=tuple(z), m_inv=u * u[0], ratios=ratios)
 
 
 def amplitudes_at(basis: DressedBasis, action: float) -> AmplitudeState:
@@ -184,9 +184,8 @@ def amplitudes_at(basis: DressedBasis, action: float) -> AmplitudeState:
     to the initial condition (1, 0, 0).
     """
     _require_finite_phases(action, basis.max_phase_rate)
-    phases = np.exp(-1j * np.asarray(basis.z) * action)
-    a = basis.m_inv @ phases
-    return AmplitudeState(a=(complex(a[0]), complex(a[1]), complex(a[2])))
+    phases = np.exp(np.multiply(-1j * action, basis.z))
+    return AmplitudeState(a=tuple((basis.m_inv @ phases).tolist()))
 
 
 def populations_general_array(basis: DressedBasis, actions: np.ndarray) -> np.ndarray:
@@ -208,8 +207,7 @@ def populations_general_array(basis: DressedBasis, actions: np.ndarray) -> np.nd
     c13 = np.cos((z1 - z3) * actions)
     c23 = np.cos((z2 - z3) * actions)
     out = np.empty((actions.size, 3))
-    for k in range(3):
-        c1, c2, c3 = basis.m_inv[k]
+    for k, (c1, c2, c3) in enumerate(basis.m_inv.tolist()):
         out[:, k] = (
             c1 * c1 + c2 * c2 + c3 * c3
             + 2.0 * c1 * c2 * c12

@@ -14,7 +14,9 @@ at its firing time and cannot enter a time stepper, and its whole effect is
 the action jump A0, which ``propagate.propagate_kick`` applies spectrally.
 
 ``value`` and ``area`` take a time or an array of times.  A tabulated pulse
-prepares its knot arrays and cumulative trapezoid once, when it is built.
+prepares its knot arrays and cumulative trapezoid once, when it is built,
+and the integral from its first knot to t = 0 (the offset every A(t)
+subtracts) once, at its first ``area`` query.
 """
 
 from __future__ import annotations
@@ -132,13 +134,8 @@ class Pulse:
             s = self.kick_width * math.sqrt(2.0)
             a = 0.5 * self.kick_area * (_erf((ts - self.kick_center) / s) - math.erf(-self.kick_center / s))
         else:  # trapezoid sums are exact for the linear interpolant
-            knots, values, cumulative = self._table_in_range(ts)
-            if knots[0] > 0.0 or knots[-1] < 0.0:
-                raise OutOfRangeError("table must bracket t = 0 so that A(0) = 0 is defined")
-            u = np.append(ts, 0.0)  # the integral from the first knot to each t, and then to 0
-            k = np.minimum(np.searchsorted(knots, u, side="right") - 1, len(knots) - 2)
-            from_start = cumulative[k] + 0.5 * (values[k] + np.interp(u, knots, values)) * (u - knots[k])
-            a = from_start[:-1].reshape(ts.shape) - from_start[-1]
+            self._table_in_range(ts)
+            a = self._from_first_knot(ts) - self._area_offset
         return ActionValue(a=_unwrap(a))
 
     # -- tabulated helpers ----------------------------------------------
@@ -151,12 +148,25 @@ class Pulse:
         cumulative = np.concatenate(([0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(knots))))
         return knots, values, cumulative
 
+    @cached_property
+    def _area_offset(self) -> float:
+        """The integral from the first knot to t = 0, which every A(t) subtracts."""
+        knots = self._table[0]
+        if knots[0] > 0.0 or knots[-1] < 0.0:
+            raise OutOfRangeError("table must bracket t = 0 so that A(0) = 0 is defined")
+        return float(self._from_first_knot(0.0))
+
+    def _from_first_knot(self, u: float | np.ndarray) -> float | np.ndarray:
+        """The trapezoid integral from the first knot to each time in ``u`` (inside the table)."""
+        knots, values, cumulative = self._table
+        k = np.minimum(np.searchsorted(knots, u, side="right") - 1, len(knots) - 2)
+        return cumulative[k] + 0.5 * (values[k] + np.interp(u, knots, values)) * (u - knots[k])
+
     def _table_in_range(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The table, once every time in ``ts`` is known to lie inside it."""
         knots = self._table[0]
-        outside = (ts < knots[0]) | (ts > knots[-1])
-        if np.any(outside):
-            first = float(np.extract(outside, ts)[0])
+        if ts.size and (ts.min() < knots[0] or ts.max() > knots[-1]):
+            first = float(np.extract((ts < knots[0]) | (ts > knots[-1]), ts)[0])
             raise OutOfRangeError(f"t={first} outside the table range [{knots[0]}, {knots[-1]}]")
         return self._table
 

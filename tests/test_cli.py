@@ -649,3 +649,42 @@ class TestCsvJsonRoundTrip:
             "omega12": omega12, "omega13": omega13, "steps_per_period": steps,
         }
         assert_csv_json_round_trip(argv, params)
+
+
+JSON_VALUE = st.one_of(
+    st.floats(), st.integers(-(10**20), 10**20), st.booleans(), st.text(max_size=8), st.none(),
+)
+
+
+class TestJsonWriter:
+    """The JSON writer gives the bytes of ``json.dump(..., indent=2)`` plus a newline."""
+
+    @staticmethod
+    def reference(path, command, params, header, rows) -> None:
+        payload = {
+            "meta": {"command": command, "parameters": params, "version": __version__},
+            "rows": [dict(zip(header, row)) for row in rows],
+        }
+        with open(path, "w") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_json_dump(self, data):
+        header = data.draw(st.lists(st.text(max_size=6), min_size=1, max_size=5, unique=True))
+        value = st.floats() if data.draw(st.booleans()) else JSON_VALUE
+        rows = data.draw(st.lists(st.lists(value, min_size=len(header), max_size=len(header)), max_size=4))
+        params = {"x": data.draw(st.floats()), "s": data.draw(st.text(max_size=4))}
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, ref = Path(tmp) / "ours.json", Path(tmp) / "ref.json"
+            cli_module._write_json(str(ours), "cmd", params, header, rows)
+            self.reference(ref, "cmd", params, header, rows)
+            assert ours.read_bytes() == ref.read_bytes()
+
+    def test_array_rows_and_braced_keys_match_json_dump(self, tmp_path):
+        rows = np.array([[0.1, math.nan, -math.inf], [1e300, -0.0, 3.0]])
+        header = ["t", "{}", 'a"{0}']
+        cli_module._write_json(str(tmp_path / "ours.json"), "trace", {}, header, rows)
+        self.reference(tmp_path / "ref.json", "trace", {}, header, rows)
+        assert (tmp_path / "ours.json").read_bytes() == (tmp_path / "ref.json").read_bytes()

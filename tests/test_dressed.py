@@ -26,6 +26,7 @@ from tripop import (
     populations_general_array,
     propagate_kick,
 )
+from tripop.dressed import ROOT_TOL
 
 RNG = np.random.default_rng(7)
 
@@ -326,3 +327,58 @@ class TestEveryCoupling:
         for y in basis.y:
             residual, scale = cubic_at(ratios, y)
             assert abs(residual) <= 1e-9 * scale * max(1.0, abs(y)) ** 3, (y, residual, scale)
+
+
+def reference_dressed(alpha, beta, eps, action, actions):
+    """Basis, amplitudes and populations from the documented formulas: eigh
+    of K, the order by (|y| < ROOT_TOL, -y) where the gauge exists,
+    m_inv = U * U[0], a = m_inv exp(-i z A) and the cosine sum."""
+    e1, e2, e3 = eps
+    z, u = np.linalg.eigh(np.array([[e1, alpha, beta], [alpha, e2, 1.0], [beta, 1.0, e3]]))
+    if np.min(u[0] ** 2) > ROOT_TOL**2:
+        y = u[2] / u[0]
+        order = sorted(range(3), key=lambda j: (abs(y[j]) < ROOT_TOL, -y[j]))
+        z, u = z[order], u[:, order]
+    m_inv = u * u[0]
+    amplitudes = m_inv @ np.exp(-1j * z * action)
+    pops = np.empty((actions.size, 3))
+    for k in range(3):
+        c1, c2, c3 = m_inv[k]
+        pops[:, k] = (
+            c1 * c1 + c2 * c2 + c3 * c3
+            + 2.0 * c1 * c2 * np.cos((z[0] - z[1]) * actions)
+            + 2.0 * c1 * c3 * np.cos((z[0] - z[2]) * actions)
+            + 2.0 * c2 * c3 * np.cos((z[1] - z[2]) * actions)
+        )
+    return z, m_inv, amplitudes, pops
+
+
+RATIO_5 = st.floats(-5.0, 5.0)
+DIAGONAL = st.floats(-1.0, 1.0).filter(lambda e: e != 0.0)
+
+
+@st.composite
+def couplings_with_eps(draw):
+    """(alpha, beta, eps) with a nonzero diagonal; every other draw has no
+    gauge: |alpha| = |beta| and eps2 = eps3, so (0, 1, -+1) is a dressed state."""
+    alpha = draw(RATIO_5)
+    if draw(st.booleans()):
+        e = draw(DIAGONAL)
+        return alpha, draw(st.sampled_from([alpha, -alpha])), (draw(DIAGONAL), e, e)
+    return alpha, draw(RATIO_5), (draw(DIAGONAL), draw(DIAGONAL), draw(DIAGONAL))
+
+
+class TestAgainstDocumentedFormulas:
+    @settings(max_examples=300, deadline=None)
+    @given(couplings_with_eps(), st.floats(-20.0, 20.0))
+    def test_bit_for_bit(self, coupling, action):
+        """The basis, the amplitudes and the populations equal, float for
+        float, the formulas the module documents."""
+        alpha, beta, eps = coupling
+        actions = np.linspace(-3.0, 7.0, 11)
+        z, m_inv, amplitudes, pops = reference_dressed(alpha, beta, eps, action, actions)
+        basis = build_dressed_basis(CouplingRatios(alpha, beta, eps=eps))
+        assert basis.z == tuple(z.tolist())
+        assert np.array_equal(basis.m_inv, m_inv)
+        assert amplitudes_at(basis, action).a == tuple(amplitudes.tolist())
+        assert np.array_equal(populations_general_array(basis, actions), pops)

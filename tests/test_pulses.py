@@ -75,14 +75,40 @@ class TestValue:
         assert isinstance(values, np.ndarray) and values.shape == ts.shape
         scalars = [pulse.value(float(t)) for t in ts]
         assert all(isinstance(v, float) for v in scalars)
-        np.testing.assert_allclose(values, scalars, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(values, scalars)
         assert pulse.value(ts.reshape(37, 1)).shape == (37, 1)
         actions = pulse.area(ts).a
         assert isinstance(actions, np.ndarray) and actions.shape == ts.shape
         action_scalars = [pulse.area(float(t)).a for t in ts]
         assert all(isinstance(a, float) for a in action_scalars)
-        np.testing.assert_allclose(actions, action_scalars, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(actions, action_scalars)
         assert pulse.area(ts.reshape(37, 1)).a.shape == (37, 1)
+
+    @pytest.mark.parametrize(
+        "pulse",
+        [
+            Pulse.harmonic(1.3, 0.7),
+            Pulse.constant(0.4),
+            Pulse.gaussian_kick(2.0, 1.5, 0.4),
+            Pulse.tabulated([-1.0, 0.5, 2.0, 4.0], [0.0, 2.0, -1.0, 0.5]),
+        ],
+        ids=lambda p: p.shape,
+    )
+    def test_empty_array_query(self, pulse):
+        """An empty array of times gives empty arrays of values and actions."""
+        for ts in (np.array([]), np.empty((0, 2))):
+            values, actions = pulse.value(ts), pulse.area(ts).a
+            assert isinstance(values, np.ndarray) and values.shape == ts.shape
+            assert isinstance(actions, np.ndarray) and actions.shape == ts.shape
+
+    def test_table_without_zero_refuses_every_area_query(self):
+        """A table that does not bracket t = 0 has no A(t): every area query
+        raises, the later ones too, while its values stay available."""
+        table = Pulse.tabulated([1.0, 2.0, 3.0], [1.0, 0.5, 1.0])
+        for t in (1.5, np.array([1.2, 2.5]), 2.0, np.array([]), np.array(3.0)):
+            with pytest.raises(OutOfRangeError, match="bracket"):
+                table.area(t)
+        assert table.value(1.5) == 0.75
 
     def test_array_query_errors(self):
         """One bad time fails the whole array query, as it fails a scalar one."""
