@@ -28,10 +28,8 @@ from .dressed import (
     populations_general_array,
 )
 from .errors import (
-    InvalidConfigError,
-    InvalidPairError,
+    InvalidInputError,
     NormDriftExceededError,
-    OutOfRangeError,
     RepeatedRootError,
     TripopError,
 )
@@ -68,12 +66,10 @@ __all__ = [
     "CouplingRatios",
     "DressedBasis",
     "IntegratorConfig",
-    "InvalidConfigError",
-    "InvalidPairError",
+    "InvalidInputError",
     "LevelEnergies",
     "NormDriftExceededError",
     "OddPair",
-    "OutOfRangeError",
     "PopulationTrace",
     "Pulse",
     "RepeatedRootError",

@@ -14,6 +14,11 @@ package that writes files: it alone decides their formats.  Floats are
 serialized with their shortest round-trip representation, no timestamps or
 host data enter the output, and the command line alone sets every run
 parameter, so identical invocations produce byte-identical files.
+
+Exit codes: 0 on success; 1 when a ``verify`` row fails; 2 when the library
+refuses an input or a run (any ``TripopError``) or the operating system
+refuses a file (``OSError``), with one ``error:`` line on stderr.  Any other
+exception is a fault of the program and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 from . import __version__
 from .conditions import OddPair, condition_from_odd_pair, family_table, validate_condition
 from .dressed import CouplingRatios, build_dressed_basis, populations_general_array
-from .errors import TripopError
+from .errors import InvalidInputError, TripopError
 from .leakage import delta_p2_at_t0, leakage_scan
 from .propagate import (
     DEFAULT_STEPS_PER_PERIOD,
@@ -173,6 +178,15 @@ def cmd_verify(args) -> int:
     return 0 if all(c.passed for c in checks) else 1
 
 
+def _number(what: str, text: str, convert=float):
+    """``convert(text)``, refusing text that is not such a number."""
+    try:
+        return convert(text)
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise InvalidInputError(f"{what} {text!r} is not {kind}") from None
+
+
 def _parse_grid(spec: str, cap: int) -> list[tuple[float, float]]:
     """Grid spec 'omega12:<v|start:stop:count>,omega13:<...>' -> splitting pairs.
 
@@ -184,22 +198,24 @@ def _parse_grid(spec: str, cap: int) -> list[tuple[float, float]]:
         fields = part.split(":")
         name = fields[0].strip()
         if name not in ("omega12", "omega13"):
-            raise ValueError(f"unknown grid axis {name!r}")
+            raise InvalidInputError(f"unknown grid axis {name!r}")
         if name in axes:
-            raise ValueError(f"grid axis {name!r} is given twice")
+            raise InvalidInputError(f"grid axis {name!r} is given twice")
         if len(fields) == 2:
-            axes[name] = (float(fields[1]), float(fields[1]), 1)
+            value = _number(f"{name} splitting", fields[1])
+            axes[name] = (value, value, 1)
         elif len(fields) == 4:
-            axes[name] = (float(fields[1]), float(fields[2]), int(fields[3]))
+            start, stop = (_number(f"{name} splitting", f) for f in fields[1:3])
+            axes[name] = (start, stop, _number("grid count", fields[3], int))
         else:
-            raise ValueError(f"malformed grid axis {part!r}")
+            raise InvalidInputError(f"malformed grid axis {part!r}")
         if axes[name][2] < 1:
-            raise ValueError("grid count must be >= 1")
+            raise InvalidInputError("grid count must be >= 1")
     if set(axes) != {"omega12", "omega13"}:
-        raise ValueError("grid must define both omega12 and omega13")
+        raise InvalidInputError("grid must define both omega12 and omega13")
     points = axes["omega12"][2] * axes["omega13"][2]
     if points > cap:
-        raise ValueError(f"grid of {points} points is past the cap of {cap} for this run length")
+        raise InvalidInputError(f"grid of {points} points is past the cap of {cap} for this run length")
     w12, w13 = ([a] if n == 1 else np.linspace(a, b, n).tolist()
                 for a, b, n in (axes["omega12"], axes["omega13"]))
     return [(a, b) for a in w12 for b in w13]
@@ -208,7 +224,7 @@ def _parse_grid(spec: str, cap: int) -> list[tuple[float, float]]:
 def cmd_leakage(args) -> int:
     cond = condition_from_odd_pair(OddPair(args.n_o, args.n_op), beta=args.beta)
     if not 0.0 < args.omega < math.inf:
-        raise ValueError(f"--omega must be positive and finite, got {args.omega!r}")
+        raise InvalidInputError(f"--omega must be positive and finite, got {args.omega!r}")
     config = IntegratorConfig(steps_per_period=args.steps_per_period)
     # Every grid point is one run of the batch that leakage_scan integrates:
     # a grid past the batch's records cap is refused before its lists are built.
@@ -246,11 +262,11 @@ def cmd_conditions(args) -> int:
 
 
 def cmd_kick(args) -> int:
-    widths = [float(w) for w in args.widths.split(",")] if args.widths else []
+    widths = [_number("kick width", w) for w in args.widths.split(",")] if args.widths else []
     if any(w <= 0 for w in widths):
-        raise ValueError("kick widths must be positive")
+        raise InvalidInputError("kick widths must be positive")
     if any(w1 <= w2 for w1, w2 in zip(widths, widths[1:])):
-        raise ValueError("kick widths must be strictly decreasing")
+        raise InvalidInputError("kick widths must be strictly decreasing")
     ratios = CouplingRatios(alpha=args.alpha, beta=args.beta)
     basis = build_dressed_basis(ratios)
     ideal = [abs(c) ** 2 for c in propagate_kick(basis, args.area).a]
@@ -346,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TripopError, ValueError, OSError) as exc:
+    except (TripopError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

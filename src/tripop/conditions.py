@@ -33,8 +33,9 @@ and A(t0) are derived from these by ``_family_floats``, the one float
 formula that ``family_table`` and ``validate_condition`` use too, so nothing
 stored can disagree with the laws above.  The checks that remain are on the
 inputs: ``OddPair`` refuses non-integer, even and n1*n2 <= 0 entries, and the
-condition refuses a sign, beta or target outside its choices.
-``family_table`` keeps its integer checks, which guard the enumerator.
+condition refuses a sign, beta or target outside its choices.  Each of the
+three (k, k') case sets is an integer combination of the odd pair whose
+product identity and parities hold for every pair, so none is re-checked.
 ``TransferCondition.ratios`` gives the couplings that realize the condition;
 no caller picks beta apart from the condition.
 """
@@ -49,7 +50,7 @@ from numbers import Integral
 import numpy as np
 
 from .dressed import CouplingRatios, _require_finite_phases
-from .errors import InvalidPairError
+from .errors import InvalidInputError
 
 # The most candidates one lookup may test (its columns peak near 130 MB), and
 # the most members ``family_integers`` may return.
@@ -65,11 +66,11 @@ class OddPair:
 
     def __post_init__(self):
         if not (isinstance(self.n_o, Integral) and isinstance(self.n_op, Integral)):
-            raise InvalidPairError(f"({self.n_o!r}, {self.n_op!r}) must both be integers")
+            raise InvalidInputError(f"({self.n_o!r}, {self.n_op!r}) must both be integers")
         if self.n_o % 2 == 0 or self.n_op % 2 == 0:
-            raise InvalidPairError(f"({self.n_o}, {self.n_op}) must both be odd")
+            raise InvalidInputError(f"({self.n_o}, {self.n_op}) must both be odd")
         if self.n1 * self.n2 <= 0:
-            raise InvalidPairError(
+            raise InvalidInputError(
                 f"pair ({self.n_o}, {self.n_op}) gives n1*n2 = {self.n1 * self.n2} <= 0, "
                 "which would make the level-3 probability negative"
             )
@@ -101,11 +102,11 @@ class TransferCondition:
 
     def __post_init__(self):
         if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
+            raise InvalidInputError("sign must be +1 or -1")
         if self.target not in (2, 3):
-            raise ValueError("target level must be 2 or 3")
+            raise InvalidInputError("target level must be 2 or 3")
         if self.beta not in (-1.0, 1.0):
-            raise ValueError("the direct 1<->3 coupling ratio must be +-1")
+            raise InvalidInputError("the direct 1<->3 coupling ratio must be +-1")
 
     @property
     def n1(self) -> int:
@@ -175,15 +176,15 @@ def family_integers(
 
     The optional inclusive ranges restrict n1 and n2 (the candidate box of
     ``validate_condition``).  It takes odd n1 and, for each, n2 = -n1
-    (mod 6) in steps of 6, which is the whole family.  Raises ValueError,
-    before allocating, when ``_candidate_count_bound`` allows more than
-    ``MAX_LOOKUP_CANDIDATES`` members.
+    (mod 6) in steps of 6, which is the whole family.  Raises
+    InvalidInputError, before allocating, when ``_candidate_count_bound``
+    allows more than ``MAX_LOOKUP_CANDIDATES`` members.
     """
     n1_lo, n1_hi = n1_range or (1, max_product)
     n2_lo, n2_hi = n2_range or (1, max_product)
     count = _candidate_count_bound((n1_lo, n1_hi), (n2_lo, n2_hi), max_product)
     if count > MAX_LOOKUP_CANDIDATES:
-        raise ValueError(
+        raise InvalidInputError(
             f"max_product {max_product} may give up to {count:.3g} family members, "
             f"past the cap of {MAX_LOOKUP_CANDIDATES:.0e}"
         )
@@ -224,23 +225,14 @@ def _case_identities(n1, n2) -> list:
     ]
 
 
-def _case_error(k, kp, n1, n2) -> ValueError:
-    return ValueError(f"case integers ({k}, {kp}) inconsistent with (n1, n2) = ({n1}, {n2})")
-
-
 def classify_cases(cond: TransferCondition) -> CaseClassification:
-    """All three (k, k') integer sets for one condition, in exact arithmetic."""
-    n1, n2 = cond.n1, cond.n2
-    identities = _case_identities(n1, n2)
-    for (k, kp), product, parities in identities:
-        if product != n1 * n2 or (k % 2, kp % 2) != parities:
-            raise _case_error(k, kp, n1, n2)
-    return CaseClassification(
-        case_i=identities[0][0],
-        case_ii=identities[1][0],
-        case_iii=identities[2][0],
-        e_value=cond.action_t0 / math.pi,
-    )
+    """All three (k, k') integer sets for one condition, in exact arithmetic.
+
+    With (n_o, n_o') the condition's odd pair, case ii is (n_o, n_o'),
+    case i is (n_o + n_o', -n_o) and case iii is (-n_o', n_o + n_o'), so
+    every product identity and parity pattern holds for every odd pair."""
+    (case_i, _, _), (case_ii, _, _), (case_iii, _, _) = _case_identities(cond.n1, cond.n2)
+    return CaseClassification(case_i, case_ii, case_iii, e_value=cond.action_t0 / math.pi)
 
 
 def _family_floats(n1: np.ndarray, n2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -259,23 +251,10 @@ def family_table(max_product: int) -> dict[str, np.ndarray]:
     Columns: n1, n2, n_e = n_o + n_o', n_o, n_op, the ``classify_cases``
     sets (k_case_*, kp_case_*), A_t0 and alpha.  The floats come from
     ``_family_floats``, as the objects' do, so they are equal bit for bit.
-    The integer checks guard the enumerator: the even sum, the odd thirds
-    and the ``classify_cases`` identities and parities are checked on whole
-    columns, raising the same ``ValueError`` for the first row that fails.
     """
     n1, n2 = family_integers(max_product)
     _, action, alpha = _family_floats(n1, n2)
-    if np.any((n1 + n2) % 6 != 0):
-        raise ValueError("(n1 + n2)/3 must be an even integer")
-    if np.any(((2 * n1 - n2) // 3) % 2 == 0) or np.any(((2 * n2 - n1) // 3) % 2 == 0):
-        raise ValueError("(2n1 - n2)/3 and (2n2 - n1)/3 must be odd")
-    identities = _case_identities(n1, n2)
-    for (k, kp), product, (pk, pkp) in identities:
-        bad = np.flatnonzero((product != n1 * n2) | (k % 2 != pk) | (kp % 2 != pkp))
-        if bad.size:
-            i = bad[0]
-            raise _case_error(k[i], kp[i], n1[i], n2[i])
-    (ki, kpi), (n_o, n_op), (kiii, kpiii) = (case for case, _, _ in identities)
+    (ki, kpi), (n_o, n_op), (kiii, kpiii) = (case for case, _, _ in _case_identities(n1, n2))
     return {
         "n1": n1, "n2": n2, "n_e": n_o + n_op, "n_o": n_o, "n_op": n_op,
         "k_case_i": ki, "kp_case_i": kpi, "k_case_ii": n_o, "kp_case_ii": n_op,
@@ -293,7 +272,7 @@ def populations_closed_form_array(cond: TransferCondition, actions: np.ndarray) 
         P3 = 2 n1 n2 / (n1+n2)^2 * sin^2((n1+n2) rA / 2)
 
     For target-3 conditions the level-2 and level-3 columns are interchanged.
-    Raises ValueError for an action whose phase is not finite.
+    Raises InvalidInputError for an action whose phase is not finite.
     """
     actions = np.atleast_1d(np.asarray(actions, dtype=float))
     n1, n2, r = cond.n1, cond.n2, cond.r
@@ -389,15 +368,15 @@ def validate_condition(
     |A - |A(t0)|| <= tol A and |alpha - alpha_in| <= tol max(1, |alpha|), and
     only the first passing row in (n1*n2, n1) order becomes a condition.
 
-    Raises ValueError for non-finite inputs, tol <= 0, an action whose
+    Raises InvalidInputError for non-finite inputs, tol <= 0, an action whose
     product bound passes 2**53, and a box that may hold more than
     ``MAX_LOOKUP_CANDIDATES`` members (a loose tol at a large area);
     ``family_integers`` bounds the count before anything is allocated.
     """
     if not all(math.isfinite(v) for v in (alpha, beta, action_t0, tol)):
-        raise ValueError(f"alpha, beta, area and tol must be finite, got {(alpha, beta, action_t0, tol)}")
+        raise InvalidInputError(f"alpha, beta, area and tol must be finite, got {(alpha, beta, action_t0, tol)}")
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise InvalidInputError("tol must be positive")
     if abs(abs(beta) - 1.0) > tol:
         return None
     if action_t0 == 0.0:
@@ -408,7 +387,7 @@ def validate_condition(
     except OverflowError:
         bound = math.inf
     if bound > 2.0**53:
-        raise ValueError(f"area {action_t0!r} with tol {tol!r} needs n1*n2 up to {bound:.3g}, past 2**53")
+        raise InvalidInputError(f"area {action_t0!r} with tol {tol!r} needs n1*n2 up to {bound:.3g}, past 2**53")
     bound = math.ceil(bound)
     sign = 1 if action_t0 > 0 else -1
     # alpha for the sign=+1 member of the ordered pair equals sign(A) * input alpha
@@ -416,8 +395,8 @@ def validate_condition(
     box = _candidate_box(alpha_pos, abs(action_t0), tol, bound)
     try:
         n1s, n2s = family_integers(bound, *box)
-    except ValueError as exc:
-        raise ValueError(f"area {action_t0!r} with tol {tol!r} has too many candidates: {exc}") from None
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"area {action_t0!r} with tol {tol!r} has too many candidates: {exc}") from None
     _, cand_action, cand_alpha = _family_floats(n1s, n2s)
     passed = np.flatnonzero(
         (np.abs(cand_action - abs(action_t0)) <= tol * cand_action)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RepeatedRootError
+from .errors import InvalidInputError, RepeatedRootError
 
 ROOT_TOL = 1e-9
 
@@ -57,9 +57,9 @@ class CouplingRatios:
     def __post_init__(self):
         values = (self.alpha, self.beta, *self.eps)
         if not all(map(math.isfinite, values)):
-            raise ValueError(f"coupling ratios must be finite, got {values}")
+            raise InvalidInputError(f"coupling ratios must be finite, got {values}")
         if len(self.eps) != 3:
-            raise ValueError("eps must hold exactly three diagonal ratios")
+            raise InvalidInputError("eps must hold exactly three diagonal ratios")
 
     def coupling_matrix(self) -> np.ndarray:
         """Symmetric 3x3 ratio matrix K with K[1,2] = 1 and K[j,j] = eps_j."""
@@ -133,12 +133,13 @@ class AmplitudeState:
 
 
 def _require_finite_phases(actions, rate: float) -> None:
-    """Raise ValueError unless every action (an array, or a scalar at scalar
-    cost) times ``rate``, the largest phase rate the caller uses, is finite."""
+    """Raise InvalidInputError unless every action (an array, or a scalar at
+    scalar cost) times ``rate``, the largest phase rate the caller uses, is
+    finite."""
     array = isinstance(actions, np.ndarray)
     largest = float(np.max(np.abs(actions), initial=0.0)) if array else abs(float(actions))
     if not math.isfinite(largest * rate):
-        raise ValueError(f"action {largest!r} at phase rate {rate!r} gives a non-finite phase")
+        raise InvalidInputError(f"action {largest!r} at phase rate {rate!r} gives a non-finite phase")
 
 
 def cubic_coefficients(ratios: CouplingRatios) -> tuple[float, float, float, float]:
@@ -198,7 +199,7 @@ def populations_general_array(basis: DressedBasis, actions: np.ndarray) -> np.nd
 
     with (c1, c2, c3) = m_inv[k], the k-th row of the basis inverse.  All action
     dependence enters through cosines, so P_k(A) = P_k(-A) exactly.  Raises
-    ValueError for an action whose phase is not finite.
+    InvalidInputError for an action whose phase is not finite.
     """
     actions = np.atleast_1d(np.asarray(actions, dtype=float))
     _require_finite_phases(actions, max(basis.z) - min(basis.z))

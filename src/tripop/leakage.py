@@ -22,7 +22,7 @@ The drive of a measured or estimated deficit is the condition's own: its
 harmonic pulse and its couplings, the direct coupling beta included, so
 no function here takes beta.  The deficit is that of level 2, so these
 functions refuse a target-3 condition.  Every estimate and deficit is a
-plain float, and a NaN or infinite input raises ValueError.
+plain float, and a NaN or infinite input raises InvalidInputError.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import numpy as np
 
 from .conditions import TransferCondition
 from .dressed import CouplingRatios
+from .errors import InvalidInputError
 from .propagate import (
     DEFAULT_STEPS_PER_PERIOD,
     IntegratorConfig,
@@ -49,12 +50,12 @@ _TWO_LEVEL_COUPLING = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0
 
 def _require_finite(what: str, *values: float) -> None:
     if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"{what} must be finite, got {values}")
+        raise InvalidInputError(f"{what} must be finite, got {values}")
 
 
 def _require_level_two(cond: TransferCondition) -> None:
     if cond.target != 2:
-        raise ValueError(f"the level-2 deficit needs a target-2 condition, got target {cond.target}")
+        raise InvalidInputError(f"the level-2 deficit needs a target-2 condition, got target {cond.target}")
 
 
 def delta_p2_early(
@@ -75,7 +76,7 @@ def delta_p2_early(
     """
     _require_finite("early-time parameters", v12_0, v13_0, v23_0, omega12, omega13, t)
     if t < 0:
-        raise ValueError("t must be non-negative")
+        raise InvalidInputError("t must be non-negative")
     bracket = 2.0 * (2.0 * omega13 - omega12) * v12_0 * v13_0 * v23_0 + omega12**2 * v12_0**2
     return bracket * t**4 / 12.0
 
@@ -161,8 +162,8 @@ def two_level_populations(eps1: float, eps2: float, action: float) -> tuple[floa
     y^2 + (eps1 - eps2) y - 1 = 0 and evolve with z = eps1 + y; the basis
     determinant is -2 sqrt(1 + ((eps2 - eps1)/2)^2).  For eps1 = eps2 this
     reduces to p2 = sin^2(A); for unequal diagonals the transfer is capped at
-    p2 <= 1 / (1 + (eps2 - eps1)^2 / 4).  Raises ValueError unless all three
-    inputs are finite.
+    p2 <= 1 / (1 + (eps2 - eps1)^2 / 4).  Raises InvalidInputError unless all
+    three inputs are finite.
     """
     _require_finite("two-level parameters", eps1, eps2, action)
     d = eps2 - eps1

@@ -67,7 +67,7 @@ from .dressed import (
     build_dressed_basis,
     populations_general_array,
 )
-from .errors import InvalidConfigError, NormDriftExceededError
+from .errors import InvalidInputError, NormDriftExceededError
 from .pulses import Pulse
 
 DEFAULT_STEPS_PER_PERIOD = 20000
@@ -89,7 +89,7 @@ class LevelEnergies:
 
     def __post_init__(self):
         if len(self.e) != 3 or not all(math.isfinite(v) for v in self.e):
-            raise ValueError(f"need three finite energies, got {self.e}")
+            raise InvalidInputError(f"need three finite energies, got {self.e}")
 
     @classmethod
     def degenerate(cls) -> "LevelEnergies":
@@ -124,7 +124,7 @@ class IntegratorConfig:
 
     def __post_init__(self):
         if not all(isinstance(n, Integral) and 0 < n <= 2**53 for n in (self.steps_per_period, self.record_every)):
-            raise InvalidConfigError(f"steps_per_period and record_every must be integers in 1 .. 2**53, got {self}")
+            raise InvalidInputError(f"steps_per_period and record_every must be integers in 1 .. 2**53, got {self}")
 
     def resolve_dt(self, pulse: Pulse, t_end: float) -> float:
         if pulse.shape == "harmonic":
@@ -139,11 +139,11 @@ class IntegratorConfig:
         any other is rounded up, so no whole step is lost.
         """
         if not 0 < t_end < math.inf:
-            raise InvalidConfigError(f"t_end must be positive and finite, got {t_end!r}")
+            raise InvalidInputError(f"t_end must be positive and finite, got {t_end!r}")
         dt_asked = self.resolve_dt(pulse, t_end)
         ratio = t_end / dt_asked if dt_asked > 0.0 else math.inf
         if not ratio < math.inf:
-            raise InvalidConfigError(f"t_end {t_end!r} at step {dt_asked!r} needs more steps than a float holds")
+            raise InvalidInputError(f"t_end {t_end!r} at step {dt_asked!r} needs more steps than a float holds")
         nearest = round(ratio)
         return max(1, nearest if abs(ratio - nearest) <= 1e-12 * ratio else math.ceil(ratio))
 
@@ -162,7 +162,7 @@ class PopulationTrace:
 
     def __post_init__(self):
         if len(self.times) != len(self.populations):
-            raise ValueError("times and populations length mismatch")
+            raise InvalidInputError("times and populations length mismatch")
         self.times.setflags(write=False)
         self.populations.setflags(write=False)
 
@@ -232,16 +232,16 @@ def integrate_batch(
             and np.all(np.isfinite(coupling))
             and np.array_equal(coupling, coupling.T)
         ):
-            raise InvalidConfigError(f"coupling must be a finite symmetric 3x3 matrix, got {coupling}")
+            raise InvalidInputError(f"coupling must be a finite symmetric 3x3 matrix, got {coupling}")
         k[i] = coupling
         e[i] = energies.e
         step_counts.add(n_steps)
         dt[i] = t_end / n_steps
     if len(step_counts) != 1:
-        raise InvalidConfigError(f"runs in one batch must share a step count, got {sorted(step_counts)}")
+        raise InvalidInputError(f"runs in one batch must share a step count, got {sorted(step_counts)}")
     n_records = config.record_count(n_steps)
     if len(runs) * n_records > MAX_RUN_RECORDS:
-        raise InvalidConfigError(
+        raise InvalidInputError(
             f"{len(runs)} runs of {n_steps} steps, recorded every {config.record_every}, "
             f"make {len(runs) * n_records} records, past the cap of {MAX_RUN_RECORDS:.0e}"
         )
@@ -344,12 +344,13 @@ def _rk4(
     a = np.zeros((n_runs, 2 * n, 1))  # (Re a, Im a)
     a[:, 0] = 1.0
 
-    coefficients = _step_coefficients(k, e, dt).reshape(n_runs, len(_MONOMIALS), 4 * n * n)
     half_dt = 0.5 * dt
     chunk, block = _chunk_sizes(n_runs, record_every)
     v_first = v_last = first = 0
-    # Overflow and NaN propagate into the amplitudes, where the drift gate catches them.
+    # Overflow and NaN, in the step coefficients too, propagate into the
+    # amplitudes, where the drift gate catches them.
     with np.errstate(over="ignore", invalid="ignore"):
+        coefficients = _step_coefficients(k, e, dt).reshape(n_runs, len(_MONOMIALS), 4 * n * n)
         while first < n_steps:
             last = min(first + chunk, n_steps)
             if last // record_every > first // record_every:
@@ -471,7 +472,7 @@ def compare_analytic_numeric(
     exact; the returned deviation is then pure integrator error.
     """
     if ratios.eps != (0.0, 0.0, 0.0):
-        raise InvalidConfigError("analytic comparison requires eps = (0, 0, 0)")
+        raise InvalidInputError("analytic comparison requires eps = (0, 0, 0)")
     basis = build_dressed_basis(ratios)
     trace = integrate(ratios, LevelEnergies.degenerate(), pulse, t_end, config)
     actions = pulse.area(trace.times).a

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OutOfRangeError
+from .errors import InvalidInputError
 
 _erf = np.vectorize(math.erf, otypes=[float])  # numpy has no erf
 
@@ -53,21 +53,21 @@ class Pulse:
 
     def __post_init__(self):
         if self.shape not in ("harmonic", "constant", "gaussian_kick", "tabulated"):
-            raise ValueError(f"unknown pulse shape {self.shape!r}")
+            raise InvalidInputError(f"unknown pulse shape {self.shape!r}")
         scalars = (self.v0, self.omega, self.kick_area, self.kick_center, self.kick_width)
         if not all(math.isfinite(v) for v in scalars):
-            raise ValueError(f"pulse parameters must be finite, got {scalars}")
+            raise InvalidInputError(f"pulse parameters must be finite, got {scalars}")
         if self.shape == "harmonic" and not self.omega > 0:
-            raise ValueError("harmonic pulse requires omega > 0")
+            raise InvalidInputError("harmonic pulse requires omega > 0")
         if self.shape == "gaussian_kick" and not self.kick_width > 0:
-            raise ValueError("gaussian kick requires a positive width")
+            raise InvalidInputError("gaussian kick requires a positive width")
         if self.shape == "tabulated":
             if not self.samples or len(self.samples) < 2:
-                raise ValueError("tabulated pulse needs at least two samples")
+                raise InvalidInputError("tabulated pulse needs at least two samples")
             if not all(map(math.isfinite, chain.from_iterable(self.samples))):
-                raise ValueError("tabulated samples must be finite")
+                raise InvalidInputError("tabulated samples must be finite")
             if not np.all(np.diff(self._table[0]) > 0.0):
-                raise ValueError("tabulated times must be strictly increasing")
+                raise InvalidInputError("tabulated times must be strictly increasing")
 
     # -- constructors -------------------------------------------------
 
@@ -97,7 +97,7 @@ class Pulse:
     @property
     def period(self) -> float:
         if self.shape != "harmonic":
-            raise ValueError("only harmonic pulses have a period")
+            raise InvalidInputError("only harmonic pulses have a period")
         return 2.0 * math.pi / self.omega
 
     # -- evaluation ----------------------------------------------------
@@ -153,7 +153,7 @@ class Pulse:
         """The integral from the first knot to t = 0, which every A(t) subtracts."""
         knots = self._table[0]
         if knots[0] > 0.0 or knots[-1] < 0.0:
-            raise OutOfRangeError("table must bracket t = 0 so that A(0) = 0 is defined")
+            raise InvalidInputError("table must bracket t = 0 so that A(0) = 0 is defined")
         return float(self._from_first_knot(0.0))
 
     def _from_first_knot(self, u: float | np.ndarray) -> float | np.ndarray:
@@ -167,14 +167,14 @@ class Pulse:
         knots = self._table[0]
         if ts.size and (ts.min() < knots[0] or ts.max() > knots[-1]):
             first = float(np.extract((ts < knots[0]) | (ts > knots[-1]), ts)[0])
-            raise OutOfRangeError(f"t={first} outside the table range [{knots[0]}, {knots[-1]}]")
+            raise InvalidInputError(f"t={first} outside the table range [{knots[0]}, {knots[-1]}]")
         return self._table
 
 
 def _finite_times(t: float | np.ndarray) -> np.ndarray:
     ts = np.asarray(t, dtype=float)
     if not np.isfinite(ts).all():
-        raise ValueError("time must be finite")
+        raise InvalidInputError("time must be finite")
     return ts
 
 
@@ -189,7 +189,7 @@ def harmonic_for_condition(cond, omega: float) -> Pulse:
     the condition's transfer action for every omega.
     """
     if not omega > 0:
-        raise ValueError("omega must be positive")
+        raise InvalidInputError("omega must be positive")
     return Pulse.harmonic(v0=cond.action_t0 * omega, omega=omega)
 
 
@@ -201,12 +201,14 @@ def load_tabulated_pulse(path) -> Pulse:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["t", "v"]:
-            raise ValueError(f"expected header 't,v' in {path}, got {header}")
+            raise InvalidInputError(f"expected header 't,v' in {path}, got {header}")
         for row in reader:
             if not row:
                 continue
-            if len(row) != 2:
-                raise ValueError(f"malformed row {row} in {path}")
-            times.append(float(row[0]))
-            values.append(float(row[1]))
+            try:
+                t, v = map(float, row)  # two fields, each a number
+            except ValueError:
+                raise InvalidInputError(f"malformed row {row} in {path}") from None
+            times.append(t)
+            values.append(v)
     return Pulse.tabulated(times, values)

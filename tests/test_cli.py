@@ -12,6 +12,7 @@ import struct
 import tempfile
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -151,21 +152,18 @@ class TestTable:
         reference_table(ref, fmt, max_product)
         assert out.read_bytes() == ref.read_bytes()
 
-    @pytest.mark.parametrize(
-        "pair,message", [((1, 3), "even integer"), ((2, 4), "must be odd"), ((1, 5), None)]
-    )
-    def test_column_checks_refuse_a_foreign_pair(self, tmp_path, monkeypatch, capsys, pair, message):
-        """A pair outside the family fails the table's array checks (exit 2,
-        one error line); a family pair passes them."""
+    def test_case_columns_are_combinations_of_the_odd_pair(self, tmp_path, monkeypatch):
+        """Whatever family integers the table is given, its case columns are
+        (n_o + n_o', -n_o), (n_o, n_o') and (-n_o', n_o + n_o')."""
         monkeypatch.setattr(
-            conditions_module, "family_integers",
-            lambda max_product: (np.array([pair[0]]), np.array([pair[1]])),
+            conditions_module, "family_integers", lambda max_product: (np.array([1]), np.array([5]))
         )
-        code = main(["table", "--max-product", "35", "--out", str(tmp_path / "t.csv")])
-        if message is None:
-            assert code == 0
-        else:
-            assert code == 2 and message in capsys.readouterr().err
+        out = tmp_path / "t.csv"
+        assert main(["table", "--max-product", "35", "--out", str(out)]) == 0
+        (row,) = read_csv(out)
+        cases = [int(row[f"{k}_case_{c}"]) for c in ("i", "ii", "iii") for k in ("k", "kp")]
+        assert (int(row["n_o"]), int(row["n_op"])) == (-1, 3)
+        assert cases == [2, 1, -1, 3, -3, 2]
 
 
 class TestTrace:
@@ -236,6 +234,18 @@ class TestTrace:
         numeric = np.array([[float(r[k]) for k in ("p1_num", "p2_num", "p3_num")] for r in rows])
         np.testing.assert_allclose(analytic.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(analytic, numeric, atol=1e-6)
+
+    def test_overflowing_coupling_is_an_error_without_a_warning(self, tmp_path, capsys):
+        """alpha = 1e200 overflows in RK4: exit 2 with the drift error, and no
+        numpy RuntimeWarning escapes the integrator."""
+        out = tmp_path / "trace.csv"
+        argv = ["trace", "--alpha", "1e200", "--area", "1", "--steps-per-period", "100", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err and err.splitlines()[-1].startswith("error: norm drift nan")
+        assert not out.exists()
 
 
 class TestVerify:
@@ -312,13 +322,21 @@ class TestLeakage:
             deficits[omega] = float(read_csv(out)[0]["deficit"])
         assert deficits["2.0"] < deficits["1.0"]
 
-    def test_malformed_grid_is_an_error(self, tmp_path):
-        """An unknown axis, and an axis given twice (the later value would
-        silently win while the meta records the whole string)."""
+    def test_malformed_grid_is_an_error(self, tmp_path, capsys):
+        """An unknown axis, an axis given twice (the later value would
+        silently win while the meta records the whole string), and a count
+        or splitting that is no number: each exits 2 with one error line
+        naming the fault."""
         out = tmp_path / "scan.csv"
-        for grid in ("bogus:1", "omega12:0.1,omega13:0,omega12:0.3"):
+        for grid, message in (
+            ("bogus:1", "unknown grid axis 'bogus'"),
+            ("omega12:0.1,omega13:0,omega12:0.3", "given twice"),
+            ("omega12:0:0.1:abc,omega13:0", "grid count 'abc' is not an integer"),
+            ("omega12:x,omega13:0", "omega12 splitting 'x' is not a number"),
+        ):
             code = main(["leakage", "--n-o", "1", "--n-op", "1", "--grid", grid, "--out", str(out)])
-            assert code == 2
+            err = capsys.readouterr().err
+            assert code == 2 and err.startswith("error: ") and err.count("\n") == 1 and message in err
             assert not out.exists()
 
     @pytest.mark.parametrize("omega", ["0", "-1", "nan", "inf"])
@@ -443,6 +461,14 @@ class TestKick:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("widths,bad", [("0.1,,0.05", "''"), ("a", "'a'")])
+    def test_width_text_that_is_no_number_is_an_error(self, tmp_path, capsys, widths, bad):
+        out = tmp_path / "kick.csv"
+        assert main(["kick", "--alpha", "0", "--area", "1.0", "--widths", widths, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: kick width {bad} is not a number\n"
         assert not out.exists()
 
     def test_increasing_widths_rejected(self, tmp_path):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from tripop import (
     CouplingRatios,
-    InvalidPairError,
+    InvalidInputError,
     OddPair,
     build_dressed_basis,
     classify_cases,
@@ -135,19 +135,19 @@ class TestOddPair:
         assert (pair.n1, pair.n2) == (1, 5)
 
     def test_rejects_even_entries(self):
-        with pytest.raises(InvalidPairError):
+        with pytest.raises(InvalidInputError):
             OddPair(2, 3)
-        with pytest.raises(InvalidPairError):
+        with pytest.raises(InvalidInputError):
             OddPair(1, 0)
 
     def test_rejects_negative_product(self):
         # (1, -1) gives (n1, n2) = (1, -1)
-        with pytest.raises(InvalidPairError):
+        with pytest.raises(InvalidInputError):
             OddPair(1, -1)
 
     @pytest.mark.parametrize("n_o,n_op", [(1.5, 3), (1.0, 3.0), (math.nan, 1), (3, math.inf)])
     def test_rejects_non_integer_entries(self, n_o, n_op):
-        with pytest.raises(InvalidPairError, match="integers"):
+        with pytest.raises(InvalidInputError, match="integers"):
             OddPair(n_o, n_op)
 
     def test_accepts_numpy_integers(self):
@@ -319,9 +319,18 @@ class TestClassifyCases:
         assert (2 * k + kp) * (k + 2 * kp) == 35
 
     def test_identities_and_parities_exhaustive(self):
-        """All three sets map back to n1*n2 and follow the parity pattern."""
-        for cond in enumerate_conditions(35):
+        """For every odd pair, negative n1 and n2 included, the three sets are
+        the paper's combinations of (n_o, n_o'), map back to n1*n2 and follow
+        the parity pattern."""
+        pairs = all_valid_pairs(15)
+        assert any(p.n1 < 0 for p in pairs)
+        for pair in pairs:
+            cond = condition_from_odd_pair(pair)
             cases = classify_cases(cond)
+            n_o, n_op = pair.n_o, pair.n_op
+            assert (cases.case_i, cases.case_ii, cases.case_iii) == (
+                (n_o + n_op, -n_o), (n_o, n_op), (-n_op, n_o + n_op)
+            )
             n1n2 = cond.n1 * cond.n2
             k, kp = cases.case_i
             assert (k - kp) * (2 * k + kp) == n1n2

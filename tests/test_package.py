@@ -1,7 +1,8 @@
 """The public surface: ``tripop.__all__`` is exactly what the library
-modules define, every error type the library can raise is exported, every
-name the benchmark reads exists, no module reads the environment, and only
-the CLI writes files."""
+modules define, every error type the library can raise is exported, a
+refused input raises ``InvalidInputError`` and never a bare ``ValueError``,
+every name the benchmark reads exists, no module reads the environment, and
+only the CLI writes files."""
 
 import ast
 import importlib
@@ -43,6 +44,52 @@ def test_every_error_type_is_exported():
     }
     assert "TripopError" in defined
     assert defined - set(tripop.__all__) == set()
+
+
+def test_four_error_types():
+    """One type for a refused input, two for the outcome of a run on valid
+    input, and their base."""
+    defined = {
+        name for name, obj in vars(errors).items() if inspect.isclass(obj) and obj.__module__ == errors.__name__
+    }
+    assert defined == {"TripopError", "InvalidInputError", "NormDriftExceededError", "RepeatedRootError"}
+    assert issubclass(errors.InvalidInputError, ValueError)
+
+
+def _sources() -> dict[str, ast.Module]:
+    package = Path(tripop.__file__).parent
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(package.rglob("*.py"))}
+
+
+def _names(node) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} if node is not None else set()
+
+
+def test_no_module_raises_a_bare_value_error():
+    """Every refusal raises ``InvalidInputError``, so a ``ValueError`` that
+    reaches a caller is never taken for one."""
+    offenders = [
+        (module, node.lineno)
+        for module, tree in _sources().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and "ValueError" in _names(node.exc)
+    ]
+    assert offenders == []
+
+
+def test_value_errors_are_caught_only_where_text_becomes_a_number():
+    """``main`` catches ``TripopError`` and ``OSError`` only, and the one
+    handlers of ``ValueError`` turn bad number text into a refusal."""
+    catching = set()
+    for module, tree in _sources().items():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                handlers = [n for n in ast.walk(func) if isinstance(n, ast.ExceptHandler)]
+                if any("ValueError" in _names(h.type) for h in handlers):
+                    catching.add(f"{module}.{func.name}")
+                if f"{module}.{func.name}" == "cli.main":
+                    assert [sorted(_names(h.type)) for h in handlers] == [["OSError", "TripopError"]]
+    assert catching == {"cli._number", "pulses.load_tabulated_pulse"}
 
 
 def test_no_environment_input():

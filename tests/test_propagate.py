@@ -2,8 +2,10 @@
 ideal-kick propagation, and the two-level decoupling limit."""
 
 import functools
+import itertools
 import logging
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,13 +17,14 @@ from hypothesis import strategies as st
 from tripop import (
     CouplingRatios,
     IntegratorConfig,
-    InvalidConfigError,
+    InvalidInputError,
     LevelEnergies,
     NormDriftExceededError,
     Pulse,
     build_dressed_basis,
     check_condition,
     compare_analytic_numeric,
+    condition_from_odd_pair,
     enumerate_conditions,
     harmonic_for_condition,
     integrate,
@@ -83,12 +86,12 @@ class TestIntegrate:
         assert trace.p1.min() == pytest.approx(0.0319, abs=5e-4)
 
     def test_rejects_nonpositive_horizon(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             integrate(RATIOS_33, DEGENERATE, Pulse.constant(1.0), 0.0)
 
     @pytest.mark.parametrize("t_end", [math.inf, math.nan])
     def test_rejects_nonfinite_horizon(self, t_end):
-        with pytest.raises(InvalidConfigError, match="positive and finite"):
+        with pytest.raises(InvalidInputError, match="positive and finite"):
             integrate(RATIOS_33, DEGENERATE, Pulse.constant(1.0), t_end)
 
     def test_norm_drift_guard(self):
@@ -110,6 +113,20 @@ class TestIntegrate:
                 RATIOS_33, DEGENERATE, Pulse.constant(1e160), 1.0,
                 IntegratorConfig(steps_per_period=50),
             )
+
+    def test_overflowing_couplings_trip_the_guard_without_a_warning(self, caplog):
+        """Couplings of 1e200 overflow while the step coefficients are built;
+        the run ends in the drift error, not a numpy RuntimeWarning, and the
+        logger still reports the drift."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NormDriftExceededError, match="nan"):
+                integrate(
+                    CouplingRatios(1e200, 1.0), DEGENERATE, Pulse.harmonic(1.0, 1.0), T,
+                    IntegratorConfig(steps_per_period=100),
+                )
+        assert any(r.name == "tripop" and r.levelname == "WARNING" and "norm drift" in r.getMessage()
+                   for r in caplog.records)
 
     def test_whole_step_count_is_kept(self):
         """t / (t / n) can round to just above n; the run still takes n steps."""
@@ -141,13 +158,13 @@ class TestIntegrate:
     def test_counts_past_2_53_are_refused(self, field):
         """Both counts must convert to floats exactly."""
         assert getattr(IntegratorConfig(**{field: 2**53}), field) == 2**53
-        with pytest.raises(InvalidConfigError, match="2\\*\\*53"):
+        with pytest.raises(InvalidInputError, match="2\\*\\*53"):
             IntegratorConfig(**{field: 2**53 + 1})
 
     @pytest.mark.parametrize("field, value", [("record_every", 2.5), ("steps_per_period", 4000.5)])
     def test_non_integer_counts_are_refused(self, field, value):
         """A fractional count is refused when the config is built, not deep in the core."""
-        with pytest.raises(InvalidConfigError, match="integers"):
+        with pytest.raises(InvalidInputError, match="integers"):
             IntegratorConfig(**{field: value})
 
     def test_nondegenerate_norm_conserved(self):
@@ -365,6 +382,18 @@ class TestBatchedCore:
             else:
                 assert single.ode_deviation == pytest.approx(c.ode_deviation, rel=0, abs=1e-14)
 
+    def test_every_drive_choice_transfers_to_its_target(self):
+        """Both signs of r, both betas and both targets of each of the 27
+        members with n1*n2 <= 60 pass every check: the closed form reaches
+        the member's own target level and RK4 follows it."""
+        members = enumerate_conditions(60)
+        assert len(members) == 27
+        for member in members:
+            for sign, beta, target in itertools.product((1, -1), (1, -1), (2, 3)):
+                check = check_condition(condition_from_odd_pair(member.pair, sign, beta, target))
+                assert check.passed, check
+                assert check.analytic_error < 1e-12 and check.ode_deviation < 1e-7
+
     def test_records_past_the_cap_are_refused(self, monkeypatch):
         """Runs x records, counted with the final record of a stride that
         does not divide the step count, may reach the cap but not pass it."""
@@ -374,9 +403,9 @@ class TestBatchedCore:
         even = IntegratorConfig(steps_per_period=10, record_every=2)  # records at 0, 2, ..., 10
         odd = IntegratorConfig(steps_per_period=11, record_every=2)  # 0, 2, ..., 10 and 11
         assert [len(t.times) for t in require_traces(integrate_batch([run] * 2, even))] == [6, 6]
-        with pytest.raises(InvalidConfigError, match="make 18 records"):
+        with pytest.raises(InvalidInputError, match="make 18 records"):
             integrate_batch([run] * 3, even)
-        with pytest.raises(InvalidConfigError, match="make 14 records"):
+        with pytest.raises(InvalidInputError, match="make 14 records"):
             integrate_batch([run] * 2, odd)
 
     def test_cli_sized_batches_pass_the_cap(self, monkeypatch):
@@ -400,19 +429,19 @@ class TestBatchedCore:
         at_cap = propagate.MAX_RUN_RECORDS - 1  # steps, so records 0 .. at_cap
         with pytest.raises(Reached):
             integrate_batch([run], IntegratorConfig(steps_per_period=at_cap, record_every=1))
-        with pytest.raises(InvalidConfigError, match="past the cap"):
+        with pytest.raises(InvalidInputError, match="past the cap"):
             integrate_batch([run], IntegratorConfig(steps_per_period=at_cap + 1, record_every=1))
 
     def test_rejects_unusable_batches(self):
         k = RATIOS_33.coupling_matrix()
         pulse = Pulse.harmonic(1.0, 1.0)
         config = IntegratorConfig(steps_per_period=100)
-        with pytest.raises(InvalidConfigError):  # 25 vs 50 steps
+        with pytest.raises(InvalidInputError):  # 25 vs 50 steps
             integrate_batch([(k, DEGENERATE, pulse, T / 4), (k, DEGENERATE, pulse, T / 2)], config)
         lopsided = k.copy()
         lopsided[0, 1] = 3.0
         for bad in (lopsided, k[:2, :2], np.full((3, 3), np.nan)):
-            with pytest.raises(InvalidConfigError):
+            with pytest.raises(InvalidInputError):
                 integrate_batch([(bad, DEGENERATE, pulse, 1.0)], config)
         assert integrate_batch([], config) == []
 

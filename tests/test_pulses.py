@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from tripop import (
-    OutOfRangeError,
+    InvalidInputError,
     Pulse,
     harmonic_for_condition,
     load_tabulated_pulse,
@@ -55,7 +55,7 @@ class TestValue:
     def test_tabulated_interpolation_and_range(self):
         p = Pulse.tabulated([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
         assert p.value(0.5) == pytest.approx(1.0)
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(InvalidInputError):
             p.value(2.5)
 
     @pytest.mark.parametrize(
@@ -106,18 +106,18 @@ class TestValue:
         raises, the later ones too, while its values stay available."""
         table = Pulse.tabulated([1.0, 2.0, 3.0], [1.0, 0.5, 1.0])
         for t in (1.5, np.array([1.2, 2.5]), 2.0, np.array([]), np.array(3.0)):
-            with pytest.raises(OutOfRangeError, match="bracket"):
+            with pytest.raises(InvalidInputError, match="bracket"):
                 table.area(t)
         assert table.value(1.5) == 0.75
 
     def test_array_query_errors(self):
         """One bad time fails the whole array query, as it fails a scalar one."""
         table = Pulse.tabulated([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
-        with pytest.raises(OutOfRangeError, match="t=2.5"):
+        with pytest.raises(InvalidInputError, match="t=2.5"):
             table.value(np.array([0.5, 2.5, 3.0]))
-        with pytest.raises(OutOfRangeError, match="t=2.5"):
+        with pytest.raises(InvalidInputError, match="t=2.5"):
             table.area(np.array([0.5, 2.5, -1.0]))
-        with pytest.raises(OutOfRangeError, match="bracket"):
+        with pytest.raises(InvalidInputError, match="bracket"):
             Pulse.tabulated([1.0, 2.0], [1.0, 1.0]).area(np.array([1.2, 1.5]))
         with pytest.raises(ValueError):
             Pulse.constant(1.0).value(np.array([0.0, np.nan]))
@@ -199,7 +199,7 @@ class TestArea:
 
     def test_tabulated_must_bracket_zero(self):
         p = Pulse.tabulated([1.0, 2.0], [1.0, 1.0])
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(InvalidInputError):
             p.area(1.5)
 
     @settings(max_examples=200, deadline=None)
@@ -256,6 +256,13 @@ class TestCsvLoading:
         path = tmp_path / "pulse.csv"
         path.write_text("time,volts\n0,1\n1,1\n")
         with pytest.raises(ValueError):
+            load_tabulated_pulse(path)
+
+    @pytest.mark.parametrize("row", ["1.0,abc", "1.0", "1.0,2.0,3.0"])
+    def test_rejects_malformed_rows(self, tmp_path, row):
+        path = tmp_path / "pulse.csv"
+        path.write_text(f"t,v\n0,1\n{row}\n")
+        with pytest.raises(InvalidInputError, match="malformed row"):
             load_tabulated_pulse(path)
 
     def test_rejects_non_increasing(self, tmp_path):
