@@ -18,13 +18,15 @@ parameter, so identical invocations produce byte-identical files.
 Exit codes: 0 on success; 1 when a ``verify`` row fails; 2 when the library
 refuses an input or a run (any ``TripopError``) or the operating system
 refuses a file (``OSError``), with one ``error:`` line on stderr.  Any other
-exception is a fault of the program and ends in a traceback.
+exception is a fault of the program and ends in a traceback.  The records of
+the ``tripop`` logger go only to handlers that the caller configures.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import sys
 
@@ -360,11 +362,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # The tripop logger speaks only to handlers a caller configures; with
+    # none, logging's last resort would print its warnings on stderr.
+    last_resort, logging.lastResort = logging.lastResort, logging.NullHandler()
     try:
         return args.func(args)
     except (TripopError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        logging.lastResort = last_resort
 
 
 if __name__ == "__main__":

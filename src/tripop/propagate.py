@@ -35,17 +35,20 @@ into the constant M_m would round the same way in every step, a bias that
 grows with the run length.
 
 The core advances N configurations at once, a chunk of steps at a time.  It
-samples each run's V on the half-step grid once per block of chunks, and
-builds P for every step of a chunk with one stacked product of the chunk's
-monomials and the run's M_m.  P acts on (Re a, Im a) as the real block
-matrix [[Re P, -Im P], [Im P, Re P]], which numpy multiplies several times
-faster than a complex 3x3.  Between two records only the product of the
-step maps matters: each record interval's matrices are multiplied by a
-pairwise tree, a prefix scan over the chunk's interval products gives the
-state at each of its records, and the state is updated once per chunk.
-``_CHUNK_CONFIG_STEPS`` bounds the configuration-steps in a chunk and in a
-block, and so the working memory of the stacked matrices and drive samples,
-whatever the run length or the number of configurations.
+samples each drive on the half-step grid once per block of chunks (runs
+with the same pulse and step share the samples), and builds P for every
+step of a chunk with one stacked product of the chunk's monomials and the
+run's M_m, written into buffers made once per batch.  P acts on
+(Re a, Im a) as the real block matrix [[Re P, -Im P], [Im P, Re P]], which
+numpy multiplies several times faster than a complex 3x3.  Between two
+records only the product of the step maps matters: each record interval's
+matrices are multiplied by a pairwise tree, a prefix scan over the chunk's
+interval products gives the state at each of its records, and the state is
+updated once per chunk.  ``_CHUNK_CONFIG_STEPS`` (1,024) bounds the
+configuration-steps in a chunk, and so the buffers to 384 KiB, and
+``_DRIVE_BLOCK_STEPS`` the steps in a drive block, whatever the run length
+or the number of configurations.  The chunks set only how the products are
+grouped: results at other budgets differ in rounding alone.
 """
 
 from __future__ import annotations
@@ -286,12 +289,23 @@ def require_traces(results: list[PopulationTrace | NormDriftExceededError]) -> l
 
 # The one bound on the core's working memory: a chunk holds the step
 # matrices of at most this many configuration-steps, whatever the run length
-# or the number of runs, and a drive block spans at most this many steps, so
-# it holds at most 2 x 256 + 1 samples per run.  Bigger chunks run faster but
-# hold more: on the benchmark (2-vCPU Xeon VM, medians of three runs against
-# six at 256), 1,024 took 12% off long_trace and 29% off sweep but raised
-# sweep's peak RSS by 4%; 2,048 took 15% and 32% off and raised it by 6%.
-_CHUNK_CONFIG_STEPS = 256
+# or the number of runs.  Its step matrices (288 bytes each) and monomials
+# (96 bytes) live in two buffers made once per batch, 384 KiB at this budget;
+# the interval tree's temporaries add at most as much as the step matrices.
+# Bigger chunks pay the per-chunk numpy calls less often but hold more: on
+# the benchmark (2-vCPU Xeon VM, ten alternating runs against 256 without
+# the buffers), 1,024 took sweep from 0.095-0.109 to 0.053-0.062 s and
+# long_trace from 0.131-0.144 to 0.107-0.116 s, with sweep's peak RSS 37.5-
+# 37.8 -> 38.1-38.4 MB; 2,048 was no faster (0.057-0.059 s) and raised that
+# peak to 39.1 MB.  Without the buffers, chunks this large are mapped and
+# page-faulted afresh whenever glibc's mmap threshold sits at its 128 KiB
+# floor: with MALLOC_MMAP_THRESHOLD_=131072, in-process verify --max-product
+# 35 at 2,048 took 40-47 ms without them and 31-40 ms with them.
+_CHUNK_CONFIG_STEPS = 1024
+# A run's drive is sampled once per block of at most this many steps, or
+# once per chunk when a chunk is longer, so a batch of many runs with short
+# chunks makes one Pulse.value call per run and block, not per chunk.
+_DRIVE_BLOCK_STEPS = 256
 
 
 def _chunk_sizes(n_runs: int, record_every: int) -> tuple[int, int]:
@@ -299,12 +313,13 @@ def _chunk_sizes(n_runs: int, record_every: int) -> tuple[int, int]:
 
     A chunk is _CHUNK_CONFIG_STEPS // n_runs steps (at least one), cut down
     to whole record intervals when the stride fits in it.  A block is the
-    largest whole number of chunks within _CHUNK_CONFIG_STEPS steps.
+    largest whole number of chunks within _DRIVE_BLOCK_STEPS steps, and at
+    least one chunk.
     """
     chunk = max(1, _CHUNK_CONFIG_STEPS // n_runs)
     if record_every <= chunk:
         chunk -= chunk % record_every
-    return chunk, chunk * (_CHUNK_CONFIG_STEPS // chunk)
+    return chunk, chunk * max(1, _DRIVE_BLOCK_STEPS // chunk)
 
 
 def _rk4(
@@ -326,9 +341,11 @@ def _rk4(
 
     Each run's step coefficients M [12, (2 n)^2] (``_step_coefficients``)
     are made once.  A chunk's step matrices are then one stacked product,
-    the monomials [N, steps, 12] of its drive samples times M, plus I.  A
-    chunk (``_chunk_sizes``) holds whole record intervals or lies within
-    one, so Python work scales with the number of chunks, not of steps.
+    the monomials [12, N, steps] of its drive samples times M, plus I, both
+    written into buffers made once per batch.  A chunk (``_chunk_sizes``)
+    holds whole record intervals or lies within one, so Python work scales
+    with the number of chunks, not of steps.  Runs with the same pulse and
+    step share their drive samples.
     """
     n_runs, n = e.shape
     record_steps = np.arange(0, n_steps + 1, record_every)
@@ -344,13 +361,18 @@ def _rk4(
     a = np.zeros((n_runs, 2 * n, 1))  # (Re a, Im a)
     a[:, 0] = 1.0
 
-    half_dt = 0.5 * dt
+    drives: dict[tuple[Pulse, float], int] = {}
+    drive_of_run = [drives.setdefault((p, float(h)), len(drives)) for p, h in zip(pulses, 0.5 * dt)]
     chunk, block = _chunk_sizes(n_runs, record_every)
+    chunk = min(chunk, n_steps)
+    n_mono, n_entries = len(_MONOMIALS), 4 * n * n
+    mono_buffer = np.empty(n_mono * n_runs * chunk)
+    step_buffer = np.empty(n_runs * chunk * n_entries)
     v_first = v_last = first = 0
     # Overflow and NaN, in the step coefficients too, propagate into the
     # amplitudes, where the drift gate catches them.
     with np.errstate(over="ignore", invalid="ignore"):
-        coefficients = _step_coefficients(k, e, dt).reshape(n_runs, len(_MONOMIALS), 4 * n * n)
+        coefficients = _step_coefficients(k, e, dt).reshape(n_runs, n_mono, n_entries)
         while first < n_steps:
             last = min(first + chunk, n_steps)
             if last // record_every > first // record_every:
@@ -358,20 +380,22 @@ def _rk4(
             if last > v_last:
                 v_first, v_last = first, min(first + block, n_steps)
                 half_steps = np.arange(2 * v_first, 2 * v_last + 1)
-                v = np.stack([p.value(half_steps * hd) for p, hd in zip(pulses, half_dt)])
+                v = np.stack([p.value(half_steps * h) for p, h in drives])[drive_of_run]
+            length = last - first
             v_chunk = v[:, 2 * (first - v_first) : 2 * (last - v_first) + 1]
             # (1, vh, vh^2) x (1, v1), then the same times v0: the order of _MONOMIALS
-            mono = np.empty((n_runs, last - first, len(_MONOMIALS)))
-            mono[..., 0] = 1.0
-            mono[..., 2] = v_chunk[:, 1::2]
-            mono[..., 4] = mono[..., 2] ** 2
-            mono[..., 1:6:2] = mono[..., 0:6:2] * v_chunk[:, 2::2, None]
-            mono[..., 6:] = mono[..., :6] * v_chunk[:, 0:-1:2, None]
-            steps = mono @ coefficients  # P - I, [N, last - first, (2 n)^2]
+            mono = mono_buffer[: n_mono * n_runs * length].reshape(n_mono, n_runs, length)
+            mono[0] = 1.0
+            mono[2] = v_chunk[:, 1::2]
+            np.square(mono[2], out=mono[4])
+            np.multiply(mono[0:6:2], v_chunk[:, 2::2], out=mono[1:6:2])
+            np.multiply(mono[:6], v_chunk[:, 0:-1:2], out=mono[6:])
+            steps = step_buffer[: n_runs * length * n_entries].reshape(n_runs, length, n_entries)
+            np.matmul(mono.transpose(1, 2, 0), coefficients, out=steps)  # P - I
             steps[..., :: 2 * n + 1] += 1.0
-            steps = steps.reshape(n_runs, last - first, 2 * n, 2 * n).swapaxes(0, 1)
-            intervals = steps.reshape(-1, min(record_every, last - first), *steps.shape[1:])
-            states = _prefix_products(_tree_products(intervals)) @ a  # [intervals, N, 2 n, 1]
+            intervals = steps.reshape(-1, min(record_every, length), 2 * n, 2 * n)
+            products = _tree_products(intervals).reshape(n_runs, -1, 2 * n, 2 * n).swapaxes(0, 1)
+            states = _prefix_products(products) @ a  # [intervals, N, 2 n, 1]
             a = states[-1]
             if last % record_every and last != n_steps:
                 states = states[:-1]  # the chunk ends between records

@@ -563,6 +563,31 @@ class TestLogging:
         assert any(r.name == "tripop" and r.levelno == logging.DEBUG for r in caplog.records)
         assert logged.read_bytes() == quiet.read_bytes()
 
+    DRIFTING = ["trace", "--alpha", "1e200", "--area", "1", "--steps-per-period", "100"]
+
+    def test_refused_run_writes_one_error_line(self, tmp_path, capsys, monkeypatch):
+        """With no handler configured anywhere, the drift warning of a refused
+        run does not reach stderr through logging's last resort: stderr is
+        the one error line, and the last resort is restored afterwards."""
+        monkeypatch.setattr(logging.getLogger(), "handlers", [])
+        last_resort = logging.lastResort
+        assert main([*self.DRIFTING, "--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: norm drift nan") and err.count("\n") == 1
+        assert logging.lastResort is last_resort
+
+    def test_configured_handler_gets_the_records(self, tmp_path, capsys, monkeypatch):
+        """A handler that the caller puts on the tripop logger still gets the
+        drift warning while main runs."""
+        records = []
+        handler = logging.Handler()
+        handler.emit = records.append
+        monkeypatch.setattr(logging.getLogger(), "handlers", [])
+        monkeypatch.setattr(logging.getLogger("tripop"), "handlers", [handler])
+        assert main([*self.DRIFTING, "--out", str(tmp_path / "out.csv")]) == 2
+        assert [(r.levelname, r.getMessage()[:20]) for r in records] == [("WARNING", "norm drift past 1e-0")]
+        assert capsys.readouterr().err.count("\n") == 1
+
 
 def bit_equal(a: float, b: float) -> bool:
     return struct.pack("<d", a) == struct.pack("<d", b)

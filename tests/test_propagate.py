@@ -5,8 +5,10 @@ import functools
 import itertools
 import logging
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -215,12 +217,17 @@ def _symmetric(draw):
 
 @st.composite
 def rk4_runs(draw):
-    """N runs of random symmetric K, split E, pulse and step, sharing a step count.
+    """N runs of random symmetric K, split E, pulse and step, sharing a step
+    count, with the core's chunk budget and drive block to run them at.
 
-    N in {1, 2, 5, 17, 40} gives chunks of 256 down to 6 steps, so the stride
-    falls on either side of a chunk; strides that divide the step count and
-    a stride of the whole run are drawn too.
+    N in {1, 2, 5, 17, 40} at a budget of 1, 64 or 1,024 configuration-steps
+    gives chunks of 1,024 down to one step, so the stride falls on either
+    side of a chunk; strides that divide the step count and a stride of the
+    whole run are drawn too.  Drive blocks of 16 steps are crossed in every
+    run, blocks of 256 only in the longer runs.
     """
+    budget = draw(st.sampled_from((1, 64, 1024)))
+    block = draw(st.sampled_from((16, 256)))
     n_runs = draw(st.sampled_from((1, 2, 5, 17, 40)))
     n_steps = draw(st.integers(40, 300))
     divisors = [d for d in range(1, n_steps + 1) if n_steps % d == 0]
@@ -241,7 +248,16 @@ def rk4_runs(draw):
             knots = np.linspace(-0.5, t_end + 0.5, draw(st.integers(2, 12)))
             pulse = Pulse.tabulated(knots, draw(st.lists(_unit, min_size=len(knots), max_size=len(knots))))
         runs.append((k, e, pulse, t_end / n_steps))
-    return runs, n_steps, record_every
+    return runs, n_steps, record_every, budget, block
+
+
+def run_core(runs, n_steps, record_every, budget=propagate._CHUNK_CONFIG_STEPS, block=propagate._DRIVE_BLOCK_STEPS):
+    """_rk4 on (K, E, pulse, dt) runs at the given chunk budget and drive block."""
+    k = np.array([r[0] for r in runs])
+    e = np.array([r[1] for r in runs])
+    dt = np.array([r[3] for r in runs])
+    with patch.object(propagate, "_CHUNK_CONFIG_STEPS", budget), patch.object(propagate, "_DRIVE_BLOCK_STEPS", block):
+        return _rk4(k, e, [r[2] for r in runs], dt, n_steps, record_every, True)
 
 
 class TestBatchedCore:
@@ -250,17 +266,35 @@ class TestBatchedCore:
     def test_core_matches_stagewise_rk4(self, case):
         """The step-matrix core is the four-stage RK4, run by run, at every
         record; the first, middle and last runs of a batch are checked."""
-        runs, n_steps, record_every = case
-        k = np.array([r[0] for r in runs])
-        e = np.array([r[1] for r in runs])
-        dt = np.array([r[3] for r in runs])
-        steps, pops, amps = _rk4(k, e, [r[2] for r in runs], dt, n_steps, record_every, True)
+        runs, n_steps, record_every, budget, block = case
+        steps, pops, amps = run_core(runs, n_steps, record_every, budget, block)
         assert steps.tolist() == [*range(0, n_steps, record_every), n_steps]
         np.testing.assert_array_equal(pops, np.abs(amps) ** 2)
         for i in sorted({0, len(runs) // 2, len(runs) - 1}):
             ki, ei, pulse, dti = runs[i]
             reference = stagewise_rk4(ki, ei, pulse, dti, n_steps)[steps]
             np.testing.assert_allclose(amps[i], reference, rtol=0, atol=1e-12)
+
+    def test_results_do_not_depend_on_the_budget(self):
+        """One batch of split levels under harmonic, Gaussian and tabulated
+        drives, with a stride longer than a chunk at the smaller budgets:
+        the chunk budget changes only the rounding of the products."""
+        k = CouplingRatios(2.5, 0.7).coupling_matrix()
+        pulses = [
+            Pulse.harmonic(1.3, 2.0),
+            Pulse.gaussian_kick(1.6, 0.8, 0.2),
+            Pulse.tabulated(np.linspace(-0.1, 1.7, 9), np.sin(np.linspace(0.0, 3.0, 9))),
+            Pulse.gaussian_kick(1.6, 0.8, 0.2),
+            Pulse.harmonic(-0.4, 1.0),
+        ]
+        runs = [
+            (s * k, np.array(LevelEnergies.from_splittings(0.3 * i, -0.2 * i).e), pulse, 1.5 / 2000)
+            for i, (s, pulse) in enumerate(zip((1.0, 0.5, 1.2, 0.8, 1.1), pulses))
+        ]
+        (steps, _, reference), *others = [run_core(runs, 2000, 100, budget) for budget in (1024, 256, 64)]
+        for other_steps, _, amps in others:
+            np.testing.assert_array_equal(other_steps, steps)
+            np.testing.assert_allclose(amps, reference, rtol=0, atol=1e-13)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -307,16 +341,52 @@ class TestBatchedCore:
             expected.append(x @ expected[-1])
         np.testing.assert_allclose(propagate._prefix_products(q), expected, rtol=1e-13, atol=1e-13)
 
-    def test_drive_is_sampled_once_per_block(self, monkeypatch):
-        """25 runs of 5,000 steps take chunks of 10 steps, but each run's drive
-        is sampled once per block of 250 steps: 20 calls of 501 half-step times."""
+    @staticmethod
+    def _drive_calls(monkeypatch, drives):
+        """Sizes of the Pulse.value calls of 25 quarter-period runs at 20,000
+        steps per period, one run per drive."""
         sampled = []
         value = Pulse.value
         monkeypatch.setattr(Pulse, "value", lambda pulse, t: sampled.append(np.size(t)) or value(pulse, t))
-        run = (RATIOS_33.coupling_matrix(), DEGENERATE, Pulse.harmonic(1.0, 1.0), T / 4)
-        traces = require_traces(integrate_batch([run] * 25, IntegratorConfig(steps_per_period=20000)))
-        assert len(traces[0].times) == 501
-        assert sampled == [501] * (25 * 20)
+        runs = [(RATIOS_33.coupling_matrix(), DEGENERATE, drive, T / 4) for drive in drives]
+        traces = require_traces(integrate_batch(runs, IntegratorConfig(steps_per_period=20000)))
+        assert len(traces) == 25 and len(traces[0].times) == 501
+        return sampled
+
+    def test_drive_is_sampled_once_per_block(self, monkeypatch):
+        """25 runs of 5,000 steps take chunks of 40 steps, but each run's drive
+        is sampled once per block of 240 steps: 20 calls of 481 half-step
+        times and one of 401 per run."""
+        sampled = self._drive_calls(monkeypatch, [Pulse.harmonic(1.0 + 0.01 * i, 1.0) for i in range(25)])
+        assert sampled == [481] * (25 * 20) + [401] * 25
+
+    def test_runs_with_one_drive_share_its_samples(self, monkeypatch):
+        """25 runs with the same pulse and step make one call per block."""
+        sampled = self._drive_calls(monkeypatch, [Pulse.harmonic(1.0, 1.0)] * 25)
+        assert sampled == [481] * 20 + [401]
+
+    def test_working_memory_is_records_plus_one_chunk(self):
+        """25 runs of 5,000 steps hold their records and, twice over, the
+        monomial and step-matrix buffers of one chunk of 1,024
+        configuration-steps (room for the tree's products and the step
+        coefficients) and one block of drive samples (the stacked samples
+        and their per-run copy).  A larger budget, or memory that grows
+        chunk by chunk, passes this bound."""
+        k = RATIOS_33.coupling_matrix()
+        runs = [(k, LevelEnergies.from_splittings(0.01 * i, 0.0), Pulse.harmonic(1.0, 1.0), T / 4) for i in range(25)]
+        config = IntegratorConfig(steps_per_period=20000)
+        integrate_batch(runs[:2], config)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            traces = require_traces(integrate_batch(runs, config))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traces) == 25 and len(traces[0].times) == 501
+        records = 25 * 501 * (3 + 1) * 8  # populations and times
+        buffers = 1024 * (12 + 36) * 8  # monomials and step matrices
+        drive = 25 * (2 * 256 + 1) * 8  # one block of half-step samples per run
+        assert peak < records + 2 * buffers + 2 * drive
 
     def test_batch_is_logged(self, caplog):
         """One debug record per batch; a warning names the run whose drift
@@ -331,7 +401,7 @@ class TestBatchedCore:
         assert [level for _, level, _ in records] == ["DEBUG", "DEBUG", "WARNING"]
         assert {name for name, _, _ in records} == {"tripop"}
         assert records[0][2].startswith(
-            "RK4 batch: 3 runs x 126 steps, record every 10, chunks of 80 steps, drive blocks of 240 steps"
+            "RK4 batch: 3 runs x 126 steps, record every 10, chunks of 340 steps, drive blocks of 340 steps"
         )
         assert "in 1 of 2 RK4 runs" in records[2][2] and records[2][2].endswith("in run 1")
         assert logging.getLogger("tripop").handlers == []
