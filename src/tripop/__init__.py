@@ -27,12 +27,7 @@ from .dressed import (
     cubic_coefficients,
     populations_general_array,
 )
-from .errors import (
-    InvalidInputError,
-    NormDriftExceededError,
-    RepeatedRootError,
-    TripopError,
-)
+from .errors import InvalidInputError, NormDriftExceededError, TripopError
 from .leakage import (
     delta_p2_at_t0,
     delta_p2_early,
@@ -72,7 +67,6 @@ __all__ = [
     "OddPair",
     "PopulationTrace",
     "Pulse",
-    "RepeatedRootError",
     "TransferCondition",
     "TripopError",
     "amplitudes_at",

@@ -24,10 +24,10 @@ follow from the fixed-point relations
     x*z = alpha + eps2*x + y
     y*z = beta + x + eps3*y
 
-``cubic_coefficients`` is that cubic; the tests check that it vanishes at
-the y of the eigh basis.  The gauge is u_j scaled to a unit first
-component, so it exists unless a dressed state has no level-1 component;
-``DressedBasis`` derives it from the eigenvectors on request.
+The library keeps eigh's basis as it comes, in ascending z.  The gauge is
+u_j scaled to a unit first component, so it is a view of that basis; the
+tests take it, and check ``cubic_coefficients``, the paper's cubic, against
+its y.
 """
 
 from __future__ import annotations
@@ -37,9 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, RepeatedRootError
-
-ROOT_TOL = 1e-9
+from .errors import InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -68,24 +66,15 @@ class CouplingRatios:
         return np.array((e1, a, b, a, e2, 1.0, b, 1.0, e3)).reshape(3, 3)
 
 
-def _has_gauge(level1_weights: list[float]) -> bool:
-    """Whether every dressed state has a level-1 component, |u_j[0]| > ROOT_TOL,
-    from the weights u_j[0]^2 (the first row of ``m_inv``) as Python floats."""
-    return min(level1_weights) > ROOT_TOL**2
-
-
 @dataclass(frozen=True)
 class DressedBasis:
     """Dressed states of the coupling-ratio matrix K.
 
-    ``z`` holds the eigenvalues (phase rates) and ``m_inv[i, j]`` is
-    u_j[i] * u_j[0] for the orthonormal eigenvectors u_j, so the bare
-    amplitudes at action A, from a(0) = (1, 0, 0), are
-    a_i(A) = sum_j m_inv[i, j] * exp(-i z_j A).
-
-    ``m``, ``x``, ``y`` and ``det`` give the paper's (1, x, y) gauge: row j
-    of ``m`` is (1, x_j, y_j), and ``m_inv`` is its exact inverse.  They
-    raise RepeatedRootError where the gauge does not exist.
+    ``z`` holds the eigenvalues (phase rates) in ascending order and
+    ``m_inv[i, j]`` is u_j[i] * u_j[0] for the orthonormal eigenvectors u_j,
+    so the bare amplitudes at action A, from a(0) = (1, 0, 0), are
+    a_i(A) = sum_j m_inv[i, j] * exp(-i z_j A).  The paper's (1, x, y) gauge
+    is (m_inv / m_inv[0]).T, where no weight m_inv[0, j] vanishes.
 
     ``max_phase_rate`` is max |z_j|, taken once from ``z`` for the phase
     guard of ``amplitudes_at``.
@@ -99,27 +88,6 @@ class DressedBasis:
     def __post_init__(self):
         self.m_inv.setflags(write=False)
         object.__setattr__(self, "max_phase_rate", max(map(abs, self.z)))
-
-    @property
-    def m(self) -> np.ndarray:
-        if not _has_gauge(self.m_inv[0].tolist()):
-            raise RepeatedRootError(
-                "a dressed state has no level-1 component (as at |alpha| = |beta| with "
-                "equal diagonals); the (1, x, y) gauge does not exist"
-            )
-        return (self.m_inv / self.m_inv[0]).T
-
-    @property
-    def x(self) -> tuple[float, float, float]:
-        return tuple(float(v) for v in self.m[:, 1])
-
-    @property
-    def y(self) -> tuple[float, float, float]:
-        return tuple(float(v) for v in self.m[:, 2])
-
-    @property
-    def det(self) -> float:
-        return float(np.linalg.det(self.m))
 
 
 @dataclass(frozen=True)
@@ -161,21 +129,11 @@ def cubic_coefficients(ratios: CouplingRatios) -> tuple[float, float, float, flo
 
 
 def build_dressed_basis(ratios: CouplingRatios) -> DressedBasis:
-    """Dressed basis of the coupling-ratio matrix, for every finite coupling.
-
-    Where the paper's gauge exists the states are ordered by their y:
-    descending, a zero y last.  For eps = 0 and beta = +-1 this reproduces
-    the sign pattern x = (beta, beta, -beta) with y = (y+, y-, 0).
-    """
+    """Dressed basis of the coupling-ratio matrix, for every finite coupling:
+    eigh's eigenvalues in ascending order and m_inv = U * U[0] from its
+    eigenvectors U."""
     z, u = np.linalg.eigh(ratios.coupling_matrix())
-    z = z.tolist()
-    first, third = u[0].tolist(), u[2].tolist()
-    if _has_gauge([c * c for c in first]):
-        y = [b / a for a, b in zip(first, third)]
-        order = sorted(range(3), key=lambda j: (abs(y[j]) < ROOT_TOL, -y[j]))
-        if order != [0, 1, 2]:
-            z, u = [z[j] for j in order], u.take(order, axis=1)
-    return DressedBasis(z=tuple(z), m_inv=u * u[0], ratios=ratios)
+    return DressedBasis(z=tuple(z.tolist()), m_inv=u * u[0], ratios=ratios)
 
 
 def amplitudes_at(basis: DressedBasis, action: float) -> AmplitudeState:

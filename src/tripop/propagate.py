@@ -254,9 +254,10 @@ def integrate_batch(
     drifts = np.max(np.abs(1.0 - pops.sum(axis=2)), axis=1)
     worst = int(np.argmax(drifts))  # a NaN drift counts as the worst
     _log.debug(
-        "RK4 batch: %d runs x %d steps, record every %d, chunks of %d steps, drive blocks of %d steps, "
-        "max norm drift %.3e",
-        len(runs), n_steps, config.record_every, *_chunk_sizes(len(runs), config.record_every), drifts[worst],
+        "RK4 batch: %d runs x %d steps, record every %d, chunks of at most %d steps, "
+        "drive blocks of at most %d steps, max norm drift %.3e",
+        len(runs), n_steps, config.record_every, *_chunk_sizes(len(runs), config.record_every, n_steps),
+        drifts[worst],
     )
     drifting = np.count_nonzero(~(drifts <= 0.1 * NORM_DRIFT_LIMIT))
     if drifting:
@@ -308,18 +309,19 @@ _CHUNK_CONFIG_STEPS = 1024
 _DRIVE_BLOCK_STEPS = 256
 
 
-def _chunk_sizes(n_runs: int, record_every: int) -> tuple[int, int]:
+def _chunk_sizes(n_runs: int, record_every: int, n_steps: int) -> tuple[int, int]:
     """Steps per chunk of step matrices, and per block of drive samples.
 
     A chunk is _CHUNK_CONFIG_STEPS // n_runs steps (at least one), cut down
     to whole record intervals when the stride fits in it.  A block is the
     largest whole number of chunks within _DRIVE_BLOCK_STEPS steps, and at
-    least one chunk.
+    least one chunk.  Neither is longer than the run's n_steps.
     """
     chunk = max(1, _CHUNK_CONFIG_STEPS // n_runs)
     if record_every <= chunk:
         chunk -= chunk % record_every
-    return chunk, chunk * max(1, _DRIVE_BLOCK_STEPS // chunk)
+    block = chunk * max(1, _DRIVE_BLOCK_STEPS // chunk)
+    return min(chunk, n_steps), min(block, n_steps)
 
 
 def _rk4(
@@ -363,8 +365,7 @@ def _rk4(
 
     drives: dict[tuple[Pulse, float], int] = {}
     drive_of_run = [drives.setdefault((p, float(h)), len(drives)) for p, h in zip(pulses, 0.5 * dt)]
-    chunk, block = _chunk_sizes(n_runs, record_every)
-    chunk = min(chunk, n_steps)
+    chunk, block = _chunk_sizes(n_runs, record_every, n_steps)
     n_mono, n_entries = len(_MONOMIALS), 4 * n * n
     mono_buffer = np.empty(n_mono * n_runs * chunk)
     step_buffer = np.empty(n_runs * chunk * n_entries)

@@ -1,5 +1,7 @@
 """Shared analysis helpers for the test suite."""
 
+from typing import NamedTuple
+
 import numpy as np
 
 
@@ -16,3 +18,41 @@ def count_returns(values: np.ndarray, threshold: float, below: bool = True) -> i
         return 0
     tail = inside[outside_idx[0] :]
     return int(np.sum(tail[1:] & ~tail[:-1]))
+
+
+# A dressed state with |u_j[0]| at most this has no (1, x, y) row the tests
+# can trust, and a y this small counts as the paper's zero root.
+GAUGE_TOL = 1e-9
+
+
+class PaperGauge(NamedTuple):
+    """The paper's view of a dressed basis: row j of ``m`` is (1, x_j, y_j),
+    ``z`` and the columns of ``m_inv`` are in the same order, and ``m_inv``
+    is the inverse of ``m``."""
+
+    z: np.ndarray
+    m: np.ndarray
+    m_inv: np.ndarray
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.m[:, 1]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.m[:, 2]
+
+
+def paper_gauge(basis) -> PaperGauge:
+    """The (1, x, y) gauge of a ``DressedBasis``, M = (m_inv / m_inv[0]).T,
+    in the paper's order: descending y, a zero y last.
+
+    Raises ValueError where some level-1 weight m_inv[0, j] is at most
+    GAUGE_TOL**2, as at |alpha| = |beta| with equal diagonals.
+    """
+    if np.min(basis.m_inv[0]) <= GAUGE_TOL**2:
+        raise ValueError("a dressed state has no level-1 component; the (1, x, y) gauge does not exist")
+    m = (basis.m_inv / basis.m_inv[0]).T
+    y = m[:, 2]
+    order = sorted(range(3), key=lambda j: (abs(y[j]) < GAUGE_TOL, -y[j]))
+    return PaperGauge(np.asarray(basis.z)[order], m[order], basis.m_inv[:, order])

@@ -2,7 +2,8 @@
 
 Expected values come from independent oracles: numpy's companion-matrix
 root finder for the cubic, direct fixed-point substitution for the basis,
-and the squared amplitudes for the population formulas.
+and the squared amplitudes for the population formulas.  The paper's
+(1, x, y) gauge is checked on the library's basis through ``paper_gauge``.
 """
 
 import math
@@ -12,21 +13,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import paper_gauge
 from scipy.linalg import expm
 
 from tripop import (
     CouplingRatios,
     OddPair,
-    RepeatedRootError,
     amplitudes_at,
     build_dressed_basis,
     condition_from_odd_pair,
     cubic_coefficients,
+    enumerate_conditions,
     populations_closed_form_array,
     populations_general_array,
     propagate_kick,
 )
-from tripop.dressed import ROOT_TOL
 
 RNG = np.random.default_rng(7)
 
@@ -46,6 +47,10 @@ def random_ratios(n, alpha_max=10.0):
     return out
 
 
+def gauge_of(ratios):
+    return paper_gauge(build_dressed_basis(ratios))
+
+
 def cubic_at(ratios, y):
     """The paper's cubic at y, and the scale of its coefficients."""
     a, b, c, d = cubic_coefficients(ratios)
@@ -57,7 +62,7 @@ class TestSolveCubic:
 
     def test_alpha0_beta1_roots(self):
         """alpha=0, beta=1 factorizes to y(y^2 - 2): roots {sqrt2, -sqrt2, 0}."""
-        y = build_dressed_basis(CouplingRatios(0.0, 1.0)).y
+        y = gauge_of(CouplingRatios(0.0, 1.0)).y
         np.testing.assert_allclose(y, [SQRT2, -SQRT2, 0.0], atol=1e-14)
 
     def test_table_alpha_roots(self):
@@ -65,27 +70,27 @@ class TestSolveCubic:
         alpha = 2.5298221281347035
         expected_plus = (-alpha + math.sqrt(alpha**2 + 8.0)) / 2.0
         expected_minus = (-alpha - math.sqrt(alpha**2 + 8.0)) / 2.0
-        y = build_dressed_basis(CouplingRatios(alpha, 1.0)).y
+        y = gauge_of(CouplingRatios(alpha, 1.0)).y
         np.testing.assert_allclose(y, [expected_plus, expected_minus, 0.0], atol=1e-12)
         np.testing.assert_allclose(y[:2], [0.6324555320336759, -3.1622776601683795], atol=1e-9)
 
     def test_roots_match_companion_matrix_oracle(self):
         """The gauge y agree with numpy's companion-matrix roots of the cubic."""
         for ratios in random_ratios(100):
-            y = np.sort(build_dressed_basis(ratios).y)
+            y = np.sort(gauge_of(ratios).y)
             oracle = np.sort(np.roots(cubic_coefficients(ratios)).real)
             np.testing.assert_allclose(y, oracle, atol=1e-10, rtol=1e-10)
 
     def test_root_residuals(self):
         """Every gauge y satisfies the cubic to < 1e-9 of the coefficient scale."""
         for ratios in random_ratios(100):
-            for y in build_dressed_basis(ratios).y:
+            for y in gauge_of(ratios).y:
                 residual, scale = cubic_at(ratios, y)
                 assert abs(residual) < 1e-9 * scale
 
     def test_zero_root_placed_last(self):
-        """beta = -1 also carries the zero root, slotted last."""
-        y = build_dressed_basis(CouplingRatios(3.0, -1.0)).y
+        """beta = -1 also carries the zero root, which the paper's order puts last."""
+        y = gauge_of(CouplingRatios(3.0, -1.0)).y
         assert y[2] == pytest.approx(0.0, abs=1e-12)
         assert y[0] > y[1]
 
@@ -98,7 +103,7 @@ class TestSolveCubic:
         where the upper sign belongs to beta = +1 (re-derived from the full
         cubic; checked against its companion-matrix roots)."""
         for alpha, d, beta in [(0.7, 0.3, 1.0), (2.0, -0.4, 1.0), (0.0, 0.5, 1.0), (0.7, 0.3, -1.0)]:
-            y = build_dressed_basis(CouplingRatios(alpha, beta, eps=(0.0, 0.0, d))).y
+            y = gauge_of(CouplingRatios(alpha, beta, eps=(0.0, 0.0, d))).y
             s = 1.0 if beta > 0 else -1.0
             atilde = (alpha * (1 - alpha**2) + alpha * d**2 - s * d) / (1 - alpha**2 - s * alpha * d)
             quad = sorted(np.roots([1.0, atilde, -2.0]).real, reverse=True)
@@ -109,30 +114,49 @@ class TestSolveCubic:
 class TestBuildDressedBasis:
     def test_alpha0_beta1_structure(self, basis_33):
         """Sign pattern x = (1, 1, -1), y = z = (sqrt2, -sqrt2, 0), det = -4 sqrt2."""
-        np.testing.assert_allclose(basis_33.x, [1.0, 1.0, -1.0], atol=1e-12)
-        np.testing.assert_allclose(basis_33.y, [SQRT2, -SQRT2, 0.0], atol=1e-12)
-        np.testing.assert_allclose(basis_33.z, [SQRT2, -SQRT2, 0.0], atol=1e-12)
-        assert basis_33.det == pytest.approx(-4.0 * SQRT2, abs=1e-12)
+        gauge = paper_gauge(basis_33)
+        np.testing.assert_allclose(gauge.x, [1.0, 1.0, -1.0], atol=1e-12)
+        np.testing.assert_allclose(gauge.y, [SQRT2, -SQRT2, 0.0], atol=1e-12)
+        np.testing.assert_allclose(gauge.z, [SQRT2, -SQRT2, 0.0], atol=1e-12)
+        assert np.linalg.det(gauge.m) == pytest.approx(-4.0 * SQRT2, abs=1e-12)
 
     def test_table_row_phase_rates(self):
         """alpha = 2.530 gives z = sqrt(2/5) * (5, -1, -4): the (1, 5) family."""
         r = math.sqrt(2.0 / 5.0)
-        basis = build_dressed_basis(CouplingRatios(4.0 * r, 1.0))
-        np.testing.assert_allclose(basis.z, [5.0 * r, -1.0 * r, -4.0 * r], atol=1e-12)
+        gauge = gauge_of(CouplingRatios(4.0 * r, 1.0))
+        np.testing.assert_allclose(gauge.z, [5.0 * r, -1.0 * r, -4.0 * r], atol=1e-12)
         # z = alpha*x + beta*y directly
-        for x, y, z in zip(basis.x, basis.y, basis.z):
+        for x, y, z in zip(gauge.x, gauge.y, gauge.z):
             assert z == pytest.approx(4.0 * r * x + y, abs=1e-12)
 
     def test_beta_minus_one_flips_x(self):
-        basis = build_dressed_basis(CouplingRatios(0.0, -1.0))
-        np.testing.assert_allclose(basis.x, [-1.0, -1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(gauge_of(CouplingRatios(0.0, -1.0)).x, [-1.0, -1.0, 1.0], atol=1e-12)
+
+    @pytest.mark.parametrize("beta", [1, -1])
+    def test_family_sign_pattern(self, beta):
+        """Every target-2 member with n1*n2 <= 60, both signs of r: x = (beta,
+        beta, -beta), y = (y+, y-, 0) with y+ > y- the roots of
+        y^2 + alpha*y - 2 = 0, and z = alpha*x + beta*y."""
+        members = enumerate_conditions(60)
+        assert len(members) == 27
+        for cond in members:
+            for sign in (1, -1):
+                ratios = condition_from_odd_pair(cond.pair, sign, beta).ratios()
+                alpha = ratios.alpha
+                gauge = gauge_of(ratios)
+                root = math.sqrt(alpha**2 + 8.0)
+                np.testing.assert_allclose(gauge.x, [beta, beta, -beta], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(
+                    gauge.y, [(root - alpha) / 2.0, -(root + alpha) / 2.0, 0.0], rtol=0, atol=1e-12 * root
+                )
+                np.testing.assert_allclose(gauge.z, alpha * gauge.x + beta * gauge.y, rtol=0, atol=1e-12 * root)
 
     def test_inverse_identity(self):
         """M @ M_inv = I within 1e-10 for random ratios."""
         for ratios in random_ratios(50):
-            basis = build_dressed_basis(ratios)
-            np.testing.assert_allclose(basis.m @ basis.m_inv, np.eye(3), atol=1e-10)
-            np.testing.assert_allclose(basis.m_inv @ basis.m, np.eye(3), atol=1e-10)
+            gauge = gauge_of(ratios)
+            np.testing.assert_allclose(gauge.m @ gauge.m_inv, np.eye(3), atol=1e-10)
+            np.testing.assert_allclose(gauge.m_inv @ gauge.m, np.eye(3), atol=1e-10)
 
     def test_fixed_point_residuals(self):
         """|x z - (alpha + eps2 x + y)| and |y z - (beta + x + eps3 y)| < 1e-9."""
@@ -141,10 +165,10 @@ class TestBuildDressedBasis:
             CouplingRatios(2.0, -1.0, eps=(0.0, 0.0, 0.5)),
         ]
         for ratios in cases:
-            basis = build_dressed_basis(ratios)
+            gauge = gauge_of(ratios)
             al, be = ratios.alpha, ratios.beta
             e1, e2, e3 = ratios.eps
-            for x, y, z in zip(basis.x, basis.y, basis.z):
+            for x, y, z in zip(gauge.x, gauge.y, gauge.z):
                 assert abs(x * z - (al + e2 * x + y)) < 1e-9
                 assert abs(y * z - (be + x + e3 * y)) < 1e-9
                 assert z == pytest.approx(e1 + al * x + be * y, abs=1e-12)
@@ -152,20 +176,21 @@ class TestBuildDressedBasis:
     def test_gauge_missing_where_a_state_decouples_from_level_1(self):
         """At alpha = beta = 2 the state (0, 1, -1)/sqrt2 has no level-1
         component, and at alpha = beta = 0 neither has (0, 1, +-1)/sqrt2, so
-        no row (1, x, y) describes them."""
+        no row (1, x, y) describes them; the basis itself still exists."""
         for alpha, beta in [(2.0, 2.0), (0.0, 0.0)]:
             basis = build_dressed_basis(CouplingRatios(alpha, beta))
-            with pytest.raises(RepeatedRootError):
-                basis.x
+            np.testing.assert_allclose(basis.m_inv.sum(axis=1), [1.0, 0.0, 0.0], atol=1e-12)
+            with pytest.raises(ValueError, match="gauge does not exist"):
+                paper_gauge(basis)
 
     def test_rows_are_coupling_matrix_eigenvectors(self):
         """(1, x_j, y_j) is an eigenvector of the ratio matrix with eigenvalue z_j."""
         for ratios in random_ratios(20):
-            basis = build_dressed_basis(ratios)
+            gauge = gauge_of(ratios)
             k = ratios.coupling_matrix()
             for j in range(3):
-                v = basis.m[j]
-                np.testing.assert_allclose(k @ v, basis.z[j] * v, atol=1e-9)
+                v = gauge.m[j]
+                np.testing.assert_allclose(k @ v, gauge.z[j] * v, atol=1e-9)
 
 
 class TestAmplitudes:
@@ -324,21 +349,17 @@ class TestEveryCoupling:
         np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         if np.min(np.diff(z)) * np.sqrt(np.min(basis.m_inv[0])) < 2.2e-16 / 1e-10:
             return
-        for y in basis.y:
+        for y in paper_gauge(basis).y:
             residual, scale = cubic_at(ratios, y)
             assert abs(residual) <= 1e-9 * scale * max(1.0, abs(y)) ** 3, (y, residual, scale)
 
 
 def reference_dressed(alpha, beta, eps, action, actions):
     """Basis, amplitudes and populations from the documented formulas: eigh
-    of K, the order by (|y| < ROOT_TOL, -y) where the gauge exists,
-    m_inv = U * U[0], a = m_inv exp(-i z A) and the cosine sum."""
+    of K in its own order, m_inv = U * U[0], a = m_inv exp(-i z A) and the
+    cosine sum."""
     e1, e2, e3 = eps
     z, u = np.linalg.eigh(np.array([[e1, alpha, beta], [alpha, e2, 1.0], [beta, 1.0, e3]]))
-    if np.min(u[0] ** 2) > ROOT_TOL**2:
-        y = u[2] / u[0]
-        order = sorted(range(3), key=lambda j: (abs(y[j]) < ROOT_TOL, -y[j]))
-        z, u = z[order], u[:, order]
     m_inv = u * u[0]
     amplitudes = m_inv @ np.exp(-1j * z * action)
     pops = np.empty((actions.size, 3))

@@ -46,13 +46,13 @@ def test_every_error_type_is_exported():
     assert defined - set(tripop.__all__) == set()
 
 
-def test_four_error_types():
-    """One type for a refused input, two for the outcome of a run on valid
-    input, and their base."""
+def test_three_error_types():
+    """One type for a refused input, one for an RK4 run on valid input whose
+    norm drifted, and their base."""
     defined = {
         name for name, obj in vars(errors).items() if inspect.isclass(obj) and obj.__module__ == errors.__name__
     }
-    assert defined == {"TripopError", "InvalidInputError", "NormDriftExceededError", "RepeatedRootError"}
+    assert defined == {"TripopError", "InvalidInputError", "NormDriftExceededError"}
     assert issubclass(errors.InvalidInputError, ValueError)
 
 

@@ -401,7 +401,8 @@ class TestBatchedCore:
         assert [level for _, level, _ in records] == ["DEBUG", "DEBUG", "WARNING"]
         assert {name for name, _, _ in records} == {"tripop"}
         assert records[0][2].startswith(
-            "RK4 batch: 3 runs x 126 steps, record every 10, chunks of 340 steps, drive blocks of 340 steps"
+            "RK4 batch: 3 runs x 126 steps, record every 10, chunks of at most 126 steps, "
+            "drive blocks of at most 126 steps"
         )
         assert "in 1 of 2 RK4 runs" in records[2][2] and records[2][2].endswith("in run 1")
         assert logging.getLogger("tripop").handlers == []
