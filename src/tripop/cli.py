@@ -13,7 +13,10 @@ All commands write CSV or JSON files, and this is the one module of the
 package that writes files: it alone decides their formats.  Floats are
 serialized with their shortest round-trip representation, no timestamps or
 host data enter the output, and the command line alone sets every run
-parameter, so identical invocations produce byte-identical files.
+parameter, so identical invocations produce byte-identical files.  The JSON
+meta records the subcommand and every parsed flag except ``--out`` and
+``--format``; ``table`` and ``conditions`` accept ``--steps-per-period`` and
+leave it out, since they run no RK4.
 
 Exit codes: 0 on success; 1 when a ``verify`` row fails; 2 when the library
 refuses an input or a run (any ``TripopError``) or the operating system
@@ -54,31 +57,27 @@ from .verification import verify_conditions
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
     return str(value)
 
 
 _PLAIN = frozenset((int, float))
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    """Write a header line and one comma-separated line per row, floats in
-    their shortest round-trip form, so that equal rows give identical files.
-
-    ``rows`` is a sequence of rows or a 2-D array.  A row of plain Python
-    ints and floats is written with ``repr`` (which is ``str`` for an int);
-    any other row goes value by value through ``_fmt``.
-    """
+def _texts(rows, fmt):
+    """Each row's value texts, lazily: ``repr`` for a row of plain Python ints and
+    floats, ``fmt`` for any other; ``rows`` holds plain Python values or is a 2-D array."""
     if isinstance(rows, np.ndarray):
         rows = map(np.ndarray.tolist, rows)  # row by row, so no second copy of the array
+    for row in rows:
+        yield map(repr if _PLAIN.issuperset(map(type, row)) else fmt, row)
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """Write a header line and one comma-separated line per row, floats in
+    their shortest round-trip form, so that equal rows give identical files."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(
-            ",".join(map(repr if _PLAIN.issuperset(map(type, row)) else _fmt, row)) + "\n" for row in rows
-        )
+        fh.writelines(",".join(texts) + "\n" for texts in _texts(rows, _fmt))
 
 
 # repr of a non-finite float, and its JSON spelling (as json.dump writes it)
@@ -86,49 +85,41 @@ _JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_fmt(value) -> str:
-    if isinstance(value, str) or value is None:
-        return json.dumps(value)
-    text = _fmt(value)
-    return _JSON_CONSTANTS.get(text, text)
+    return json.dumps(value) if isinstance(value, str) or value is None else _fmt(value)
 
 
 def _write_json(path: str, command: str, params: dict, header: list[str], rows) -> None:
     """Write ``{"meta": ..., "rows": [dict(zip(header, row)), ...]}`` in exactly
     the layout of ``json.dump(..., indent=2)``, each row through one line
-    template of the header instead of the pure-Python encoder.
-
-    A row of plain Python ints and floats is written with ``repr``; any other
-    row goes value by value through ``_json_fmt``.
-    """
+    template of the header instead of the pure-Python encoder."""
     meta = {"command": command, "parameters": params, "version": __version__}
     head = json.dumps({"meta": meta, "rows": []}, indent=2).removesuffix("[]\n}")
     keys = (json.dumps(key).replace("{", "{{").replace("}", "}}") for key in header)
     template = "    {{\n" + ",\n".join(f"      {key}: {{}}" for key in keys) + "\n    }}"
-    if isinstance(rows, np.ndarray):
-        rows = map(np.ndarray.tolist, rows)
-
-    def text(row) -> str:
-        if _PLAIN.issuperset(map(type, row)):
-            reprs = list(map(repr, row))
-            return template.format(*map(_JSON_CONSTANTS.get, reprs, reprs))
-        return template.format(*map(_json_fmt, row))
-
-    texts = map(text, rows)  # row by row, so the file is never held whole in memory
-    first = next(texts, None)
+    texts = map(list, _texts(rows, _json_fmt))  # a list, as each text is read twice
+    entries = (template.format(*map(_JSON_CONSTANTS.get, t, t)) for t in texts)  # never the whole file in memory
+    first = next(entries, None)
     with open(path, "w") as fh:
         if first is None:
             fh.write(head + "[]\n}\n")
             return
         fh.write(head + "[\n" + first)
-        fh.writelines(",\n" + t for t in texts)
+        fh.writelines(",\n" + entry for entry in entries)
         fh.write("\n  ]\n}\n")
 
 
-def _write_rows(path: str, fmt: str, command: str, params: dict, header: list[str], rows) -> None:
-    if fmt == "csv":
-        _write_csv(path, header, rows)
+_NOT_PARAMETERS = frozenset(("command", "func", "format", "out"))
+
+
+def _write_rows(args, header: list[str], rows) -> None:
+    """Write the rows to ``args.out`` in ``args.format``.  The JSON meta
+    records ``args.command`` and, as its parameters, every other parsed flag
+    but ``--out`` and ``--format``, in the parser's order."""
+    if args.format == "csv":
+        _write_csv(args.out, header, rows)
     else:
-        _write_json(path, command, params, header, rows)
+        params = {key: value for key, value in vars(args).items() if key not in _NOT_PARAMETERS}
+        _write_json(args.out, args.command, params, header, rows)
 
 
 # -- subcommand implementations ---------------------------------------------
@@ -137,27 +128,21 @@ def _write_rows(path: str, fmt: str, command: str, params: dict, header: list[st
 def cmd_table(args) -> int:
     columns = family_table(args.max_product)
     rows = list(zip(*(column.tolist() for column in columns.values())))
-    _write_rows(args.out, args.format, "table", {"max_product": args.max_product}, list(columns), rows)
+    _write_rows(args, list(columns), rows)
     return 0
 
 
 def cmd_trace(args) -> int:
-    omega = 1.0
     ratios = CouplingRatios(alpha=args.alpha, beta=args.beta)
     basis = build_dressed_basis(ratios)
-    pulse = Pulse.harmonic(v0=args.area, omega=omega)  # A(T/4) = v0/omega
+    pulse = Pulse.harmonic(v0=args.area, omega=1.0)  # A(T/4) = v0/omega
     t_end = args.periods * pulse.period
     config = IntegratorConfig(steps_per_period=args.steps_per_period)
     trace = integrate(ratios, LevelEnergies.degenerate(), pulse, t_end, config)
-    actions = pulse.area(trace.times).a
-    analytic = populations_general_array(basis, actions)
+    analytic = populations_general_array(basis, pulse.area(trace.times).a)
     header = ["t", "p1", "p2", "p3", "p1_num", "p2_num", "p3_num"]
     rows = np.column_stack((trace.times, analytic, trace.populations))
-    params = {
-        "alpha": args.alpha, "beta": args.beta, "area": args.area,
-        "periods": args.periods, "steps_per_period": config.steps_per_period,
-    }
-    _write_rows(args.out, args.format, "trace", params, header, rows)
+    _write_rows(args, header, rows)
     return 0
 
 
@@ -165,17 +150,12 @@ def cmd_verify(args) -> int:
     checks = verify_conditions(args.max_product, steps_per_period=args.steps_per_period)
     header = ["n1", "n2", "analytic_error", "ode_deviation", "cases_ok", "status"]
     rows = [
-        [
-            c.condition.n1, c.condition.n2, c.analytic_error, c.ode_deviation,
-            c.cases_ok, "pass" if c.passed else "fail",
-        ]
+        [c.condition.n1, c.condition.n2, c.analytic_error, c.ode_deviation, c.cases_ok, "pass" if c.passed else "fail"]
         for c in checks
     ]
-    params = {"max_product": args.max_product, "steps_per_period": args.steps_per_period}
-    _write_rows(args.out, args.format, "verify", params, header, rows)
+    _write_rows(args, header, rows)
     for c in checks:
-        line = "pass" if c.passed else "FAIL"
-        print(f"{line} (n1={c.condition.n1}, n2={c.condition.n2}) "
+        print(f"{'pass' if c.passed else 'FAIL'} (n1={c.condition.n1}, n2={c.condition.n2}) "
               f"analytic={c.analytic_error:.2e} ode={c.ode_deviation:.2e}")
     return 0 if all(c.passed for c in checks) else 1
 
@@ -235,31 +215,18 @@ def cmd_leakage(args) -> int:
     ratios = [(w12 / args.omega, w13 / args.omega) for w12, w13 in grid]
     deficits = leakage_scan(cond, ratios, config=config, omega=args.omega)
     header = ["omega12_ratio", "omega13_ratio", "deficit", "estimate"]
-    rows = [
-        [r12, r13, deficit, delta_p2_at_t0(cond, r12, r13)]
-        for (r12, r13), deficit in zip(ratios, deficits)
-    ]
-    params = {
-        "n_o": args.n_o, "n_op": args.n_op, "beta": args.beta,
-        "omega": args.omega, "grid": args.grid, "steps_per_period": args.steps_per_period,
-    }
-    _write_rows(args.out, args.format, "leakage", params, header, rows)
+    rows = [[r12, r13, deficit, delta_p2_at_t0(cond, r12, r13)] for (r12, r13), deficit in zip(ratios, deficits)]
+    _write_rows(args, header, rows)
     return 0
 
 
 def cmd_conditions(args) -> int:
     match = validate_condition(args.alpha, args.beta, args.area, tol=args.tol)
     header = ["n1", "n2", "n_o", "n_op", "sign", "A_t0", "alpha", "beta"]
-    rows = []
-    if match is not None:
-        rows.append(
-            [
-                match.n1, match.n2, match.pair.n_o, match.pair.n_op, match.sign,
-                match.action_t0, match.alpha, match.beta,
-            ]
-        )
-    params = {"alpha": args.alpha, "beta": args.beta, "area": args.area, "tol": args.tol}
-    _write_rows(args.out, args.format, "conditions", params, header, rows)
+    rows = [] if match is None else [[
+        match.n1, match.n2, match.pair.n_o, match.pair.n_op, match.sign, match.action_t0, match.alpha, match.beta,
+    ]]
+    _write_rows(args, header, rows)
     return 0
 
 
@@ -281,38 +248,38 @@ def cmd_kick(args) -> int:
     k = ratios.coupling_matrix()
     runs = [(k, energies, Pulse.gaussian_kick(args.area, 10.0 * w, w), 20.0 * w) for w in widths]
     traces = require_traces(integrate_batch(runs, IntegratorConfig(steps_per_period=args.steps_per_period)))
-    for w, trace in zip(widths, traces):
-        rows.append(["gaussian", w, *trace.populations[-1]])
-    params = {
-        "alpha": args.alpha, "beta": args.beta, "area": args.area,
-        "widths": args.widths, "omega12": args.omega12, "omega13": args.omega13,
-        "steps_per_period": args.steps_per_period,
-    }
-    _write_rows(args.out, args.format, "kick", params, header, rows)
+    rows.extend(["gaussian", w, *trace.populations[-1].tolist()] for w, trace in zip(widths, traces))
+    _write_rows(args, header, rows)
     return 0
 
 
 # -- parser ------------------------------------------------------------------
 
 
+class _Unused(argparse.Action):
+    """Takes a flag's value and stores nothing: no run reads it, no meta records it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        pass
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="tripop",
-        description="Complete population transfer in a degenerate three-level atom.",
-    )
+        prog="tripop", description="Complete population transfer in a degenerate three-level atom.")
     parser.add_argument("--version", action="version", version=f"tripop {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, runs_rk4=True):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", required=True, help="output file path")
-        p.add_argument("--steps-per-period", type=int, default=DEFAULT_STEPS_PER_PERIOD,
+        steps = {"default": DEFAULT_STEPS_PER_PERIOD} if runs_rk4 else {"action": _Unused, "default": argparse.SUPPRESS}
+        p.add_argument("--steps-per-period", type=int, **steps,
                        help="RK4 steps per drive period (trace, verify, leakage) or per kick "
                             "window (kick); table and conditions accept and ignore it")
 
     p = sub.add_parser("table", help="enumerate transfer conditions")
     p.add_argument("--max-product", type=int, required=True)
-    add_common(p)
+    add_common(p, runs_rk4=False)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("trace", help="analytic vs RK4 populations for a harmonic drive")
@@ -343,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--area", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-6)
-    add_common(p)
+    add_common(p, runs_rk4=False)
     p.set_defaults(func=cmd_conditions)
 
     p = sub.add_parser("kick", help="ideal kick vs finite-width Gaussian kicks")

@@ -118,14 +118,21 @@ def cubic_coefficients(ratios: CouplingRatios) -> tuple[float, float, float, flo
 
         (beta^2 - alpha^2) y^3 + alpha (2 - alpha^2 - beta^2) y^2
         + (2 alpha^2 - beta^2 - 1) y + alpha (beta^2 - 1) = 0.
+
+    Raises InvalidInputError where a coefficient is not finite.
     """
     al, be = ratios.alpha, ratios.beta
+    al2, be2 = al * al, be * be  # products, not **, which raises OverflowError past the float range
     e1, e2, e3 = ratios.eps
-    a = (be**2 - al**2) + al * be * (e2 - e3)
-    b = al * (2.0 - al**2 - be**2) + be * (2.0 * e1 - e2 - e3) + al * (e1 - e3) * (e2 - e3)
-    c = (2.0 * al**2 - be**2 - 1.0) + al * be * (2.0 * e3 - e1 - e2) + (e1 - e2) * (e1 - e3)
-    d = al * (be**2 - 1.0) - be * (e1 - e2)
-    return a, b, c, d
+    coefficients = (
+        (be2 - al2) + al * be * (e2 - e3),
+        al * (2.0 - al2 - be2) + be * (2.0 * e1 - e2 - e3) + al * (e1 - e3) * (e2 - e3),
+        (2.0 * al2 - be2 - 1.0) + al * be * (2.0 * e3 - e1 - e2) + (e1 - e2) * (e1 - e3),
+        al * (be2 - 1.0) - be * (e1 - e2),
+    )
+    if not all(map(math.isfinite, coefficients)):
+        raise InvalidInputError(f"the cubic's coefficients are not finite for {ratios}")
+    return coefficients
 
 
 def build_dressed_basis(ratios: CouplingRatios) -> DressedBasis:

@@ -22,7 +22,8 @@ The drive of a measured or estimated deficit is the condition's own: its
 harmonic pulse and its couplings, the direct coupling beta included, so
 no function here takes beta.  The deficit is that of level 2, so these
 functions refuse a target-3 condition.  Every estimate and deficit is a
-plain float, and a NaN or infinite input raises InvalidInputError.
+plain float, and a NaN or infinite input, or finite input whose estimate
+or two-level phase is not finite, raises InvalidInputError.
 """
 
 from __future__ import annotations
@@ -77,8 +78,11 @@ def delta_p2_early(
     _require_finite("early-time parameters", v12_0, v13_0, v23_0, omega12, omega13, t)
     if t < 0:
         raise InvalidInputError("t must be non-negative")
-    bracket = 2.0 * (2.0 * omega13 - omega12) * v12_0 * v13_0 * v23_0 + omega12**2 * v12_0**2
-    return bracket * t**4 / 12.0
+    # products, not **, which raises OverflowError past the float range
+    bracket = 2.0 * (2.0 * omega13 - omega12) * v12_0 * v13_0 * v23_0 + (omega12 * omega12) * (v12_0 * v12_0)
+    estimate = bracket * ((t * t) * (t * t)) / 12.0
+    _require_finite("the early-time estimate", estimate)
+    return estimate
 
 
 def delta_p2_at_t0(cond: TransferCondition, omega12_ratio: float, omega13_ratio: float) -> float:
@@ -93,11 +97,17 @@ def delta_p2_at_t0(cond: TransferCondition, omega12_ratio: float, omega13_ratio:
     _require_level_two(cond)
     _require_finite("splitting ratios", omega12_ratio, omega13_ratio)
     n1, n2 = cond.n1, cond.n2
+    try:  # ** keeps the bits of the CLI's estimate column, and raises OverflowError past the float range
+        square = omega12_ratio**2
+    except OverflowError:
+        square = math.inf
     bracket = (
         (math.pi / 3.0) * cond.beta * n1 * n2 * (n2 - n1) * (2.0 * omega13_ratio - omega12_ratio)
-        + (n2 - n1) ** 2 * omega12_ratio**2
+        + (n2 - n1) ** 2 * square
     )
-    return (math.pi / 2.0) ** 6 * bracket / 27.0
+    estimate = (math.pi / 2.0) ** 6 * bracket / 27.0
+    _require_finite("the estimate at t0", estimate)
+    return estimate
 
 
 def measured_deficit(
@@ -163,21 +173,25 @@ def two_level_populations(eps1: float, eps2: float, action: float) -> tuple[floa
     determinant is -2 sqrt(1 + ((eps2 - eps1)/2)^2).  For eps1 = eps2 this
     reduces to p2 = sin^2(A); for unequal diagonals the transfer is capped at
     p2 <= 1 / (1 + (eps2 - eps1)^2 / 4).  Raises InvalidInputError unless all
-    three inputs are finite.
+    three inputs and both phases (eps1 + y) * action are finite.
     """
     _require_finite("two-level parameters", eps1, eps2, action)
     d = eps2 - eps1
-    s = math.sqrt(d * d + 4.0)
-    y_plus, y_minus = 0.5 * (d + s), 0.5 * (d - s)
-    c_plus, c_minus = (cmath.exp(-1j * ((eps1 + y) * action)) for y in (y_plus, y_minus))
-    det = y_minus - y_plus
-    return abs((y_minus * c_plus - y_plus * c_minus) / det) ** 2, abs((c_minus - c_plus) / det) ** 2
+    # The root of larger magnitude has no cancellation; the roots' product is -1.
+    y_big = 0.5 * d + math.copysign(0.5 * math.hypot(d, 2.0), d)
+    y_small = -1.0 / y_big
+    phases = ((eps1 + y_big) * action, (eps1 + y_small) * action)
+    _require_finite("two-level phases (eps1 + y) * action", *phases)
+    c_big, c_small = (cmath.exp(-1j * phase) for phase in phases)
+    det = y_small - y_big
+    return abs((y_small * c_big - y_big * c_small) / det) ** 2, abs((c_small - c_big) / det) ** 2
 
 
 def two_level_p2_bound(eps1: float, eps2: float) -> float:
     """Supremum of p2 over the action for the given diagonal ratios; both must be finite."""
     _require_finite("diagonal ratios", eps1, eps2)
-    return 1.0 / (1.0 + (eps2 - eps1) ** 2 / 4.0)
+    d = eps2 - eps1
+    return 1.0 / (1.0 + d * d / 4.0)  # a product, not **, so a huge d gives 0.0 rather than OverflowError
 
 
 def measured_two_level_deficit(

@@ -103,14 +103,6 @@ class LevelEnergies:
         """Energies with E1 = 0 and the requested splittings E1 - E_j."""
         return cls((0.0, -omega12, -omega13))
 
-    @property
-    def omega12(self) -> float:
-        return self.e[0] - self.e[1]
-
-    @property
-    def omega13(self) -> float:
-        return self.e[0] - self.e[2]
-
 
 @dataclass(frozen=True)
 class IntegratorConfig:

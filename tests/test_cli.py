@@ -4,6 +4,7 @@ Each subcommand runs in-process through cli.main; file contents are parsed
 back and checked against library results and published values.
 """
 
+import argparse
 import csv
 import json
 import logging
@@ -700,6 +701,51 @@ class TestCsvJsonRoundTrip:
             "omega12": omega12, "omega13": omega13, "steps_per_period": steps,
         }
         assert_csv_json_round_trip(argv, params)
+
+
+# One quick run of each subcommand; a subcommand added to the parser must be added here.
+SMALL_RUNS = {
+    "table": ["--max-product", "35"],
+    "trace": ["--alpha", "0", "--area", "1", "--periods", "0.25", "--steps-per-period", "400"],
+    "verify": ["--max-product", "0"],
+    "leakage": ["--n-o", "1", "--n-op", "1", "--grid", "omega12:0,omega13:0", "--steps-per-period", "400"],
+    "conditions": ["--alpha", "2.530", "--area", "1.656", "--tol", "0.01"],
+    "kick": ["--alpha", "0", "--area", "1", "--widths", "0.2"],
+}
+# the subcommands that run no RK4: they accept --steps-per-period and record nothing of it
+NO_RK4 = ("table", "conditions")
+
+
+def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
+    (action,) = [a for a in cli_module.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return dict(action.choices)
+
+
+class TestMetaFollowsTheParser:
+    """The JSON meta records every flag the parser defines, in its order,
+    but ``--out`` and ``--format``, so no subcommand can leave one out."""
+
+    @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+    def test_parameters_are_the_option_dests(self, tmp_path, command):
+        parsers = subcommand_parsers()
+        assert set(parsers) == set(SMALL_RUNS)
+        options = [a for a in parsers[command]._actions if a.option_strings]
+        dests = [a.dest for a in options if a.dest not in ("help", "out", "format")]
+        if command in NO_RK4:
+            dests.remove("steps_per_period")
+        out = tmp_path / "out.json"
+        assert main([command, *SMALL_RUNS[command], "--format", "json", "--out", str(out)]) == 0
+        assert list(json.loads(out.read_text())["meta"]["parameters"]) == dests
+
+    @pytest.mark.parametrize("command", NO_RK4)
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_steps_per_period_leaves_no_trace(self, tmp_path, command, fmt):
+        plain, given = tmp_path / "plain", tmp_path / "given"
+        argv = [command, *SMALL_RUNS[command], "--format", fmt, "--out"]
+        assert main([*argv, str(plain)]) == 0
+        assert main([*argv, str(given), "--steps-per-period", "7"]) == 0
+        assert given.read_bytes() == plain.read_bytes()
+        assert len(plain.read_text().splitlines()) > 1
 
 
 JSON_VALUE = st.one_of(

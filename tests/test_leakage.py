@@ -13,6 +13,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripop import (
     CouplingRatios,
@@ -21,8 +23,10 @@ from tripop import (
     OddPair,
     Pulse,
     condition_from_odd_pair,
+    cubic_coefficients,
     delta_p2_at_t0,
     delta_p2_early,
+    enumerate_conditions,
     harmonic_for_condition,
     integrate,
     leakage_scan,
@@ -32,6 +36,7 @@ from tripop import (
     two_level_p2_bound,
     two_level_populations,
 )
+from tripop.errors import InvalidInputError
 
 RNG = np.random.default_rng(23)
 FINE = IntegratorConfig(steps_per_period=20000)
@@ -206,6 +211,47 @@ def test_non_finite_input_is_refused(name, slot, bad):
     assert np.all(np.isfinite(function(*args)))
     with pytest.raises(ValueError, match="must be finite"):
         function(*args[:slot], bad, *args[slot + 1 :])
+
+
+# Finite floats, with the huge ones whose squares or powers leave the float range drawn often.
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-10.0, 10.0),
+    st.sampled_from([1e100, -1e155, 1e155, 1e200, -1e300, 1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_closed_forms_are_finite_or_refused(data):
+    """For finite input every closed form returns finite values or raises
+    InvalidInputError, never a bare OverflowError, NaN or inf."""
+    x = [data.draw(FINITE) for _ in range(6)]
+    calls = [
+        (delta_p2_early, x),
+        (delta_p2_at_t0, [data.draw(st.sampled_from(enumerate_conditions(60))), *x[:2]]),
+        (cubic_coefficients, [CouplingRatios(x[0], x[1], tuple(x[2:5]))]),
+    ]
+    for function, args in calls:
+        try:
+            result = function(*args)
+        except InvalidInputError:
+            continue
+        assert all(map(math.isfinite, np.atleast_1d(result))), (function.__name__, args, result)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FINITE, FINITE, FINITE)
+def test_two_level_is_finite_or_refused(eps1, eps2, action):
+    """For finite input the two-level reference gives finite populations
+    that sum to 1 and respect the bound, or raises InvalidInputError."""
+    try:
+        p1, p2 = two_level_populations(eps1, eps2, action)
+    except InvalidInputError:
+        return
+    assert math.isfinite(p1) and math.isfinite(p2)
+    assert abs(p1 + p2 - 1.0) <= 1e-12
+    assert p2 <= two_level_p2_bound(eps1, eps2) + 1e-12
 
 
 class TestTwoLevel:

@@ -1,8 +1,8 @@
 """The public surface: ``tripop.__all__`` is exactly what the library
 modules define, every error type the library can raise is exported, a
 refused input raises ``InvalidInputError`` and never a bare ``ValueError``,
-every name the benchmark reads exists, no module reads the environment, and
-only the CLI writes files."""
+every name the benchmark reads exists, no module reads the environment,
+only the CLI writes files, and its commands write through one path."""
 
 import ast
 import importlib
@@ -129,6 +129,23 @@ def test_only_the_cli_writes_files():
     sources = {path.name: path.read_text() for path in sorted(package.rglob("*.py"))}
     assert _writes_files(sources["cli.py"])
     assert [name for name, source in sources.items() if name != "cli.py" and _writes_files(source)] == []
+
+
+def test_commands_write_through_one_path():
+    """Every ``cmd_*`` of the CLI hands its rows to ``_write_rows(args, ...)``
+    once and calls no format's writer itself, and none builds a dict, so the
+    JSON meta can only come from the parsed flags."""
+    commands = [node for node in ast.walk(_sources()["cli"]) if isinstance(node, ast.FunctionDef)]
+    commands = [node for node in commands if node.name.startswith("cmd_")]
+    assert len(commands) == 6
+    for command in commands:
+        calls = [node for node in ast.walk(command) if isinstance(node, ast.Call)]
+        called = [getattr(call.func, "id", None) for call in calls]
+        assert {"_write_csv", "_write_json"} & set(called) == set(), command.name
+        (write,) = [call for call in calls if getattr(call.func, "id", None) == "_write_rows"]
+        assert isinstance(write.args[0], ast.Name) and write.args[0].id == "args", command.name
+        dicts = [node for node in ast.walk(command) if isinstance(node, (ast.Dict, ast.DictComp))]
+        assert dicts == [] and "dict" not in called, command.name
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
