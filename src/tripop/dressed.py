@@ -11,9 +11,12 @@ are i da/dt = V(t) K a with K the real symmetric coupling-ratio matrix, so
 they are solved exactly by the eigenvectors u_j of K (the dressed states):
 each evolves by a pure phase exp(-i z_j A(t)), where A(t) is the action
 integral of V and z_j the eigenvalue.  ``build_dressed_basis`` takes them
-from ``numpy.linalg.eigh``, which gives a real spectrum and an orthonormal
-basis for every finite coupling (the Morris-Shore view of the problem:
-J. R. Morris and B. W. Shore, Phys. Rev. A 27, 906 (1983)).
+from LAPACK's symmetric eigensolver, through the kernel that
+``numpy.linalg.eigh`` wraps, so it has eigh's bits without the wrapper's
+dtype handling.  That gives a real spectrum and an orthonormal basis for
+every coupling whose spectrum fits in a float; a coupling near the float
+limit, whose spectrum overflows, is refused (the Morris-Shore view of the
+problem: J. R. Morris and B. W. Shore, Phys. Rev. A 27, 906 (1983)).
 
 The paper reaches the same spectrum another way: it writes each dressed
 state as c = a1 + x*a2 + y*a3, the (1, x, y) gauge, whose y are the roots
@@ -36,6 +39,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+# np.linalg.eigh's LAPACK kernel, called directly: K is always a float64 3x3, so eigh's checks never apply
+from numpy.linalg._umath_linalg import eigh_lo as _eigh
 
 from .errors import InvalidInputError
 
@@ -136,11 +141,19 @@ def cubic_coefficients(ratios: CouplingRatios) -> tuple[float, float, float, flo
 
 
 def build_dressed_basis(ratios: CouplingRatios) -> DressedBasis:
-    """Dressed basis of the coupling-ratio matrix, for every finite coupling:
-    eigh's eigenvalues in ascending order and m_inv = U * U[0] from its
-    eigenvectors U."""
-    z, u = np.linalg.eigh(ratios.coupling_matrix())
-    return DressedBasis(z=tuple(z.tolist()), m_inv=u * u[0], ratios=ratios)
+    """Dressed basis of the coupling-ratio matrix: the eigenvalues in
+    ascending order and m_inv = U * U[0] from the eigenvectors U, both as
+    ``numpy.linalg.eigh`` gives them, from the LAPACK kernel it wraps.
+
+    Raises InvalidInputError where an eigenvalue is not finite: the spectrum
+    of a coupling near the float limit overflows, and the kernel fills its
+    outputs with NaN if LAPACK fails.
+    """
+    z, u = _eigh(ratios.coupling_matrix())
+    z = tuple(z.tolist())
+    if not all(map(math.isfinite, z)):
+        raise InvalidInputError(f"the dressed spectrum {z} of {ratios} is not finite")
+    return DressedBasis(z=z, m_inv=u * u[0], ratios=ratios)
 
 
 def amplitudes_at(basis: DressedBasis, action: float) -> AmplitudeState:

@@ -97,6 +97,8 @@ def delta_p2_at_t0(cond: TransferCondition, omega12_ratio: float, omega13_ratio:
     _require_level_two(cond)
     _require_finite("splitting ratios", omega12_ratio, omega13_ratio)
     n1, n2 = cond.n1, cond.n2
+    if n1 == n2:  # both terms carry n2 - n1, and 0 * inf would be NaN past the float range
+        return 0.0
     try:  # ** keeps the bits of the CLI's estimate column, and raises OverflowError past the float range
         square = omega12_ratio**2
     except OverflowError:

@@ -28,6 +28,8 @@ from tripop import (
     populations_general_array,
     propagate_kick,
 )
+from tripop import dressed
+from tripop.errors import InvalidInputError
 
 RNG = np.random.default_rng(7)
 
@@ -376,6 +378,13 @@ def reference_dressed(alpha, beta, eps, action, actions):
 
 RATIO_5 = st.floats(-5.0, 5.0)
 DIAGONAL = st.floats(-1.0, 1.0).filter(lambda e: e != 0.0)
+# sign * m * 10^e: every decade from subnormal (and signed zero, below 5e-324) to 1e300
+MAGNITUDE = st.builds(
+    lambda sign, m, e: sign * m * 10.0**e,
+    st.sampled_from([1.0, -1.0]),
+    st.floats(1.0, 9.99),
+    st.integers(-330, 299),
+)
 
 
 @st.composite
@@ -403,3 +412,37 @@ class TestAgainstDocumentedFormulas:
         assert np.array_equal(basis.m_inv, m_inv)
         assert amplitudes_at(basis, action).a == tuple(amplitudes.tolist())
         assert np.array_equal(populations_general_array(basis, actions), pops)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[st.one_of(RATIO_5, MAGNITUDE)] * 5))
+    def test_basis_is_eigh_at_every_magnitude(self, values):
+        """With numpy's warnings as errors, z and m_inv equal byte for byte
+        what ``np.linalg.eigh`` and m_inv = U * U[0] give, for couplings and
+        diagonals from subnormal to 1e300, signed zeros included."""
+        alpha, beta, *eps = values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z, u = np.linalg.eigh(np.array([[eps[0], alpha, beta], [alpha, eps[1], 1.0], [beta, 1.0, eps[2]]]))
+            basis = build_dressed_basis(CouplingRatios(alpha, beta, eps=tuple(eps)))
+        assert np.array(basis.z).tobytes() == z.tobytes()
+        assert basis.m_inv.tobytes() == (u * u[0]).tobytes()
+
+
+class TestNonFiniteSpectrum:
+    def test_overflowing_spectrum_is_refused(self):
+        """Couplings near the float limit have eigenvalues past it: refused,
+        before numpy warns."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="not finite"):
+                build_dressed_basis(CouplingRatios(1.7e308, 1.7e308))
+
+    def test_largest_finite_spectrum_answers(self):
+        basis = build_dressed_basis(CouplingRatios(1e308, 1e308))
+        assert basis.max_phase_rate == pytest.approx(SQRT2 * 1e308, rel=1e-15)
+
+    def test_failed_eigensolver_is_refused(self, monkeypatch):
+        """The kernel fills its outputs with NaN when LAPACK fails to converge."""
+        monkeypatch.setattr(dressed, "_eigh", lambda k: (np.full(3, np.nan), np.full((3, 3), np.nan)))
+        with pytest.raises(InvalidInputError, match="not finite"):
+            build_dressed_basis(CouplingRatios(2.0, 1.0))

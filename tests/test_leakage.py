@@ -113,6 +113,14 @@ class TestTransferTimeEstimate:
         assert delta_p2_at_t0(cond_33, 0.05, 0.0) == 0.0
         assert measured_deficit(cond_33, 0.05, 0.0, config=SCAN) > 1e-4
 
+    @pytest.mark.parametrize("omega12_ratio, omega13_ratio", [(1e200, 0.0), (0.0, 1e308), (1.7e308, -1.7e308)])
+    def test_equal_integer_families_vanish_past_the_float_range(self, cond_33, cond_15, omega12_ratio, omega13_ratio):
+        """The n1 = n2 estimate stays 0 where the other members' terms leave
+        the float range, and those members are refused."""
+        assert delta_p2_at_t0(cond_33, omega12_ratio, omega13_ratio) == 0.0
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            delta_p2_at_t0(cond_15, omega12_ratio, omega13_ratio)
+
     def test_agrees_with_early_time_formula(self, cond_15, cond_351):
         """The family-integer form equals the raw-coupling form at t0 with
         the family's V_ij(0) values, for either r sign."""

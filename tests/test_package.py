@@ -2,7 +2,8 @@
 modules define, every error type the library can raise is exported, a
 refused input raises ``InvalidInputError`` and never a bare ``ValueError``,
 every name the benchmark reads exists, no module reads the environment,
-only the CLI writes files, and its commands write through one path."""
+only the CLI writes files, its commands write through one path, and one
+module reaches the eigensolver."""
 
 import ast
 import importlib
@@ -146,6 +147,32 @@ def test_commands_write_through_one_path():
         assert isinstance(write.args[0], ast.Name) and write.args[0].id == "args", command.name
         dicts = [node for node in ast.walk(command) if isinstance(node, (ast.Dict, ast.DictComp))]
         assert dicts == [] and "dict" not in called, command.name
+
+
+def _linalg_uses(tree: ast.Module) -> list[str]:
+    """The source of every import or attribute in ``tree`` that names a
+    ``linalg`` module."""
+    kinds = (ast.Attribute, ast.Import, ast.ImportFrom)
+    return [ast.unparse(n) for n in ast.walk(tree) if isinstance(n, kinds) and "linalg" in ast.unparse(n)]
+
+
+def test_one_eigensolver_call_site():
+    """One dressed-state engine: ``dressed.py`` alone reaches ``numpy.linalg``,
+    by binding eigh's LAPACK kernel once, and calls it in
+    ``build_dressed_basis`` only."""
+    sources = _sources()
+    uses = {module: _linalg_uses(tree) for module, tree in sources.items()}
+    assert {module: found for module, found in uses.items() if found} == {
+        "dressed": ["from numpy.linalg._umath_linalg import eigh_lo as _eigh"]
+    }
+    callers = [
+        func.name
+        for func in ast.walk(sources["dressed"])
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Name) and node.id == "_eigh"
+    ]
+    assert callers == ["build_dressed_basis"]
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
