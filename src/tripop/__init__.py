@@ -6,7 +6,6 @@ and leakage diagnostics for nearly degenerate levels.
 """
 
 from .conditions import (
-    CaseClassification,
     OddPair,
     TransferCondition,
     classify_cases,
@@ -42,11 +41,9 @@ from .propagate import (
     IntegratorConfig,
     LevelEnergies,
     PopulationTrace,
-    compare_analytic_numeric,
     integrate,
     integrate_batch,
     propagate_kick,
-    require_traces,
 )
 from .pulses import ActionValue, Pulse, harmonic_for_condition, load_tabulated_pulse
 from .verification import ConditionCheck, check_condition, verify_conditions
@@ -56,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ActionValue",
     "AmplitudeState",
-    "CaseClassification",
     "ConditionCheck",
     "CouplingRatios",
     "DressedBasis",
@@ -73,7 +69,6 @@ __all__ = [
     "build_dressed_basis",
     "check_condition",
     "classify_cases",
-    "compare_analytic_numeric",
     "condition_from_odd_pair",
     "cubic_coefficients",
     "delta_p2_at_t0",
@@ -93,7 +88,6 @@ __all__ = [
     "populations_closed_form_array",
     "populations_general_array",
     "propagate_kick",
-    "require_traces",
     "verify_conditions",
     "two_level_p2_bound",
     "two_level_populations",

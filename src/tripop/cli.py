@@ -45,10 +45,10 @@ from .propagate import (
     MAX_RUN_RECORDS,
     IntegratorConfig,
     LevelEnergies,
+    _require_traces,
     integrate,
     integrate_batch,
     propagate_kick,
-    require_traces,
 )
 from .pulses import Pulse, harmonic_for_condition
 from .verification import verify_conditions
@@ -172,8 +172,9 @@ def _number(what: str, text: str, convert=float):
 def _parse_grid(spec: str, cap: int) -> list[tuple[float, float]]:
     """Grid spec 'omega12:<v|start:stop:count>,omega13:<...>' -> splitting pairs.
 
-    Each axis is given once, and a grid of more than ``cap`` points is
-    refused before it is built.
+    Each axis is given once, a range's ends and their difference must be
+    finite (``np.linspace`` would warn and return NaN), and a grid of more
+    than ``cap`` points is refused before it is built.
     """
     axes: dict[str, tuple[float, float, int]] = {}
     for part in spec.split(","):
@@ -188,6 +189,8 @@ def _parse_grid(spec: str, cap: int) -> list[tuple[float, float]]:
             axes[name] = (value, value, 1)
         elif len(fields) == 4:
             start, stop = (_number(f"{name} splitting", f) for f in fields[1:3])
+            if not math.isfinite(stop - start):  # also when either end is inf or nan
+                raise InvalidInputError(f"grid axis {part!r} needs finite ends a finite distance apart")
             axes[name] = (start, stop, _number("grid count", fields[3], int))
         else:
             raise InvalidInputError(f"malformed grid axis {part!r}")
@@ -247,7 +250,7 @@ def cmd_kick(args) -> int:
     # every width takes the same number of steps and the runs form one batch.
     k = ratios.coupling_matrix()
     runs = [(k, energies, Pulse.gaussian_kick(args.area, 10.0 * w, w), 20.0 * w) for w in widths]
-    traces = require_traces(integrate_batch(runs, IntegratorConfig(steps_per_period=args.steps_per_period)))
+    traces = _require_traces(integrate_batch(runs, IntegratorConfig(steps_per_period=args.steps_per_period)))
     rows.extend(["gaussian", w, *trace.populations[-1].tolist()] for w, trace in zip(widths, traces))
     _write_rows(args, header, rows)
     return 0

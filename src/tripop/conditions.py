@@ -33,11 +33,11 @@ and A(t0) are derived from these by ``_family_floats``, the one float
 formula that ``family_table`` and ``validate_condition`` use too, so nothing
 stored can disagree with the laws above.  The checks that remain are on the
 inputs: ``OddPair`` refuses non-integer, even and n1*n2 <= 0 entries, and the
-condition refuses a sign, beta or target outside its choices.  Each of the
-three (k, k') case sets is an integer combination of the odd pair whose
-product identity and parities hold for every pair, so none is re-checked.
+condition refuses a sign, beta or target outside its choices.
 ``TransferCondition.ratios`` gives the couplings that realize the condition;
-no caller picks beta apart from the condition.
+no caller picks beta apart from the condition.  ``classify_cases`` gives the
+paper's three (k, k') case sets of members (n1, n2), one or a column of them;
+``verify`` checks their product identities and parities.
 """
 
 from __future__ import annotations
@@ -145,21 +145,6 @@ class TransferCondition:
         return CouplingRatios(alpha=self.alpha, beta=self.beta)
 
 
-@dataclass(frozen=True)
-class CaseClassification:
-    """The three redundant (k, k') integer sets attached to one condition.
-
-    Each set satisfies its own product identity equal to n1*n2 = 18 E^2 with
-    E = A(t0)/pi: case i (k even, k' odd) uses (k-k')(2k+k'); case ii (both
-    odd) uses (2k+k')(k+2k'); case iii (k odd, k' even) uses (2k'+k)(k'-k).
-    """
-
-    case_i: tuple[int, int]
-    case_ii: tuple[int, int]
-    case_iii: tuple[int, int]
-    e_value: float
-
-
 def condition_from_odd_pair(pair: OddPair, sign: int = 1, beta: int = 1, target: int = 2) -> TransferCondition:
     """Family member for one odd pair, sign of r, direct coupling beta = +-1
     and target level; beta is stored as a float."""
@@ -212,27 +197,16 @@ def enumerate_conditions(max_product: int) -> list[TransferCondition]:
     return [condition_from_odd_pair(_pair_of(n1, n2)) for n1, n2 in zip(n1s.tolist(), n2s.tolist())]
 
 
-def _case_identities(n1, n2) -> list:
-    """The three (k, k') sets with their product identities and parity
-    patterns; plain arithmetic, so n1 and n2 may be ints or int arrays."""
-    case_i = ((n1 + n2) // 3, (n2 - 2 * n1) // 3)
-    case_ii = ((2 * n1 - n2) // 3, (2 * n2 - n1) // 3)
-    case_iii = ((n1 - 2 * n2) // 3, (n1 + n2) // 3)
-    return [
-        (case_i, (case_i[0] - case_i[1]) * (2 * case_i[0] + case_i[1]), (0, 1)),
-        (case_ii, (2 * case_ii[0] + case_ii[1]) * (case_ii[0] + 2 * case_ii[1]), (1, 1)),
-        (case_iii, (2 * case_iii[1] + case_iii[0]) * (case_iii[1] - case_iii[0]), (1, 0)),
-    ]
-
-
-def classify_cases(cond: TransferCondition) -> CaseClassification:
-    """All three (k, k') integer sets for one condition, in exact arithmetic.
-
-    With (n_o, n_o') the condition's odd pair, case ii is (n_o, n_o'),
-    case i is (n_o + n_o', -n_o) and case iii is (-n_o', n_o + n_o'), so
-    every product identity and parity pattern holds for every odd pair."""
-    (case_i, _, _), (case_ii, _, _), (case_iii, _, _) = _case_identities(cond.n1, cond.n2)
-    return CaseClassification(case_i, case_ii, case_iii, e_value=cond.action_t0 / math.pi)
+def classify_cases(n1, n2) -> tuple:
+    """The (k, k') sets (case_i, case_ii, case_iii) of members (n1, n2), ints
+    or int arrays: with (n_o, n_o') the odd pair, (n_o + n_o', -n_o),
+    (n_o, n_o') and (-n_o', n_o + n_o'), integer combinations whose product
+    identities and parities hold for every pair."""
+    return (
+        ((n1 + n2) // 3, (n2 - 2 * n1) // 3),
+        ((2 * n1 - n2) // 3, (2 * n2 - n1) // 3),
+        ((n1 - 2 * n2) // 3, (n1 + n2) // 3),
+    )
 
 
 def _family_floats(n1: np.ndarray, n2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -248,13 +222,14 @@ def family_table(max_product: int) -> dict[str, np.ndarray]:
     """The ``table`` columns: one row per family member (sign +1), in the
     order of ``enumerate_conditions(max_product)``.
 
-    Columns: n1, n2, n_e = n_o + n_o', n_o, n_op, the ``classify_cases``
-    sets (k_case_*, kp_case_*), A_t0 and alpha.  The floats come from
-    ``_family_floats``, as the objects' do, so they are equal bit for bit.
+    Columns: n1, n2, n_e = n_o + n_o', n_o, n_op, the three case sets of
+    ``classify_cases`` (k_case_*, kp_case_*; case ii is the odd pair), A_t0
+    and alpha.  The floats come from ``_family_floats``, as the objects' do,
+    so they are equal bit for bit.
     """
     n1, n2 = family_integers(max_product)
     _, action, alpha = _family_floats(n1, n2)
-    (ki, kpi), (n_o, n_op), (kiii, kpiii) = (case for case, _, _ in _case_identities(n1, n2))
+    (ki, kpi), (n_o, n_op), (kiii, kpiii) = classify_cases(n1, n2)
     return {
         "n1": n1, "n2": n2, "n_e": n_o + n_op, "n_o": n_o, "n_op": n_op,
         "k_case_i": ki, "kp_case_i": kpi, "k_case_ii": n_o, "kp_case_ii": n_op,

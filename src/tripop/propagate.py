@@ -62,14 +62,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .dressed import (
-    AmplitudeState,
-    CouplingRatios,
-    DressedBasis,
-    amplitudes_at,
-    build_dressed_basis,
-    populations_general_array,
-)
+from .dressed import AmplitudeState, CouplingRatios, DressedBasis, amplitudes_at
 from .errors import InvalidInputError, NormDriftExceededError
 from .pulses import Pulse
 
@@ -188,7 +181,7 @@ def integrate(
     max |1 - sum |a_i|^2| exceeds 1e-6 or is not finite.
     """
     run = (ratios.coupling_matrix(), energies, pulse, t_end)
-    (trace,) = require_traces(integrate_batch([run], config))
+    (trace,) = _require_traces(integrate_batch([run], config))
     return trace
 
 
@@ -272,7 +265,7 @@ def integrate_batch(
     return results
 
 
-def require_traces(results: list[PopulationTrace | NormDriftExceededError]) -> list[PopulationTrace]:
+def _require_traces(results: list[PopulationTrace | NormDriftExceededError]) -> list[PopulationTrace]:
     """The traces of ``integrate_batch`` results; raises the first run's drift error, if any."""
     for result in results:
         if isinstance(result, NormDriftExceededError):
@@ -475,23 +468,3 @@ def propagate_kick(basis: DressedBasis, kick_area: float) -> AmplitudeState:
     kick area, regardless of any level splittings.
     """
     return amplitudes_at(basis, kick_area)
-
-
-def compare_analytic_numeric(
-    ratios: CouplingRatios,
-    pulse: Pulse,
-    t_end: float,
-    config: IntegratorConfig = IntegratorConfig(),
-) -> float:
-    """Max componentwise |P_analytic - P_numeric| over one RK4 run.
-
-    Requires degenerate energies and eps = 0, where the dressed solution is
-    exact; the returned deviation is then pure integrator error.
-    """
-    if ratios.eps != (0.0, 0.0, 0.0):
-        raise InvalidInputError("analytic comparison requires eps = (0, 0, 0)")
-    basis = build_dressed_basis(ratios)
-    trace = integrate(ratios, LevelEnergies.degenerate(), pulse, t_end, config)
-    actions = pulse.area(trace.times).a
-    analytic = populations_general_array(basis, actions)
-    return float(np.max(np.abs(analytic - trace.populations)))

@@ -1,9 +1,11 @@
 """Self-check harness: every enumerated transfer condition against both paths.
 
 For each condition the analytic closed form must give complete transfer to
-its target level at the transfer action, the integer case identities must
-hold exactly, and the RK4 oracle driven by the matching harmonic pulse must
-agree with the analytic populations over a quarter period.
+its target level at the transfer action, the three (k, k') sets of
+``classify_cases`` must meet the paper's product identities and parity
+patterns (``_CASE_LAWS``) exactly, and the RK4 oracle driven by the
+matching harmonic pulse must agree with the analytic populations over a
+quarter period.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .conditions import (
     TransferCondition,
-    _case_identities,
+    classify_cases,
     enumerate_conditions,
     populations_closed_form_array,
 )
@@ -25,6 +27,13 @@ from .pulses import harmonic_for_condition
 
 ANALYTIC_TOL = 1e-12
 ODE_TOL = 1e-6
+# Per case set i, ii and iii: the product of (k, k') that equals n1*n2, and
+# the parities (k % 2, k' % 2).
+_CASE_LAWS = (
+    (lambda k, kp: (k - kp) * (2 * k + kp), (0, 1)),
+    (lambda k, kp: (2 * k + kp) * (k + 2 * kp), (1, 1)),
+    (lambda k, kp: (2 * kp + k) * (kp - k), (1, 0)),
+)
 
 
 @dataclass(frozen=True)
@@ -69,8 +78,8 @@ def _check_conditions(conds: list[TransferCondition], steps_per_period: int) -> 
         at_transfer = populations_closed_form_array(cond, cond.action_t0)[0]
         analytic_error = float(np.max(np.abs(at_transfer - np.eye(3)[cond.target - 1])))
         cases_ok = all(
-            product == cond.product and (k % 2, kp % 2) == parities
-            for (k, kp), product, parities in _case_identities(cond.n1, cond.n2)
+            product(k, kp) == cond.product and (k % 2, kp % 2) == parities
+            for (k, kp), (product, parities) in zip(classify_cases(cond.n1, cond.n2), _CASE_LAWS)
         )
 
         if isinstance(trace, NormDriftExceededError):

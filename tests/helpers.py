@@ -1,8 +1,19 @@
-"""Shared analysis helpers for the test suite."""
+"""Shared analysis helpers and the analytic-vs-RK4 oracle harness for the test suite."""
 
 from typing import NamedTuple
 
 import numpy as np
+
+from tripop import (
+    CouplingRatios,
+    IntegratorConfig,
+    InvalidInputError,
+    LevelEnergies,
+    Pulse,
+    build_dressed_basis,
+    integrate,
+    populations_general_array,
+)
 
 
 def count_returns(values: np.ndarray, threshold: float, below: bool = True) -> int:
@@ -56,3 +67,23 @@ def paper_gauge(basis) -> PaperGauge:
     y = m[:, 2]
     order = sorted(range(3), key=lambda j: (abs(y[j]) < GAUGE_TOL, -y[j]))
     return PaperGauge(np.asarray(basis.z)[order], m[order], basis.m_inv[:, order])
+
+
+def compare_analytic_numeric(
+    ratios: CouplingRatios,
+    pulse: Pulse,
+    t_end: float,
+    config: IntegratorConfig = IntegratorConfig(),
+) -> float:
+    """Max componentwise |P_analytic - P_numeric| over one RK4 run.
+
+    Requires degenerate energies and eps = 0, where the dressed solution is
+    exact; the returned deviation is then pure integrator error.
+    """
+    if ratios.eps != (0.0, 0.0, 0.0):
+        raise InvalidInputError("analytic comparison requires eps = (0, 0, 0)")
+    basis = build_dressed_basis(ratios)
+    trace = integrate(ratios, LevelEnergies.degenerate(), pulse, t_end, config)
+    actions = pulse.area(trace.times).a
+    analytic = populations_general_array(basis, actions)
+    return float(np.max(np.abs(analytic - trace.populations)))

@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import count_returns
+from helpers import compare_analytic_numeric, count_returns
 
 from tripop import (
     CouplingRatios,
@@ -25,7 +25,6 @@ from tripop import (
     OddPair,
     Pulse,
     build_dressed_basis,
-    compare_analytic_numeric,
     condition_from_odd_pair,
     delta_p2_at_t0,
     delta_p2_early,

@@ -27,7 +27,6 @@ from tripop import (
     CouplingRatios,
     OddPair,
     __version__,
-    classify_cases,
     condition_from_odd_pair,
     enumerate_conditions,
     verify_conditions,
@@ -66,14 +65,16 @@ TABLE_HEADER = [
 
 def reference_table(path, fmt, max_product):
     """``table`` written row by row from the condition objects, with the
-    value-by-value formatting of the columnar writer's predecessor."""
+    value-by-value formatting of the columnar writer's predecessor.  The
+    case sets are the paper's combinations of the odd pair: (n_o + n_o',
+    -n_o), (n_o, n_o') and (-n_o', n_o + n_o')."""
     rows = []
     for cond in enumerate_conditions(max_product):
-        cases = classify_cases(cond)
+        n_o, n_op = cond.pair.n_o, cond.pair.n_op
         rows.append(
             [
-                cond.n1, cond.n2, cond.pair.n_o + cond.pair.n_op, cond.pair.n_o, cond.pair.n_op,
-                *cases.case_i, *cases.case_ii, *cases.case_iii, cond.action_t0, cond.alpha,
+                cond.n1, cond.n2, n_o + n_op, n_o, n_op,
+                n_o + n_op, -n_o, n_o, n_op, -n_op, n_o + n_op, cond.action_t0, cond.alpha,
             ]
         )
     with open(path, "w", newline="") as fh:
@@ -339,6 +340,22 @@ class TestLeakage:
             err = capsys.readouterr().err
             assert code == 2 and err.startswith("error: ") and err.count("\n") == 1 and message in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("axis", ["omega13:inf:-1e198:2", "omega13:-1.7e308:1.7e308:3"])
+    def test_grid_range_past_the_floats_is_an_error(self, tmp_path, capsys, axis):
+        """A range with an infinite end, or finite ends whose difference
+        overflows, is refused before ``np.linspace`` can warn."""
+        out = tmp_path / "x.csv"
+        argv = [
+            "leakage", "--n-o", "5", "--n-op", "3", "--grid", f"omega12:0:0.001:2,{axis}",
+            "--steps-per-period", "200", "--out", str(out),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and err == f"error: grid axis {axis!r} needs finite ends a finite distance apart\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("omega", ["0", "-1", "nan", "inf"])
     def test_unusable_omega_is_an_error(self, tmp_path, capsys, omega):

@@ -304,18 +304,18 @@ class TestEnumerate:
 
 class TestClassifyCases:
     def test_three_three(self, cond_33):
-        cases = classify_cases(cond_33)
-        assert cases.case_ii == (1, 1)
-        assert cases.case_i == (2, -1)
-        assert cases.case_iii == (-1, 2)
+        case_i, case_ii, case_iii = classify_cases(cond_33.n1, cond_33.n2)
+        assert case_ii == (1, 1)
+        assert case_i == (2, -1)
+        assert case_iii == (-1, 2)
 
     def test_one_five(self, cond_15):
-        assert classify_cases(cond_15).case_ii == (-1, 3)
+        assert classify_cases(cond_15.n1, cond_15.n2)[1] == (-1, 3)
 
     def test_thirty_five_one(self, cond_351):
-        cases = classify_cases(cond_351)
-        assert cases.case_ii == (23, -11)
-        k, kp = cases.case_ii
+        _, case_ii, _ = classify_cases(cond_351.n1, cond_351.n2)
+        assert case_ii == (23, -11)
+        k, kp = case_ii
         assert (2 * k + kp) * (k + 2 * kp) == 35
 
     def test_identities_and_parities_exhaustive(self):
@@ -326,22 +326,32 @@ class TestClassifyCases:
         assert any(p.n1 < 0 for p in pairs)
         for pair in pairs:
             cond = condition_from_odd_pair(pair)
-            cases = classify_cases(cond)
+            case_i, case_ii, case_iii = classify_cases(cond.n1, cond.n2)
             n_o, n_op = pair.n_o, pair.n_op
-            assert (cases.case_i, cases.case_ii, cases.case_iii) == (
-                (n_o + n_op, -n_o), (n_o, n_op), (-n_op, n_o + n_op)
-            )
+            assert (case_i, case_ii, case_iii) == ((n_o + n_op, -n_o), (n_o, n_op), (-n_op, n_o + n_op))
             n1n2 = cond.n1 * cond.n2
-            k, kp = cases.case_i
+            k, kp = case_i
             assert (k - kp) * (2 * k + kp) == n1n2
             assert k % 2 == 0 and kp % 2 != 0
-            k, kp = cases.case_ii
+            k, kp = case_ii
             assert (2 * k + kp) * (k + 2 * kp) == n1n2
             assert k % 2 != 0 and kp % 2 != 0
-            k, kp = cases.case_iii
+            k, kp = case_iii
             assert (2 * kp + k) * (kp - k) == n1n2
             assert k % 2 != 0 and kp % 2 == 0
-            assert 18.0 * cases.e_value**2 == pytest.approx(n1n2, rel=1e-12)
+            assert 18.0 * (cond.action_t0 / math.pi) ** 2 == pytest.approx(n1n2, rel=1e-12)
+
+    def test_int64_arrays_match_per_member_calls(self):
+        """One call on the int64 columns, negative members included, gives
+        each member's sets as its own call does."""
+        pairs = all_valid_pairs(15)
+        n1 = np.array([p.n1 for p in pairs], dtype=np.int64)
+        n2 = np.array([p.n2 for p in pairs], dtype=np.int64)
+        columns = classify_cases(n1, n2)
+        assert all(c.dtype == np.int64 for case in columns for c in case)
+        for row, pair in enumerate(pairs):
+            per_member = classify_cases(pair.n1, pair.n2)
+            assert tuple((int(k[row]), int(kp[row])) for k, kp in columns) == per_member
 
 
 class TestClosedFormPopulations:

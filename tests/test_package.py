@@ -2,8 +2,9 @@
 modules define, every error type the library can raise is exported, a
 refused input raises ``InvalidInputError`` and never a bare ``ValueError``,
 every name the benchmark reads exists, no module reads the environment,
-only the CLI writes files, its commands write through one path, and one
-module reaches the eigensolver."""
+only the CLI writes files, its commands write through one path, one
+module reaches the eigensolver, and no module imports a name it never
+reads."""
 
 import ast
 import importlib
@@ -147,6 +148,25 @@ def test_commands_write_through_one_path():
         assert isinstance(write.args[0], ast.Name) and write.args[0].id == "args", command.name
         dicts = [node for node in ast.walk(command) if isinstance(node, (ast.Dict, ast.DictComp))]
         assert dicts == [] and "dict" not in called, command.name
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """The names ``tree`` imports (``__future__`` features aside) and never
+    reads."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    return sorted(imported - _names(tree))
+
+
+def test_no_unused_imports():
+    """A library module reads every name it imports, so code that moves out
+    takes its imports along; ``__init__`` imports to export."""
+    unused = {module: _unused_imports(tree) for module, tree in _sources().items() if module != "__init__"}
+    assert {module: names for module, names in unused.items() if names} == {}
 
 
 def _linalg_uses(tree: ast.Module) -> list[str]:

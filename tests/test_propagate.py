@@ -12,7 +12,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from helpers import count_returns
+from helpers import compare_analytic_numeric, count_returns
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +25,7 @@ from tripop import (
     Pulse,
     build_dressed_basis,
     check_condition,
-    compare_analytic_numeric,
+    classify_cases,
     condition_from_odd_pair,
     enumerate_conditions,
     harmonic_for_condition,
@@ -33,12 +33,11 @@ from tripop import (
     integrate_batch,
     leakage_scan,
     propagate_kick,
-    require_traces,
     two_level_populations,
     verify_conditions,
 )
-from tripop import propagate
-from tripop.propagate import _rk4
+from tripop import propagate, verification
+from tripop.propagate import _require_traces, _rk4
 
 RNG = np.random.default_rng(19)
 
@@ -348,7 +347,7 @@ class TestBatchedCore:
         value = Pulse.value
         monkeypatch.setattr(Pulse, "value", lambda pulse, t: sampled.append(np.size(t)) or value(pulse, t))
         runs = [(RATIOS_33.coupling_matrix(), DEGENERATE, drive, T / 4) for drive in drives]
-        traces = require_traces(integrate_batch(runs, IntegratorConfig(steps_per_period=20000)))
+        traces = _require_traces(integrate_batch(runs, IntegratorConfig(steps_per_period=20000)))
         assert len(traces) == 25 and len(traces[0].times) == 501
         return sampled
 
@@ -377,7 +376,7 @@ class TestBatchedCore:
         integrate_batch(runs[:2], config)  # first-call imports and caches
         tracemalloc.start()
         try:
-            traces = require_traces(integrate_batch(runs, config))
+            traces = _require_traces(integrate_batch(runs, config))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -417,7 +416,7 @@ class TestBatchedCore:
             (RATIOS_33, LevelEnergies.from_splittings(-0.3, 0.2)),
         ]
         runs = [(ratios.coupling_matrix(), energies, pulse, T / 4) for ratios, energies in cases]
-        batch = require_traces(integrate_batch(runs, config))
+        batch = _require_traces(integrate_batch(runs, config))
         for (ratios, energies), trace in zip(cases, batch):
             single = integrate(ratios, energies, pulse, T / 4, config)
             assert len(trace.times) == len(single.times) == 501 // 7 + 2
@@ -436,7 +435,7 @@ class TestBatchedCore:
         for trace in (results[0], results[2]):
             np.testing.assert_allclose(trace.populations, single.populations, rtol=0, atol=1e-14)
         with pytest.raises(NormDriftExceededError):
-            require_traces(results)
+            _require_traces(results)
 
     def test_verify_fails_only_the_drifting_rows(self):
         """At 500 steps per period the high-product conditions drift past the
@@ -464,6 +463,24 @@ class TestBatchedCore:
                 assert check.passed, check
                 assert check.analytic_error < 1e-12 and check.ode_deviation < 1e-7
 
+    @pytest.mark.parametrize("case", [0, 1, 2])
+    def test_a_wrong_case_set_fails_the_row(self, monkeypatch, cond_15, case):
+        """The case check can fail: with one set's k moved by 2 (its parity
+        kept, its product identity broken) the row's ``cases_ok`` is false and
+        the row fails, though both population checks are unchanged."""
+        honest = check_condition(cond_15)
+        assert honest.cases_ok and honest.passed
+
+        def wrong(n1, n2):
+            sets = list(classify_cases(n1, n2))
+            sets[case] = (sets[case][0] + 2, sets[case][1])
+            return tuple(sets)
+
+        monkeypatch.setattr(verification, "classify_cases", wrong)
+        check = check_condition(cond_15)
+        assert not check.cases_ok and not check.passed
+        assert (check.analytic_error, check.ode_deviation) == (honest.analytic_error, honest.ode_deviation)
+
     def test_records_past_the_cap_are_refused(self, monkeypatch):
         """Runs x records, counted with the final record of a stride that
         does not divide the step count, may reach the cap but not pass it."""
@@ -472,7 +489,7 @@ class TestBatchedCore:
         run = (k, DEGENERATE, Pulse.constant(1.0), 1.0)
         even = IntegratorConfig(steps_per_period=10, record_every=2)  # records at 0, 2, ..., 10
         odd = IntegratorConfig(steps_per_period=11, record_every=2)  # 0, 2, ..., 10 and 11
-        assert [len(t.times) for t in require_traces(integrate_batch([run] * 2, even))] == [6, 6]
+        assert [len(t.times) for t in _require_traces(integrate_batch([run] * 2, even))] == [6, 6]
         with pytest.raises(InvalidInputError, match="make 18 records"):
             integrate_batch([run] * 3, even)
         with pytest.raises(InvalidInputError, match="make 14 records"):
