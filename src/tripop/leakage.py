@@ -211,6 +211,6 @@ def measured_two_level_deficit(
     t0 = math.pi / (2.0 * omega)
     pulse = Pulse.harmonic(0.5 * math.pi * omega, omega)
     energies = LevelEnergies.from_splittings(omega12_ratio * omega, 0.0)
-    config = IntegratorConfig(steps_per_period=4 * steps, record_every=steps)
+    config = IntegratorConfig(steps_per_period=4 * steps)
     (trace,) = _require_traces(integrate_batch([(_TWO_LEVEL_COUPLING, energies, pulse, t0)], config))
     return float(1.0 - trace.p2[-1])

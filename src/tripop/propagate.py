@@ -44,10 +44,10 @@ numpy multiplies several times faster than a complex 3x3.  Between two
 records only the product of the step maps matters: each record interval's
 matrices are multiplied by a pairwise tree, a prefix scan over the chunk's
 interval products gives the state at each of its records, and the state is
-updated once per chunk.  ``_CHUNK_CONFIG_STEPS`` (1,024) bounds the
-configuration-steps in a chunk, and so the buffers to 384 KiB, and
-``_DRIVE_BLOCK_STEPS`` the steps in a drive block, whatever the run length
-or the number of configurations.  The chunks set only how the products are
+updated once per chunk.  A chunk holds the whole record intervals that fit
+in ``_CHUNK_CONFIG_STEPS`` (1,024) configuration-steps, and one at least, so
+the buffers stay within 384 KiB up to 102 runs and hold 3.75 KiB a run past
+that, whatever the run length.  The chunks set only how the products are
 grouped: results at other budgets differ in rounding alone.
 """
 
@@ -67,11 +67,14 @@ from .errors import InvalidInputError, NormDriftExceededError
 from .pulses import Pulse
 
 DEFAULT_STEPS_PER_PERIOD = 20000
-DEFAULT_SAMPLES_PER_PERIOD = 2000
+RECORD_EVERY = 10  # the trace stride: 2,000 samples per drive period at the default step
 NORM_DRIFT_LIMIT = 1e-6
 # Runs x records of one batch: 4e7 hold 960 MB of populations, about the
 # memory the table cap allows.  verify and leakage put every member or grid
 # point in one batch of 501 records at the default step, so about 80,000 fit.
+# Each run adds 12 x 6 x 6 floats of step coefficients (3.4 KB), a drive
+# block (4.1 KB) and, past 102 runs, 10 steps x 384 bytes of chunk buffers:
+# 1.9 GB at 80,000 runs, 1.6 GB with the one-step chunks they used to take.
 MAX_RUN_RECORDS = 40_000_000
 
 _log = logging.getLogger("tripop")
@@ -102,17 +105,15 @@ class IntegratorConfig:
     """Fixed-step RK4 settings.
 
     The step is the drive period (or, failing that, the integration window)
-    divided by ``steps_per_period``.  Every ``record_every``-th step lands
-    in the trace.  Both counts are integers of at most 2**53, which floats
-    hold exactly.
+    divided by ``steps_per_period``, an integer of at most 2**53, which
+    floats hold exactly.  Every ``RECORD_EVERY``-th step lands in the trace.
     """
 
     steps_per_period: int = DEFAULT_STEPS_PER_PERIOD
-    record_every: int = DEFAULT_STEPS_PER_PERIOD // DEFAULT_SAMPLES_PER_PERIOD
 
     def __post_init__(self):
-        if not all(isinstance(n, Integral) and 0 < n <= 2**53 for n in (self.steps_per_period, self.record_every)):
-            raise InvalidInputError(f"steps_per_period and record_every must be integers in 1 .. 2**53, got {self}")
+        if not (isinstance(self.steps_per_period, Integral) and 0 < self.steps_per_period <= 2**53):
+            raise InvalidInputError(f"steps_per_period must be an integer in 1 .. 2**53, got {self.steps_per_period!r}")
 
     def resolve_dt(self, pulse: Pulse, t_end: float) -> float:
         if pulse.shape == "harmonic":
@@ -136,8 +137,8 @@ class IntegratorConfig:
         return max(1, nearest if abs(ratio - nearest) <= 1e-12 * ratio else math.ceil(ratio))
 
     def record_count(self, n_steps: int) -> int:
-        """Records of a run of ``n_steps`` steps: step 0, every ``record_every``-th, and the last."""
-        return -(-n_steps // self.record_every) + 1
+        """Records of a run of ``n_steps`` steps: step 0, every ``RECORD_EVERY``-th, and the last."""
+        return -(-n_steps // RECORD_EVERY) + 1
 
 
 @dataclass(frozen=True)
@@ -230,18 +231,18 @@ def integrate_batch(
     n_records = config.record_count(n_steps)
     if len(runs) * n_records > MAX_RUN_RECORDS:
         raise InvalidInputError(
-            f"{len(runs)} runs of {n_steps} steps, recorded every {config.record_every}, "
+            f"{len(runs)} runs of {n_steps} steps, recorded every {RECORD_EVERY}, "
             f"make {len(runs) * n_records} records, past the cap of {MAX_RUN_RECORDS:.0e}"
         )
 
     pulses = [run[2] for run in runs]
-    record_steps, pops, _ = _rk4(k, e, pulses, dt, n_steps, config.record_every, False)
+    record_steps, pops, _ = _rk4(k, e, pulses, dt, n_steps, RECORD_EVERY, False)
     drifts = np.max(np.abs(1.0 - pops.sum(axis=2)), axis=1)
     worst = int(np.argmax(drifts))  # a NaN drift counts as the worst
     _log.debug(
         "RK4 batch: %d runs x %d steps, record every %d, chunks of at most %d steps, "
         "drive blocks of at most %d steps, max norm drift %.3e",
-        len(runs), n_steps, config.record_every, *_chunk_sizes(len(runs), config.record_every, n_steps),
+        len(runs), n_steps, RECORD_EVERY, *_chunk_sizes(len(runs), RECORD_EVERY, n_steps),
         drifts[worst],
     )
     drifting = np.count_nonzero(~(drifts <= 0.1 * NORM_DRIFT_LIMIT))
@@ -273,11 +274,12 @@ def _require_traces(results: list[PopulationTrace | NormDriftExceededError]) -> 
     return results
 
 
-# The one bound on the core's working memory: a chunk holds the step
-# matrices of at most this many configuration-steps, whatever the run length
-# or the number of runs.  Its step matrices (288 bytes each) and monomials
-# (96 bytes) live in two buffers made once per batch, 384 KiB at this budget;
-# the interval tree's temporaries add at most as much as the step matrices.
+# The core's working memory beyond records: a chunk holds the whole record
+# intervals that fit in this many configuration-steps, and one at least, so
+# max(1,024, N x RECORD_EVERY) whatever the run length.  That floor took
+# 1,521 runs from 0.48 to 0.28 us per configuration-step on the VM below.
+# Its step matrices (288 bytes each) and monomials (96 bytes) live in two
+# buffers made once per batch; the tree's temporaries add at most as much.
 # Bigger chunks pay the per-chunk numpy calls less often but hold more: on
 # the benchmark (2-vCPU Xeon VM, ten alternating runs against 256 without
 # the buffers), 1,024 took sweep from 0.095-0.109 to 0.053-0.062 s and
@@ -297,14 +299,12 @@ _DRIVE_BLOCK_STEPS = 256
 def _chunk_sizes(n_runs: int, record_every: int, n_steps: int) -> tuple[int, int]:
     """Steps per chunk of step matrices, and per block of drive samples.
 
-    A chunk is _CHUNK_CONFIG_STEPS // n_runs steps (at least one), cut down
-    to whole record intervals when the stride fits in it.  A block is the
-    largest whole number of chunks within _DRIVE_BLOCK_STEPS steps, and at
-    least one chunk.  Neither is longer than the run's n_steps.
+    A chunk is the most whole record intervals whose configuration-steps
+    fit in _CHUNK_CONFIG_STEPS, and one at least.  A block is the largest
+    whole number of chunks within _DRIVE_BLOCK_STEPS steps, and at least
+    one chunk.  Neither is longer than the run's n_steps.
     """
-    chunk = max(1, _CHUNK_CONFIG_STEPS // n_runs)
-    if record_every <= chunk:
-        chunk -= chunk % record_every
+    chunk = record_every * max(1, _CHUNK_CONFIG_STEPS // (n_runs * record_every))
     block = chunk * max(1, _DRIVE_BLOCK_STEPS // chunk)
     return min(chunk, n_steps), min(block, n_steps)
 
@@ -330,9 +330,9 @@ def _rk4(
     are made once.  A chunk's step matrices are then one stacked product,
     the monomials [12, N, steps] of its drive samples times M, plus I, both
     written into buffers made once per batch.  A chunk (``_chunk_sizes``)
-    holds whole record intervals or lies within one, so Python work scales
-    with the number of chunks, not of steps.  Runs with the same pulse and
-    step share their drive samples.
+    holds whole record intervals and ends on a record step, so Python work
+    scales with the number of chunks, not of steps.  Runs with the same
+    pulse and step share their drive samples.
     """
     n_runs, n = e.shape
     record_steps = np.arange(0, n_steps + 1, record_every)
@@ -383,8 +383,6 @@ def _rk4(
             products = _tree_products(intervals).reshape(n_runs, -1, 2 * n, 2 * n).swapaxes(0, 1)
             states = _prefix_products(products) @ a  # [intervals, N, 2 n, 1]
             a = states[-1]
-            if last % record_every and last != n_steps:
-                states = states[:-1]  # the chunk ends between records
             recorded = slice(next_record, next_record + len(states))
             amplitudes = states[..., :n, 0] + 1j * states[..., n:, 0]
             pops[recorded] = np.abs(amplitudes) ** 2

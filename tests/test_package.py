@@ -1,10 +1,10 @@
 """The public surface: ``tripop.__all__`` is exactly what the library
 modules define, every error type the library can raise is exported, a
 refused input raises ``InvalidInputError`` and never a bare ``ValueError``,
-every name the benchmark reads exists, no module reads the environment,
-only the CLI writes files, its commands write through one path, one
-module reaches the eigensolver, and no module imports a name it never
-reads."""
+every name the benchmark reads exists and its record stride is the
+library's, no module reads the environment, only the CLI writes files, its
+commands write through one path, one module reaches the eigensolver, and
+no module imports a name it never reads."""
 
 import ast
 import importlib
@@ -13,7 +13,7 @@ import pkgutil
 from pathlib import Path
 
 import tripop
-from tripop import errors
+from tripop import errors, propagate
 
 
 def test_all_names_resolve():
@@ -246,6 +246,19 @@ def test_bench_names_resolve():
     names = _bench_names()
     assert {"cli.main", "leakage.measured_deficit", "pulses.Pulse.value", "propagate.integrate"} <= names
     assert [name for name in sorted(names) if _resolve(name) is None] == []
+
+
+def test_bench_stride_is_the_library_stride():
+    """``bench/workloads.py`` counts ``long_trace``'s records at its own
+    ``RECORD_EVERY``; it must be the library's, so a change of stride fails
+    here before it fails the benchmark."""
+    workloads = ast.parse((BENCH / "workloads.py").read_text())
+    values = [
+        ast.literal_eval(node.value)
+        for node in workloads.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["RECORD_EVERY"]
+    ]
+    assert values == [propagate.RECORD_EVERY]
 
 
 def test_traced_names_are_plain_functions_of_their_module():

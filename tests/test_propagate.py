@@ -132,40 +132,29 @@ class TestIntegrate:
     def test_whole_step_count_is_kept(self):
         """t / (t / n) can round to just above n; the run still takes n steps."""
         t, n = math.pi / 2.0, 20730
-        config = IntegratorConfig(steps_per_period=n, record_every=n)
-        trace = integrate(RATIOS_33, DEGENERATE, Pulse.constant(1.0), t, config)
-        assert len(trace.times) == 2
+        config = IntegratorConfig(steps_per_period=n)
+        pulse = Pulse.constant(1.0)
+        assert config.step_count(pulse, t) == n
+        trace = integrate(RATIOS_33, DEGENERATE, pulse, t, config)
         assert trace.times[-1] == pytest.approx(t, rel=1e-15)
 
-    def test_huge_step_count_is_kept_whole(self, monkeypatch):
+    def test_huge_step_count_is_kept_whole(self):
         """1e9 drive periods at the default step are exactly 2e13 steps; a
         guard relative to the whole count would drop 20 of them."""
-        counts = []
-
-        class Reached(Exception):
-            pass
-
-        def reached(k, e, pulses, dt, n_steps, *args):
-            counts.append(n_steps)
-            raise Reached
-
-        monkeypatch.setattr(propagate, "_rk4", reached)
         pulse = Pulse.harmonic(1.0, 1.0)
-        with pytest.raises(Reached):
-            integrate(RATIOS_33, DEGENERATE, pulse, 1e9 * pulse.period, IntegratorConfig(record_every=10**9))
-        assert counts == [2 * 10**13]
+        assert IntegratorConfig().step_count(pulse, 1e9 * pulse.period) == 2 * 10**13
 
-    @pytest.mark.parametrize("field", ["steps_per_period", "record_every"])
+    @pytest.mark.parametrize("field", ["steps_per_period"])
     def test_counts_past_2_53_are_refused(self, field):
-        """Both counts must convert to floats exactly."""
+        """The step count must convert to floats exactly."""
         assert getattr(IntegratorConfig(**{field: 2**53}), field) == 2**53
         with pytest.raises(InvalidInputError, match="2\\*\\*53"):
             IntegratorConfig(**{field: 2**53 + 1})
 
-    @pytest.mark.parametrize("field, value", [("record_every", 2.5), ("steps_per_period", 4000.5)])
+    @pytest.mark.parametrize("field, value", [("steps_per_period", 4000.5)])
     def test_non_integer_counts_are_refused(self, field, value):
         """A fractional count is refused when the config is built, not deep in the core."""
-        with pytest.raises(InvalidInputError, match="integers"):
+        with pytest.raises(InvalidInputError, match="integer"):
             IntegratorConfig(**{field: value})
 
     def test_nondegenerate_norm_conserved(self):
@@ -219,10 +208,10 @@ def rk4_runs(draw):
     count, with the core's chunk budget and drive block to run them at.
 
     N in {1, 2, 5, 17, 40} at a budget of 1, 64 or 1,024 configuration-steps
-    gives chunks of 1,024 down to one step, so the stride falls on either
-    side of a chunk; strides that divide the step count and a stride of the
-    whole run are drawn too.  Drive blocks of 16 steps are crossed in every
-    run, blocks of 256 only in the longer runs.
+    gives chunks from one record interval up to 1,024 steps; strides that
+    divide the step count and a stride of the whole run are drawn too.
+    Drive blocks of 16 steps are crossed in every run, blocks of 256 only in
+    the longer runs.
     """
     budget = draw(st.sampled_from((1, 64, 1024)))
     block = draw(st.sampled_from((16, 256)))
@@ -275,8 +264,9 @@ class TestBatchedCore:
 
     def test_results_do_not_depend_on_the_budget(self):
         """One batch of split levels under harmonic, Gaussian and tabulated
-        drives, with a stride longer than a chunk at the smaller budgets:
-        the chunk budget changes only the rounding of the products."""
+        drives at a stride of 100, so that a chunk holds two record
+        intervals at the largest budget and one at the smaller two: the
+        chunk budget changes only the rounding of the products."""
         k = CouplingRatios(2.5, 0.7).coupling_matrix()
         pulses = [
             Pulse.harmonic(1.3, 2.0),
@@ -293,6 +283,21 @@ class TestBatchedCore:
         for other_steps, _, amps in others:
             np.testing.assert_array_equal(other_steps, steps)
             np.testing.assert_allclose(amps, reference, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n_runs", [1, 17, 25, 102, 103, 400, 1521])
+    def test_chunks_hold_whole_record_intervals(self, n_runs):
+        """A chunk is a whole number of record intervals, within the budget
+        or one interval per run, unless the run is shorter than the chunk;
+        up to 102 runs at the default budget it is 1,024 // N steps cut down
+        to whole intervals, as before the one-interval floor."""
+        stride = propagate.RECORD_EVERY
+        for budget, n_steps in itertools.product((1, 64, 1024), (7, 25, 5000)):
+            with patch.object(propagate, "_CHUNK_CONFIG_STEPS", budget):
+                chunk, _ = propagate._chunk_sizes(n_runs, stride, n_steps)
+            assert 0 < chunk <= n_steps and (chunk % stride == 0 or chunk == n_steps), (budget, n_steps, chunk)
+            assert n_runs * chunk <= max(budget, n_runs * stride)
+            if n_runs <= 102 and budget == 1024:
+                assert chunk == min(1024 // n_runs // stride * stride, n_steps)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -364,27 +369,31 @@ class TestBatchedCore:
         assert sampled == [481] * 20 + [401]
 
     def test_working_memory_is_records_plus_one_chunk(self):
-        """25 runs of 5,000 steps hold their records and, twice over, the
-        monomial and step-matrix buffers of one chunk of 1,024
-        configuration-steps (room for the tree's products and the step
-        coefficients) and one block of drive samples (the stacked samples
-        and their per-run copy).  A larger budget, or memory that grows
-        chunk by chunk, passes this bound."""
+        """25 runs of 5,000 steps, and 200 runs of 500 steps, hold their
+        records and, twice over, the monomial and step-matrix buffers of one
+        chunk of max(1,024, N x RECORD_EVERY) configuration-steps (room for
+        the tree's products and the step coefficients) and one block of
+        drive samples (the stacked samples and their per-run copy).  A
+        larger budget, a chunk of more than one record interval past 102
+        runs, or memory that grows chunk by chunk, passes this bound."""
         k = RATIOS_33.coupling_matrix()
-        runs = [(k, LevelEnergies.from_splittings(0.01 * i, 0.0), Pulse.harmonic(1.0, 1.0), T / 4) for i in range(25)]
         config = IntegratorConfig(steps_per_period=20000)
-        integrate_batch(runs[:2], config)  # first-call imports and caches
-        tracemalloc.start()
-        try:
-            traces = _require_traces(integrate_batch(runs, config))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(traces) == 25 and len(traces[0].times) == 501
-        records = 25 * 501 * (3 + 1) * 8  # populations and times
-        buffers = 1024 * (12 + 36) * 8  # monomials and step matrices
-        drive = 25 * (2 * 256 + 1) * 8  # one block of half-step samples per run
-        assert peak < records + 2 * buffers + 2 * drive
+        for n_runs, n_records in ((25, 501), (200, 51)):
+            t_end = T * (n_records - 1) * propagate.RECORD_EVERY / 20000
+            runs = [(k, LevelEnergies.from_splittings(0.01 * i, 0.0), Pulse.harmonic(1.0, 1.0), t_end)
+                    for i in range(n_runs)]
+            integrate_batch(runs[:2], config)  # first-call imports and caches
+            tracemalloc.start()
+            try:
+                traces = _require_traces(integrate_batch(runs, config))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(traces) == n_runs and len(traces[0].times) == n_records
+            records = n_runs * n_records * (3 + 1) * 8  # populations and times
+            buffers = max(1024, n_runs * propagate.RECORD_EVERY) * (12 + 36) * 8  # monomials and step matrices
+            drive = n_runs * (2 * 256 + 1) * 8  # one block of half-step samples per run
+            assert peak < records + 2 * buffers + 2 * drive, n_runs
 
     def test_batch_is_logged(self, caplog):
         """One debug record per batch; a warning names the run whose drift
@@ -407,8 +416,8 @@ class TestBatchedCore:
 
     def test_batch_matches_integrate(self, cond_15):
         """Each run of a batch gives the times, record count and populations
-        of its own ``integrate`` call; the stride does not divide the step count."""
-        config = IntegratorConfig(steps_per_period=2002, record_every=7)
+        of its own ``integrate`` call; the stride does not divide the 501 steps."""
+        config = IntegratorConfig(steps_per_period=2002)
         pulse = harmonic_for_condition(cond_15, 1.0)
         cases = [
             (cond_15.ratios(), DEGENERATE),
@@ -419,7 +428,7 @@ class TestBatchedCore:
         batch = _require_traces(integrate_batch(runs, config))
         for (ratios, energies), trace in zip(cases, batch):
             single = integrate(ratios, energies, pulse, T / 4, config)
-            assert len(trace.times) == len(single.times) == 501 // 7 + 2
+            assert len(trace.times) == len(single.times) == 501 // propagate.RECORD_EVERY + 2
             np.testing.assert_array_equal(trace.times, single.times)
             np.testing.assert_allclose(trace.populations, single.populations, rtol=0, atol=1e-14)
 
@@ -487,13 +496,13 @@ class TestBatchedCore:
         monkeypatch.setattr(propagate, "MAX_RUN_RECORDS", 12)
         k = RATIOS_33.coupling_matrix()
         run = (k, DEGENERATE, Pulse.constant(1.0), 1.0)
-        even = IntegratorConfig(steps_per_period=10, record_every=2)  # records at 0, 2, ..., 10
-        odd = IntegratorConfig(steps_per_period=11, record_every=2)  # 0, 2, ..., 10 and 11
-        assert [len(t.times) for t in _require_traces(integrate_batch([run] * 2, even))] == [6, 6]
-        with pytest.raises(InvalidInputError, match="make 18 records"):
-            integrate_batch([run] * 3, even)
-        with pytest.raises(InvalidInputError, match="make 14 records"):
-            integrate_batch([run] * 2, odd)
+        even = IntegratorConfig(steps_per_period=20)  # records at 0, 10 and 20
+        odd = IntegratorConfig(steps_per_period=21)  # 0, 10, 20 and 21
+        assert [len(t.times) for t in _require_traces(integrate_batch([run] * 4, even))] == [3] * 4
+        with pytest.raises(InvalidInputError, match="make 15 records"):
+            integrate_batch([run] * 5, even)
+        with pytest.raises(InvalidInputError, match="make 16 records"):
+            integrate_batch([run] * 4, odd)
 
     def test_cli_sized_batches_pass_the_cap(self, monkeypatch):
         """verify and leakage put every member or grid point in one batch of
@@ -513,11 +522,11 @@ class TestBatchedCore:
         with pytest.raises(Reached):
             leakage_scan(cond, [(0.01 * i, 0.02 * i) for i in range(1, 4001)])
         run = (RATIOS_33.coupling_matrix(), DEGENERATE, Pulse.constant(1.0), 1.0)
-        at_cap = propagate.MAX_RUN_RECORDS - 1  # steps, so records 0 .. at_cap
+        at_cap = (propagate.MAX_RUN_RECORDS - 1) * propagate.RECORD_EVERY  # steps, so records 0 .. at_cap
         with pytest.raises(Reached):
-            integrate_batch([run], IntegratorConfig(steps_per_period=at_cap, record_every=1))
+            integrate_batch([run], IntegratorConfig(steps_per_period=at_cap))
         with pytest.raises(InvalidInputError, match="past the cap"):
-            integrate_batch([run], IntegratorConfig(steps_per_period=at_cap + 1, record_every=1))
+            integrate_batch([run], IntegratorConfig(steps_per_period=at_cap + 1))
 
     def test_rejects_unusable_batches(self):
         k = RATIOS_33.coupling_matrix()
