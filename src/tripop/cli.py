@@ -45,7 +45,6 @@ from .propagate import (
     MAX_RUN_RECORDS,
     IntegratorConfig,
     LevelEnergies,
-    _require_traces,
     integrate,
     integrate_batch,
     propagate_kick,
@@ -250,7 +249,7 @@ def cmd_kick(args) -> int:
     # every width takes the same number of steps and the runs form one batch.
     k = ratios.coupling_matrix()
     runs = [(k, energies, Pulse.gaussian_kick(args.area, 10.0 * w, w), 20.0 * w) for w in widths]
-    traces = _require_traces(integrate_batch(runs, IntegratorConfig(steps_per_period=args.steps_per_period)))
+    traces = integrate_batch(runs, IntegratorConfig(steps_per_period=args.steps_per_period))
     rows.extend(["gaussian", w, *trace.populations[-1].tolist()] for w, trace in zip(widths, traces))
     _write_rows(args, header, rows)
     return 0

@@ -17,4 +17,7 @@ class InvalidInputError(TripopError, ValueError):
 
 
 class NormDriftExceededError(TripopError):
-    """The integrator norm drift exceeded tolerance; the step size is too large."""
+    """The integrator norm drift exceeded tolerance; the step size is too large.
+
+    When ``integrate_batch`` raises it, ``traces`` holds the batch's traces
+    in run order, None for each run whose drift was past the limit."""

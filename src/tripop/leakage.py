@@ -40,7 +40,6 @@ from .propagate import (
     DEFAULT_STEPS_PER_PERIOD,
     IntegratorConfig,
     LevelEnergies,
-    _require_traces,
     integrate_batch,
 )
 from .pulses import Pulse, harmonic_for_condition
@@ -137,7 +136,7 @@ def measured_delta_p2(
         (k, LevelEnergies.degenerate(), pulse, t),
         (k, LevelEnergies.from_splittings(omega12, omega13), pulse, t),
     ]
-    deg, split = _require_traces(integrate_batch(runs, config))
+    deg, split = integrate_batch(runs, config)
     return float(deg.p2[-1] - split.p2[-1])
 
 
@@ -160,7 +159,7 @@ def leakage_scan(
         (k, LevelEnergies.from_splittings(r12 * omega, r13 * omega), pulse, t0)
         for r12, r13 in omega_ratios
     ]
-    return [float(1.0 - trace.p2[-1]) for trace in _require_traces(integrate_batch(runs, config))]
+    return [float(1.0 - trace.p2[-1]) for trace in integrate_batch(runs, config)]
 
 
 # -- two-level reference atom ---------------------------------------------
@@ -212,5 +211,5 @@ def measured_two_level_deficit(
     pulse = Pulse.harmonic(0.5 * math.pi * omega, omega)
     energies = LevelEnergies.from_splittings(omega12_ratio * omega, 0.0)
     config = IntegratorConfig(steps_per_period=4 * steps)
-    (trace,) = _require_traces(integrate_batch([(_TWO_LEVEL_COUPLING, energies, pulse, t0)], config))
+    (trace,) = integrate_batch([(_TWO_LEVEL_COUPLING, energies, pulse, t0)], config)
     return float(1.0 - trace.p2[-1])

@@ -74,7 +74,7 @@ NORM_DRIFT_LIMIT = 1e-6
 # point in one batch of 501 records at the default step, so about 80,000 fit.
 # Each run adds 12 x 6 x 6 floats of step coefficients (3.4 KB), a drive
 # block (4.1 KB) and, past 102 runs, 10 steps x 384 bytes of chunk buffers:
-# 1.9 GB at 80,000 runs, 1.6 GB with the one-step chunks they used to take.
+# 1.9 GB at 80,000 runs.
 MAX_RUN_RECORDS = 40_000_000
 
 _log = logging.getLogger("tripop")
@@ -181,15 +181,14 @@ def integrate(
     accumulated.  The run is rejected (NormDriftExceededError) when
     max |1 - sum |a_i|^2| exceeds 1e-6 or is not finite.
     """
-    run = (ratios.coupling_matrix(), energies, pulse, t_end)
-    (trace,) = _require_traces(integrate_batch([run], config))
+    (trace,) = integrate_batch([(ratios.coupling_matrix(), energies, pulse, t_end)], config)
     return trace
 
 
 def integrate_batch(
     runs: Sequence[tuple[np.ndarray, LevelEnergies, Pulse, float]],
     config: IntegratorConfig = IntegratorConfig(),
-) -> list[PopulationTrace | NormDriftExceededError]:
+) -> list[PopulationTrace]:
     """``integrate`` for several runs at once, advanced together by one RK4 core.
 
     Each run is (K, energies, pulse, t_end) with K a real symmetric 3x3
@@ -200,9 +199,11 @@ def integrate_batch(
     Refuses a batch of more than ``MAX_RUN_RECORDS`` runs x records before
     integrating it.
 
-    Returns one result per run: its trace, or, when that run's norm drift
-    exceeds NORM_DRIFT_LIMIT or is not finite, the NormDriftExceededError
-    that ``integrate`` would raise for it.  The other runs are unaffected.
+    Returns one trace per run, in order.  When a run's norm drift exceeds
+    NORM_DRIFT_LIMIT or is not finite, the whole batch is still integrated
+    and logged, and then the first such run's NormDriftExceededError is
+    raised; its ``traces`` holds every run's trace, None for each run that
+    drifted.
 
     Logs one debug record per batch to the ``tripop`` logger, and a warning
     when a run's drift passes a tenth of NORM_DRIFT_LIMIT.
@@ -251,27 +252,17 @@ def integrate_batch(
             "norm drift past %.0e (a tenth of the limit) in %d of %d RK4 runs; the largest is %.3e, in run %d",
             0.1 * NORM_DRIFT_LIMIT, drifting, len(runs), drifts[worst], worst,
         )
-    results: list[PopulationTrace | NormDriftExceededError] = []
-    for i, drift in enumerate(drifts):
-        if not drift <= NORM_DRIFT_LIMIT:
-            results.append(NormDriftExceededError(
-                f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT:g}; reduce the step"
-            ))
-            continue
-        results.append(PopulationTrace(
-            times=record_steps * dt[i],
-            populations=pops[i],
-            norm_drift=float(drift),
-        ))
-    return results
-
-
-def _require_traces(results: list[PopulationTrace | NormDriftExceededError]) -> list[PopulationTrace]:
-    """The traces of ``integrate_batch`` results; raises the first run's drift error, if any."""
-    for result in results:
-        if isinstance(result, NormDriftExceededError):
-            raise result
-    return results
+    traces = [
+        PopulationTrace(times=record_steps * dt[i], populations=pops[i], norm_drift=float(drift))
+        if drift <= NORM_DRIFT_LIMIT else None
+        for i, drift in enumerate(drifts)
+    ]
+    if None in traces:
+        drift = drifts[traces.index(None)]
+        error = NormDriftExceededError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT:g}; reduce the step")
+        error.traces = traces
+        raise error
+    return traces
 
 
 # The core's working memory beyond records: a chunk holds the whole record

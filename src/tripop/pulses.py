@@ -186,10 +186,9 @@ def harmonic_for_condition(cond, omega: float) -> Pulse:
     """Harmonic drive realizing a transfer condition at t0 = T/4.
 
     The amplitude obeys v0/omega = A(t0), so the quarter-period action equals
-    the condition's transfer action for every omega.
+    the condition's transfer action for every omega.  ``Pulse.harmonic`` refuses
+    an omega that is not positive or that leaves v0 not finite.
     """
-    if not omega > 0:
-        raise InvalidInputError("omega must be positive")
     return Pulse.harmonic(v0=cond.action_t0 * omega, omega=omega)
 
 

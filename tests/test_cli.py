@@ -9,7 +9,10 @@ import csv
 import json
 import logging
 import math
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -129,6 +132,19 @@ class TestTable:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["table", "--max-product", "35", "--out", str(a)])
         main(["table", "--max-product", "35", "--out", str(b)])
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_runs_as_a_module(self, tmp_path):
+        """``python -m tripop.cli`` is the same program as ``main``."""
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        module = [sys.executable, "-m", "tripop.cli"]
+        version = subprocess.run(module + ["--version"], env=env, capture_output=True, text=True)
+        assert version.returncode == 0 and version.stdout == f"tripop {__version__}\n"
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        table = subprocess.run(module + ["table", "--max-product", "35", "--out", str(a)],
+                               env=env, capture_output=True, text=True)
+        assert table.returncode == 0 and table.stderr == ""
+        assert main(["table", "--max-product", "35", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_csv_json_round_trip(self, tmp_path):

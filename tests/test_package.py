@@ -1,6 +1,7 @@
 """The public surface: ``tripop.__all__`` is exactly what the library
 modules define, every error type the library can raise is exported, a
 refused input raises ``InvalidInputError`` and never a bare ``ValueError``,
+each refusal names its fault (on the CLI in one ``error:`` line),
 every name the benchmark reads exists and its record stride is the
 library's, no module reads the environment, only the CLI writes files, its
 commands write through one path, one module reaches the eigensolver, and
@@ -9,11 +10,29 @@ no module imports a name it never reads."""
 import ast
 import importlib
 import inspect
+import math
 import pkgutil
+import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import tripop
-from tripop import errors, propagate
+from tripop import (
+    CouplingRatios,
+    InvalidInputError,
+    LevelEnergies,
+    OddPair,
+    PopulationTrace,
+    Pulse,
+    condition_from_odd_pair,
+    errors,
+    harmonic_for_condition,
+    propagate,
+    validate_condition,
+)
+from tripop.cli import main
 
 
 def test_all_names_resolve():
@@ -56,6 +75,43 @@ def test_three_error_types():
     }
     assert defined == {"TripopError", "InvalidInputError", "NormDriftExceededError"}
     assert issubclass(errors.InvalidInputError, ValueError)
+
+
+_LEAKAGE = ["leakage", "--n-o", "1", "--n-op", "1", "--grid"]
+
+
+@pytest.mark.parametrize("refused, fragment", [
+    pytest.param(lambda: validate_condition(0.0, 1.0, 2.2, tol=0.0), "tol must be positive", id="lookup-tol-0"),
+    pytest.param(lambda: CouplingRatios(math.nan, 1.0), "coupling ratios must be finite", id="ratio-nan"),
+    pytest.param(lambda: CouplingRatios(0.0, 1.0, eps=(0.0, 0.0)), "exactly three", id="two-eps"),
+    pytest.param(lambda: LevelEnergies((0.0, math.nan, 0.0)), "three finite energies", id="energy-nan"),
+    pytest.param(lambda: LevelEnergies((0.0, 0.0)), "three finite energies", id="two-energies"),
+    pytest.param(lambda: PopulationTrace(np.zeros(2), np.zeros((3, 3)), 0.0), "length mismatch", id="trace-lengths"),
+    pytest.param(lambda: Pulse.harmonic(1.0, 0.0), "requires omega > 0", id="harmonic-omega-0"),
+    pytest.param(lambda: Pulse.gaussian_kick(1.0, 0.0, 0.0), "positive width", id="gaussian-width-0"),
+    pytest.param(lambda: Pulse.tabulated([0.0], [1.0]), "at least two samples", id="one-knot"),
+    pytest.param(lambda: Pulse.constant(1.0).period, "only harmonic pulses", id="constant-period"),
+    pytest.param(lambda: harmonic_for_condition(condition_from_odd_pair(OddPair(1, 1)), 0.0),
+                 "requires omega > 0", id="condition-omega-0"),
+    pytest.param(_LEAKAGE + ["omega12:0:1,omega13:0"], "malformed grid axis 'omega12:0:1'", id="cli-grid-3-fields"),
+    pytest.param(_LEAKAGE + ["omega12:0:1:0,omega13:0"], "grid count must be >= 1", id="cli-grid-count-0"),
+    pytest.param(_LEAKAGE + ["omega12:0"], "both omega12 and omega13", id="cli-grid-axis-missing"),
+    pytest.param(["kick", "--alpha", "0", "--area", "1", "--widths", "0.1,0"], "kick widths must be positive",
+                 id="cli-kick-width-0"),
+])
+def test_each_refusal_names_its_fault(refused, fragment, tmp_path, capsys):
+    """A library refusal raises ``InvalidInputError`` with the message
+    fragment; a CLI refusal (an argv) exits 2 with one ``error:`` line that
+    holds it, and writes no file."""
+    if callable(refused):
+        with pytest.raises(InvalidInputError, match=re.escape(fragment)):
+            refused()
+        return
+    out = tmp_path / "out.csv"
+    assert main(refused + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
+    assert not out.exists()
 
 
 def _sources() -> dict[str, ast.Module]:

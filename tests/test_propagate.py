@@ -37,7 +37,7 @@ from tripop import (
     verify_conditions,
 )
 from tripop import propagate, verification
-from tripop.propagate import _require_traces, _rk4
+from tripop.propagate import _rk4
 
 RNG = np.random.default_rng(19)
 
@@ -352,7 +352,7 @@ class TestBatchedCore:
         value = Pulse.value
         monkeypatch.setattr(Pulse, "value", lambda pulse, t: sampled.append(np.size(t)) or value(pulse, t))
         runs = [(RATIOS_33.coupling_matrix(), DEGENERATE, drive, T / 4) for drive in drives]
-        traces = _require_traces(integrate_batch(runs, IntegratorConfig(steps_per_period=20000)))
+        traces = integrate_batch(runs, IntegratorConfig(steps_per_period=20000))
         assert len(traces) == 25 and len(traces[0].times) == 501
         return sampled
 
@@ -385,7 +385,7 @@ class TestBatchedCore:
             integrate_batch(runs[:2], config)  # first-call imports and caches
             tracemalloc.start()
             try:
-                traces = _require_traces(integrate_batch(runs, config))
+                traces = integrate_batch(runs, config)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -403,7 +403,8 @@ class TestBatchedCore:
         pulse = Pulse.harmonic(1.0, 1.0)
         calm = RATIOS_33.coupling_matrix()
         integrate_batch([(calm, DEGENERATE, pulse, T)] * 3, config)
-        integrate_batch([(calm, DEGENERATE, pulse, T), (8.0 * calm, DEGENERATE, pulse, T)], config)
+        with pytest.raises(NormDriftExceededError):
+            integrate_batch([(calm, DEGENERATE, pulse, T), (8.0 * calm, DEGENERATE, pulse, T)], config)
         records = [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
         assert [level for _, level, _ in records] == ["DEBUG", "DEBUG", "WARNING"]
         assert {name for name, _, _ in records} == {"tripop"}
@@ -425,7 +426,7 @@ class TestBatchedCore:
             (RATIOS_33, LevelEnergies.from_splittings(-0.3, 0.2)),
         ]
         runs = [(ratios.coupling_matrix(), energies, pulse, T / 4) for ratios, energies in cases]
-        batch = _require_traces(integrate_batch(runs, config))
+        batch = integrate_batch(runs, config)
         for (ratios, energies), trace in zip(cases, batch):
             single = integrate(ratios, energies, pulse, T / 4, config)
             assert len(trace.times) == len(single.times) == 501 // propagate.RECORD_EVERY + 2
@@ -433,18 +434,19 @@ class TestBatchedCore:
             np.testing.assert_allclose(trace.populations, single.populations, rtol=0, atol=1e-14)
 
     def test_one_run_over_the_drift_limit(self):
-        """A run that drifts fails alone; the others return their traces."""
+        """A run that drifts raises for the batch; the error carries the
+        other runs' traces, and None in the drifting run's place."""
         config = IntegratorConfig(steps_per_period=126)
         pulse = Pulse.harmonic(1.0, 1.0)
         calm = RATIOS_33.coupling_matrix()
         runs = [(calm, DEGENERATE, pulse, T), (8.0 * calm, DEGENERATE, pulse, T), (calm, DEGENERATE, pulse, T)]
-        results = integrate_batch(runs, config)
-        assert isinstance(results[1], NormDriftExceededError)
+        with pytest.raises(NormDriftExceededError, match=r"^norm drift .* exceeds 1e-06; reduce the step$") as info:
+            integrate_batch(runs, config)
+        traces = info.value.traces
+        assert len(traces) == 3 and traces[1] is None
         single = integrate(RATIOS_33, DEGENERATE, pulse, T, config)
-        for trace in (results[0], results[2]):
+        for trace in (traces[0], traces[2]):
             np.testing.assert_allclose(trace.populations, single.populations, rtol=0, atol=1e-14)
-        with pytest.raises(NormDriftExceededError):
-            _require_traces(results)
 
     def test_verify_fails_only_the_drifting_rows(self):
         """At 500 steps per period the high-product conditions drift past the
@@ -498,7 +500,7 @@ class TestBatchedCore:
         run = (k, DEGENERATE, Pulse.constant(1.0), 1.0)
         even = IntegratorConfig(steps_per_period=20)  # records at 0, 10 and 20
         odd = IntegratorConfig(steps_per_period=21)  # 0, 10, 20 and 21
-        assert [len(t.times) for t in _require_traces(integrate_batch([run] * 4, even))] == [3] * 4
+        assert [len(t.times) for t in integrate_batch([run] * 4, even)] == [3] * 4
         with pytest.raises(InvalidInputError, match="make 15 records"):
             integrate_batch([run] * 5, even)
         with pytest.raises(InvalidInputError, match="make 16 records"):

@@ -244,9 +244,11 @@ class TestHarmonicForCondition:
 
 class TestCsvLoading:
     def test_round_trip(self, tmp_path):
+        """A blank row is skipped."""
         path = tmp_path / "pulse.csv"
-        path.write_text("t,v\n0.0,0.5\n1.0,1.5\n2.5,0.25\n")
+        path.write_text("t,v\n0.0,0.5\n\n1.0,1.5\n2.5,0.25\n")
         p = load_tabulated_pulse(path)
+        assert len(p.samples) == 3
         assert p.value(1.0) == pytest.approx(1.5)
         # segment [0,1]: trapezoid 1.0; on [1, 2]: v(2) = 1.5 - (1/1.5)*1.25
         v2 = 1.5 + (2.0 - 1.0) / 1.5 * (0.25 - 1.5)
