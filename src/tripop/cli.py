@@ -146,7 +146,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = verify_conditions(args.max_product, steps_per_period=args.steps_per_period)
+    checks = verify_conditions(args.max_product, IntegratorConfig(steps_per_period=args.steps_per_period))
     header = ["n1", "n2", "analytic_error", "ode_deviation", "cases_ok", "status"]
     rows = [
         [c.condition.n1, c.condition.n2, c.analytic_error, c.ode_deviation, c.cases_ok, "pass" if c.passed else "fail"]

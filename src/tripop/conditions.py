@@ -49,7 +49,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .dressed import CouplingRatios, _require_finite_phases
+from .dressed import CouplingRatios
 from .errors import InvalidInputError
 
 # The most candidates one lookup may test (its columns peak near 130 MB), and
@@ -252,7 +252,9 @@ def populations_closed_form_array(cond: TransferCondition, actions: np.ndarray) 
     actions = np.atleast_1d(np.asarray(actions, dtype=float))
     n1, n2, r = cond.n1, cond.n2, cond.r
     # every cosine argument is at most |r| 2 (|n1| + |n2|) |A|
-    _require_finite_phases(actions, abs(r) * 2.0 * (abs(n1) + abs(n2)))
+    largest, rate = float(np.max(np.abs(actions), initial=0.0)), abs(r) * 2.0 * (abs(n1) + abs(n2))
+    if not math.isfinite(largest * rate):
+        raise InvalidInputError(f"action {largest!r} at phase rate {rate!r} gives a non-finite phase")
     s = n1 + n2
     ra = r * actions
     common = n1 * n1 + n2 * n2 + n1 * n2 * (1.0 + np.cos(s * ra))

@@ -36,12 +36,7 @@ import numpy as np
 from .conditions import TransferCondition
 from .dressed import CouplingRatios
 from .errors import InvalidInputError
-from .propagate import (
-    DEFAULT_STEPS_PER_PERIOD,
-    IntegratorConfig,
-    LevelEnergies,
-    integrate_batch,
-)
+from .propagate import IntegratorConfig, LevelEnergies, integrate_batch
 from .pulses import Pulse, harmonic_for_condition
 
 # The two-level atom as a 3x3 problem: level 3 has no coupling, so it stays empty.
@@ -197,19 +192,19 @@ def two_level_p2_bound(eps1: float, eps2: float) -> float:
 
 def measured_two_level_deficit(
     omega12_ratio: float,
+    config: IntegratorConfig = IntegratorConfig(),
     omega: float = 1.0,
-    steps: int = DEFAULT_STEPS_PER_PERIOD,
 ) -> float:
     """1 - P2(t0) for the harmonic two-level atom with v0/omega = pi/2.
 
-    RK4 with E = (0, -omega12) and ``steps`` steps to t0, run through the
-    common integrator with the two-level coupling embedded in a 3x3 matrix;
-    the reference scaling is dP2(t0) ~ (1/4)(pi/2)^6 (omega12/omega)^2 for
-    small splittings.
+    RK4 with E = (0, -omega12) up to t0 = pi/(2 omega), a quarter of the
+    drive period, at ``config``'s ``steps_per_period`` steps per period, as
+    ``measured_deficit`` runs; the two-level coupling is embedded in a 3x3
+    matrix.  The reference scaling is dP2(t0) ~ (1/4)(pi/2)^6 (omega12/omega)^2
+    for small splittings.
     """
     t0 = math.pi / (2.0 * omega)
     pulse = Pulse.harmonic(0.5 * math.pi * omega, omega)
     energies = LevelEnergies.from_splittings(omega12_ratio * omega, 0.0)
-    config = IntegratorConfig(steps_per_period=4 * steps)
     (trace,) = integrate_batch([(_TWO_LEVEL_COUPLING, energies, pulse, t0)], config)
     return float(1.0 - trace.p2[-1])

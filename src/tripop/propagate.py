@@ -72,9 +72,10 @@ NORM_DRIFT_LIMIT = 1e-6
 # Runs x records of one batch: 4e7 hold 960 MB of populations, about the
 # memory the table cap allows.  verify and leakage put every member or grid
 # point in one batch of 501 records at the default step, so about 80,000 fit.
-# Each run adds 12 x 6 x 6 floats of step coefficients (3.4 KB), a drive
-# block (4.1 KB) and, past 102 runs, 10 steps x 384 bytes of chunk buffers:
-# 1.9 GB at 80,000 runs.
+# Each run adds 12 x 6 x 6 floats of step coefficients (3.4 KB) and, past
+# 102 runs, 10 steps x 384 bytes of chunk buffers, and each distinct drive
+# a block of samples (4.1 KB): 1.5 GB at 80,000 runs on one drive, as a
+# leakage grid is, and 1.9 GB on 80,000 drives.
 MAX_RUN_RECORDS = 40_000_000
 
 _log = logging.getLogger("tripop")
@@ -340,16 +341,17 @@ def _rk4(
     a[:, 0] = 1.0
 
     drives: dict[tuple[Pulse, float], int] = {}
-    drive_of_run = [drives.setdefault((p, float(h)), len(drives)) for p, h in zip(pulses, 0.5 * dt)]
+    drive_of_run = np.array([drives.setdefault((p, float(h)), len(drives)) for p, h in zip(pulses, 0.5 * dt)])
     chunk, block = _chunk_sizes(n_runs, record_every, n_steps)
     n_mono, n_entries = len(_MONOMIALS), 4 * n * n
-    mono_buffer = np.empty(n_mono * n_runs * chunk)
-    step_buffer = np.empty(n_runs * chunk * n_entries)
     v_first = v_last = first = 0
     # Overflow and NaN, in the step coefficients too, propagate into the
     # amplitudes, where the drift gate catches them.
     with np.errstate(over="ignore", invalid="ignore"):
         coefficients = _step_coefficients(k, e, dt).reshape(n_runs, n_mono, n_entries)
+        # made once the coefficients' temporaries are freed, so the two never add up
+        mono_buffer = np.empty(n_mono * n_runs * chunk)
+        step_buffer = np.empty(n_runs * chunk * n_entries)
         while first < n_steps:
             last = min(first + chunk, n_steps)
             if last // record_every > first // record_every:
@@ -357,9 +359,9 @@ def _rk4(
             if last > v_last:
                 v_first, v_last = first, min(first + block, n_steps)
                 half_steps = np.arange(2 * v_first, 2 * v_last + 1)
-                v = np.stack([p.value(half_steps * h) for p, h in drives])[drive_of_run]
+                v = np.stack([p.value(half_steps * h) for p, h in drives])  # one row per drive
             length = last - first
-            v_chunk = v[:, 2 * (first - v_first) : 2 * (last - v_first) + 1]
+            v_chunk = v[drive_of_run, 2 * (first - v_first) : 2 * (last - v_first) + 1]
             # (1, vh, vh^2) x (1, v1), then the same times v0: the order of _MONOMIALS
             mono = mono_buffer[: n_mono * n_runs * length].reshape(n_mono, n_runs, length)
             mono[0] = 1.0

@@ -22,7 +22,7 @@ from .conditions import (
     populations_closed_form_array,
 )
 from .errors import NormDriftExceededError
-from .propagate import DEFAULT_STEPS_PER_PERIOD, IntegratorConfig, LevelEnergies, integrate_batch
+from .propagate import IntegratorConfig, LevelEnergies, integrate_batch
 from .pulses import harmonic_for_condition
 
 ANALYTIC_TOL = 1e-12
@@ -51,23 +51,24 @@ class ConditionCheck:
         return self.analytic_error < ANALYTIC_TOL and self.ode_deviation < ODE_TOL and self.cases_ok
 
 
-def check_condition(cond: TransferCondition, steps_per_period: int = DEFAULT_STEPS_PER_PERIOD) -> ConditionCheck:
-    """Run all three checks for one condition."""
-    return _check_conditions([cond], steps_per_period)[0]
+def check_condition(cond: TransferCondition, config: IntegratorConfig = IntegratorConfig()) -> ConditionCheck:
+    """Run all three checks for one condition, its RK4 run at ``config``'s step."""
+    return _check_conditions([cond], config)[0]
 
 
-def verify_conditions(max_product: int, steps_per_period: int = DEFAULT_STEPS_PER_PERIOD) -> list[ConditionCheck]:
-    """Check every family member with n1*n2 <= max_product."""
-    return _check_conditions(enumerate_conditions(max_product), steps_per_period)
+def verify_conditions(max_product: int, config: IntegratorConfig = IntegratorConfig()) -> list[ConditionCheck]:
+    """Check every family member with n1*n2 <= max_product, every RK4 run at ``config``'s step."""
+    return _check_conditions(enumerate_conditions(max_product), config)
 
 
-def _check_conditions(conds: list[TransferCondition], steps_per_period: int) -> list[ConditionCheck]:
+def _check_conditions(conds: list[TransferCondition], config: IntegratorConfig) -> list[ConditionCheck]:
     """The check battery for each condition, with every RK4 run in one batch.
 
-    Each condition is driven at omega = 1 up to t0 = pi/2, so the runs share
-    a step count.  When runs drift past the limit, the batch's error carries
-    the other runs' traces: a drifting run fails only its own check, with an
-    infinite ODE deviation.
+    Each condition is driven at omega = 1 up to t0 = pi/2, a quarter of the
+    drive period, which ``config`` divides into ``steps_per_period`` steps,
+    so the runs share a step count.  When runs drift past the limit, the
+    batch's error carries the other runs' traces: a drifting run fails only
+    its own check, with an infinite ODE deviation.
     """
     omega = 1.0
     t0 = math.pi / (2.0 * omega)
@@ -77,7 +78,7 @@ def _check_conditions(conds: list[TransferCondition], steps_per_period: int) -> 
         for cond, pulse in zip(conds, pulses)
     ]
     try:
-        traces = integrate_batch(runs, IntegratorConfig(steps_per_period=steps_per_period))
+        traces = integrate_batch(runs, config)
     except NormDriftExceededError as exc:
         traces = exc.traces
 

@@ -321,7 +321,7 @@ def test_criterion_09_leakage_trends():
     ok_att0 = (att0.max() - att0.min()) / att0.mean() < 0.05
 
     two_level = np.array(
-        [measured_two_level_deficit(r, steps=6000) / r**2 for r in (0.01, 0.02, 0.05)]
+        [measured_two_level_deficit(r, IntegratorConfig(steps_per_period=4 * 6000)) / r**2 for r in (0.01, 0.02, 0.05)]
     )
     ok_two = (two_level.max() - two_level.min()) / two_level.mean() < 0.02
 

@@ -28,6 +28,7 @@ from scipy.linalg import expm
 
 from tripop import (
     CouplingRatios,
+    IntegratorConfig,
     OddPair,
     __version__,
     condition_from_odd_pair,
@@ -293,7 +294,7 @@ class TestVerify:
         assert all(float(r["ode_deviation"]) >= 1e-6 for r in rows)
 
     def test_library_verify_matches_cli(self):
-        checks = verify_conditions(9, steps_per_period=2000)
+        checks = verify_conditions(9, IntegratorConfig(steps_per_period=2000))
         assert all(c.passed for c in checks)
 
 

@@ -325,7 +325,8 @@ class TestTwoLevel:
             return 1.0 - abs(a[1]) ** 2
 
         for ratio, omega, steps in ((0.05, 1.0, 600), (0.3, 2.0, 257)):
-            assert measured_two_level_deficit(ratio, omega, steps) == pytest.approx(
+            config = IntegratorConfig(steps_per_period=4 * steps)  # steps to t0, a quarter period
+            assert measured_two_level_deficit(ratio, config, omega) == pytest.approx(
                 direct(ratio, omega, steps), rel=0, abs=1e-13
             )
 
@@ -335,7 +336,7 @@ class TestTwoLevel:
         overestimates it 23x, so only the scaling law is contractual)."""
         coeffs = []
         for r in (0.01, 0.02, 0.05):
-            coeffs.append(measured_two_level_deficit(r, steps=6000) / r**2)
+            coeffs.append(measured_two_level_deficit(r, IntegratorConfig(steps_per_period=4 * 6000)) / r**2)
         coeffs = np.array(coeffs)
         assert (coeffs.max() - coeffs.min()) / coeffs.mean() < 0.02
         assert coeffs.mean() == pytest.approx(0.1654, rel=0.02)

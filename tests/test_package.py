@@ -4,8 +4,9 @@ refused input raises ``InvalidInputError`` and never a bare ``ValueError``,
 each refusal names its fault (on the CLI in one ``error:`` line),
 every name the benchmark reads exists and its record stride is the
 library's, no module reads the environment, only the CLI writes files, its
-commands write through one path, one module reaches the eigensolver, and
-no module imports a name it never reads."""
+commands write through one path, one module reaches the eigensolver, no
+module imports a name it never reads or another module's private name, and
+every RK4 entry point takes its step as an ``IntegratorConfig``."""
 
 import ast
 import importlib
@@ -223,6 +224,53 @@ def test_no_unused_imports():
     takes its imports along; ``__init__`` imports to export."""
     unused = {module: _unused_imports(tree) for module, tree in _sources().items() if module != "__init__"}
     assert {module: names for module, names in unused.items() if names} == {}
+
+
+def test_no_private_name_crosses_modules():
+    """A name with a leading underscore (a dunder aside) is private to its
+    module: no ``tripop`` module imports one from another."""
+    offenders = [
+        (module, alias.name)
+        for module, tree in _sources().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "tripop")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert offenders == []
+
+
+def _reaches(target: str) -> set[str]:
+    """The library's module-level functions whose bodies call ``target``,
+    directly or through other library functions (by name)."""
+    called = {}
+    for module, tree in _sources().items():
+        if module != "cli":
+            for func in tree.body:
+                if isinstance(func, ast.FunctionDef):
+                    names = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(func)}
+                    called.setdefault(func.name, set()).update(names)
+    reaching = {target}
+    while True:
+        more = {name for name, names in called.items() if names & reaching} - reaching
+        if not more:
+            return reaching
+        reaching |= more
+
+
+def test_every_rk4_entry_point_takes_its_step_as_a_config():
+    """Every public function that reaches the RK4 core takes the step one
+    way: a ``config`` that defaults to ``IntegratorConfig()``, and no
+    ``steps`` or ``steps_per_period`` of its own."""
+    entry_points = sorted(_reaches("integrate_batch") & set(tripop.__all__))
+    assert {"integrate", "check_condition", "verify_conditions", "measured_two_level_deficit"} <= set(entry_points)
+    offenders = []
+    for name in entry_points:
+        parameters = inspect.signature(getattr(tripop, name)).parameters
+        config = parameters.get("config")
+        if config is None or config.default != tripop.IntegratorConfig() or {"steps", "steps_per_period"} & set(parameters):
+            offenders.append(name)
+    assert offenders == []
 
 
 def _linalg_uses(tree: ast.Module) -> list[str]:

@@ -369,19 +369,23 @@ class TestBatchedCore:
         assert sampled == [481] * 20 + [401]
 
     def test_working_memory_is_records_plus_one_chunk(self):
-        """25 runs of 5,000 steps, and 200 runs of 500 steps, hold their
-        records and, twice over, the monomial and step-matrix buffers of one
-        chunk of max(1,024, N x RECORD_EVERY) configuration-steps (room for
-        the tree's products and the step coefficients) and one block of
-        drive samples (the stacked samples and their per-run copy).  A
-        larger budget, a chunk of more than one record interval past 102
-        runs, or memory that grows chunk by chunk, passes this bound."""
+        """25 runs of 5,000 steps, on one drive and on 25, and 200 runs of
+        500 steps on one drive, hold their records, their step coefficients
+        and, twice over, the monomial and step-matrix buffers of one chunk
+        of max(1,024, N x RECORD_EVERY) configuration-steps (room for the
+        tree's products) and one block of samples per distinct drive (the
+        stacked samples and the next block's).  A larger budget, a chunk of
+        more than one record interval past 102 runs, a drive block per run
+        of a shared drive, or memory that grows chunk by chunk, passes this
+        bound."""
         k = RATIOS_33.coupling_matrix()
         config = IntegratorConfig(steps_per_period=20000)
-        for n_runs, n_records in ((25, 501), (200, 51)):
+        for n_runs, n_records, n_drives in ((25, 501, 1), (25, 501, 25), (200, 51, 1)):
             t_end = T * (n_records - 1) * propagate.RECORD_EVERY / 20000
-            runs = [(k, LevelEnergies.from_splittings(0.01 * i, 0.0), Pulse.harmonic(1.0, 1.0), t_end)
-                    for i in range(n_runs)]
+            runs = [
+                (k, LevelEnergies.from_splittings(0.01 * i, 0.0), Pulse.harmonic(1.0 + i % n_drives, 1.0), t_end)
+                for i in range(n_runs)
+            ]
             integrate_batch(runs[:2], config)  # first-call imports and caches
             tracemalloc.start()
             try:
@@ -391,9 +395,10 @@ class TestBatchedCore:
                 tracemalloc.stop()
             assert len(traces) == n_runs and len(traces[0].times) == n_records
             records = n_runs * n_records * (3 + 1) * 8  # populations and times
+            coefficients = n_runs * 12 * 36 * 8
             buffers = max(1024, n_runs * propagate.RECORD_EVERY) * (12 + 36) * 8  # monomials and step matrices
-            drive = n_runs * (2 * 256 + 1) * 8  # one block of half-step samples per run
-            assert peak < records + 2 * buffers + 2 * drive, n_runs
+            drive = n_drives * (2 * 256 + 1) * 8  # one block of half-step samples per distinct drive
+            assert peak < records + coefficients + 2 * buffers + 2 * drive, (n_runs, n_drives)
 
     def test_batch_is_logged(self, caplog):
         """One debug record per batch; a warning names the run whose drift
@@ -451,11 +456,11 @@ class TestBatchedCore:
     def test_verify_fails_only_the_drifting_rows(self):
         """At 500 steps per period the high-product conditions drift past the
         limit and fail alone; every row equals its own single check."""
-        checks = verify_conditions(35, steps_per_period=500)
+        checks = verify_conditions(35, IntegratorConfig(steps_per_period=500))
         drifting = [c for c in checks if math.isinf(c.ode_deviation)]
         assert 0 < len(drifting) < len(checks)
         for c in checks:
-            single = check_condition(c.condition, steps_per_period=500)
+            single = check_condition(c.condition, IntegratorConfig(steps_per_period=500))
             assert single.passed == c.passed
             if math.isinf(c.ode_deviation):
                 assert math.isinf(single.ode_deviation)
