@@ -72,10 +72,13 @@ NORM_DRIFT_LIMIT = 1e-6
 # Runs x records of one batch: 4e7 hold 960 MB of populations, about the
 # memory the table cap allows.  verify and leakage put every member or grid
 # point in one batch of 501 records at the default step, so about 80,000 fit.
-# Each run adds 12 x 6 x 6 floats of step coefficients (3.4 KB) and, past
-# 102 runs, 10 steps x 384 bytes of chunk buffers, and each distinct drive
-# a block of samples (4.1 KB): 1.5 GB at 80,000 runs on one drive, as a
-# leakage grid is, and 1.9 GB on 80,000 drives.
+# Such a batch peaks inside the chunk loop at 22.9 KB a run (tracemalloc, 500
+# and 1,500 runs): 12 KB of populations, 12 x 6 x 6 floats of step
+# coefficients (3.4 KB), 10 steps x 384 bytes of chunk buffers and the
+# tree's products; making the coefficients peaks lower, at 5.6 KB a run on
+# top of the populations.  Each distinct drive adds 9.5 KB of samples (a
+# block and its stacked copy): 1.8 GB at 80,000 runs on one drive, as a
+# leakage grid is, and 2.6 GB on 80,000 drives.
 MAX_RUN_RECORDS = 40_000_000
 
 _log = logging.getLogger("tripop")
@@ -412,24 +415,25 @@ def _step_coefficients(k: np.ndarray, e: np.ndarray, dt: np.ndarray) -> np.ndarr
     """
     n = e.shape[1]
     letters = (e[:, :, None] * np.eye(n), k)  # diag(E), K
+    m = np.zeros((len(e), len(_MONOMIALS), 2 * n, 2 * n))
+    parts = (m[..., :n, :n], m[..., n:, :n])  # the real and imaginary parts, summed in place
+    # Only the words of two lengths are held at once: those of the RK4 words
+    # of one length, and the shorter ones they are made from.
     words = {(0,): letters[0], (1,): letters[1]}
-    for length in range(2, 5):
-        for picks in itertools.product((0, 1), repeat=length):
-            words[picks] = words[picks[:-1]] @ letters[picks[-1]]
-    parts = np.zeros((2, len(e), len(_MONOMIALS), n, n))  # real, imaginary
-    for weight, samples in _RK4_WORDS:
-        phase = (-1j) ** len(samples)  # +-1 or +-i
-        scale = (phase.real + phase.imag) * weight * dt[:, None, None] ** len(samples)
-        for picks in itertools.product((0, 1), repeat=len(samples)):
-            exponents = [0, 0, 0]
-            for pick, sample in zip(picks, samples):
-                exponents[sample] += pick
-            parts[len(samples) % 2, :, _MONOMIALS.index(tuple(exponents))] += scale * words[picks]
-    real, imag = parts
-    m = np.empty((len(e), len(_MONOMIALS), 2 * n, 2 * n))
-    m[..., :n, :n] = m[..., n:, n:] = real
-    m[..., n:, :n] = imag
-    m[..., :n, n:] = -imag
+    for length, group in itertools.groupby(_RK4_WORDS, key=lambda word: len(word[1])):  # lengths 1, 2, 3, 4
+        if length > 1:
+            words = {picks: words[picks[:-1]] @ letters[picks[-1]]
+                     for picks in itertools.product((0, 1), repeat=length)}
+        for weight, samples in group:
+            phase = (-1j) ** length  # +-1 or +-i
+            scale = (phase.real + phase.imag) * weight * dt[:, None, None] ** length
+            for picks in itertools.product((0, 1), repeat=length):
+                exponents = [0, 0, 0]
+                for pick, sample in zip(picks, samples):
+                    exponents[sample] += pick
+                parts[length % 2][:, _MONOMIALS.index(tuple(exponents))] += scale * words[picks]
+    m[..., n:, n:] = parts[0]
+    m[..., :n, n:] = -parts[1]
     return m
 
 

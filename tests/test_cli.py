@@ -6,6 +6,7 @@ back and checked against library results and published values.
 
 import argparse
 import csv
+import gc
 import json
 import logging
 import math
@@ -19,6 +20,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -781,10 +783,66 @@ class TestMetaFollowsTheParser:
         assert given.read_bytes() == plain.read_bytes()
         assert len(plain.read_text().splitlines()) > 1
 
+    @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+    def test_a_run_leaves_no_cyclic_garbage(self, tmp_path, command):
+        """The parser is built once a process: a CSV run frees all it made
+        when it returns, with nothing left for the garbage collector."""
+        argv = [command, *SMALL_RUNS[command], "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 0
+        gc.collect()
+        assert main(argv) == 0
+        assert gc.collect() == 0
+
 
 JSON_VALUE = st.one_of(
     st.floats(), st.integers(-(10**20), 10**20), st.booleans(), st.text(max_size=8), st.none(),
 )
+# Values whose texts differ between repr, str and json, or that a float
+# column can hold at its edges: ints past 2**53, signed zeros, subnormals,
+# the largest float, infinities and NaN.
+EDGE_VALUE = st.one_of(
+    st.booleans(),
+    st.integers(-(2**64), 2**64),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e16, 1.7976931348623157e308, math.inf, -math.inf, math.nan]),
+    st.floats(),
+    st.text(st.characters(max_codepoint=0x7F), max_size=4),
+    st.none(),
+)
+
+
+def draw_rows(data, width: int):
+    """0 to 7 rows of ``width`` values: all floats (a list or, at random, an
+    array) or a mix of every kind of value the writers format."""
+    if data.draw(st.booleans()):
+        rows = data.draw(st.lists(st.lists(st.floats(), min_size=width, max_size=width), max_size=7))
+        return np.array(rows).reshape(-1, width) if data.draw(st.booleans()) else rows
+    return data.draw(st.lists(st.lists(EDGE_VALUE, min_size=width, max_size=width), max_size=7))
+
+
+# Two rows a block, so that 0 to 7 rows end in a full block, a short one or none.
+SMALL_BLOCKS = patch.object(cli_module, "_BLOCK_ROWS", 2)
+
+
+class TestCsvWriter:
+    """The CSV writer gives the bytes of a row-by-row writer."""
+
+    @staticmethod
+    def reference(path, header, rows) -> None:
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows.tolist() if isinstance(rows, np.ndarray) else rows:
+                fh.write(",".join(map(cli_module._fmt, row)) + "\n")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_row_by_row_writer(self, data):
+        header = [f"c{i}" for i in range(data.draw(st.integers(1, 5)))]
+        rows = draw_rows(data, len(header))
+        with tempfile.TemporaryDirectory() as tmp, SMALL_BLOCKS:
+            ours, ref = Path(tmp) / "ours.csv", Path(tmp) / "ref.csv"
+            cli_module._write_csv(str(ours), header, rows)
+            self.reference(ref, header, rows)
+            assert ours.read_bytes() == ref.read_bytes()
 
 
 class TestJsonWriter:
@@ -800,14 +858,14 @@ class TestJsonWriter:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_matches_json_dump(self, data):
         header = data.draw(st.lists(st.text(max_size=6), min_size=1, max_size=5, unique=True))
-        value = st.floats() if data.draw(st.booleans()) else JSON_VALUE
-        rows = data.draw(st.lists(st.lists(value, min_size=len(header), max_size=len(header)), max_size=4))
+        rows = draw_rows(data, len(header)) if data.draw(st.booleans()) else data.draw(
+            st.lists(st.lists(JSON_VALUE, min_size=len(header), max_size=len(header)), max_size=7))
         params = {"x": data.draw(st.floats()), "s": data.draw(st.text(max_size=4))}
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, SMALL_BLOCKS:
             ours, ref = Path(tmp) / "ours.json", Path(tmp) / "ref.json"
             cli_module._write_json(str(ours), "cmd", params, header, rows)
             self.reference(ref, "cmd", params, header, rows)
@@ -819,3 +877,35 @@ class TestJsonWriter:
         cli_module._write_json(str(tmp_path / "ours.json"), "trace", {}, header, rows)
         self.reference(tmp_path / "ref.json", "trace", {}, header, rows)
         assert (tmp_path / "ours.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+class TestWriterMemory:
+    """A writer holds a block of rows' texts at a time, never the whole file:
+    its memory does not grow with the number of rows."""
+
+    @staticmethod
+    def peak(write, rows) -> int:
+        tracemalloc.start()
+        try:
+            write(rows)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("kind", ["array", "list"])
+    def test_peak_does_not_grow_with_the_rows(self, tmp_path, fmt, kind):
+        header = ["t", "p1", "p2", "p3", "p1_num", "p2_num", "p3_num"]
+        path = str(tmp_path / f"out.{fmt}")
+        write = {
+            "csv": lambda rows: cli_module._write_csv(path, header, rows),
+            "json": lambda rows: cli_module._write_json(path, "trace", {}, header, rows),
+        }[fmt]
+        rng = np.random.default_rng(3)
+        small, large = rng.random((4000, 7)), rng.random((40000, 7))
+        if kind == "list":
+            small, large = small.tolist(), large.tolist()
+        write(small)  # first-call imports and caches
+        small_peak, large_peak = self.peak(write, small), self.peak(write, large)
+        # ten times the rows: 5.4 MB of CSV text, 10 MB of JSON text
+        assert large_peak < small_peak + 32 * 1024, (small_peak, large_peak)
