@@ -13,14 +13,17 @@ All commands write CSV or JSON files, and this is the one module of the
 package that writes files: it alone decides their formats.  Floats are
 serialized with their shortest round-trip representation, no timestamps or
 host data enter the output, and the command line alone sets every run
-parameter, so identical invocations produce byte-identical files.  The
-writers format the rows a small block at a time, column by column: a column
-of plain ints and floats goes through ``repr`` (bools, strings and None
-through their CSV or JSON spellings), and each block's lines are joined from
-those texts, so no per-row Python code runs and the whole file is never held
-in memory.  The JSON meta records the subcommand and every parsed flag except
-``--out`` and ``--format``; ``table`` and ``conditions`` accept
-``--steps-per-period`` and leave it out, since they run no RK4.
+parameter, so identical invocations produce byte-identical files.  Every
+float written is finite but ``verify``'s ``ode_deviation``, which is ``inf``
+when a run tripped the norm drift gate.  The writers take one 1-D column per
+header, an array or a list, and spell each column once by its dtype: numbers
+through ``repr``, bools as ``true`` or ``false``, strings as they are in CSV
+and as JSON strings in JSON.  They format a small block of rows at a time,
+column by column, and join each block's lines from those texts, so no
+per-row Python code runs and the whole file is never held in memory.  The
+JSON meta records the subcommand and every parsed flag except ``--out`` and
+``--format``; ``table`` and ``conditions`` accept ``--steps-per-period`` and
+leave it out, since they run no RK4.
 
 Exit codes: 0 on success; 1 when a ``verify`` row fails; 2 when the library
 refuses an input or a run (any ``TripopError``) or the operating system
@@ -58,85 +61,83 @@ from .pulses import Pulse, harmonic_for_condition
 from .verification import verify_conditions
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
-_PLAIN = frozenset((int, float))
 # Rows formatted at a time: enough that the per-block work is a few percent
 # of a block's repr calls (8 rows write a trace 5-10% slower than 32, and 64
 # no faster), few enough that a block's texts take a few tens of KB.
 _BLOCK_ROWS = 32
-
-
-def _blocks(rows, fmt):
-    """The value texts of ``_BLOCK_ROWS`` rows at a time, one iterator per
-    column: ``repr`` for a column of plain Python ints and floats, ``fmt`` for
-    any other.  ``rows`` is a list of rows of plain Python values or a 2-D array."""
-    for first in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[first : first + _BLOCK_ROWS]
-        columns = block.T.tolist() if isinstance(block, np.ndarray) else zip(*block)
-        yield [map(repr if _PLAIN.issuperset(map(type, column)) else fmt, column) for column in columns]
-
-
-def _write_csv(path: str, header: list[str], rows) -> None:
-    """Write a header line and one comma-separated line per row, floats in
-    their shortest round-trip form, so that equal rows give identical files."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for texts in _blocks(rows, _fmt):
-            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
-
-
 # repr of a non-finite float, and its JSON spelling (as json.dump writes it)
 _JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_fmt(value) -> str:
-    return json.dumps(value) if isinstance(value, str) or value is None else _fmt(value)
+def _json_floats(values: list) -> map:
+    texts = list(map(repr, values))
+    return map(_JSON_CONSTANTS.get, texts, texts)
 
 
-def _write_json(path: str, command: str, params: dict, header: list[str], rows) -> None:
-    """Write ``{"meta": ..., "rows": [dict(zip(header, row)), ...]}`` in exactly
-    the layout of ``json.dump(..., indent=2)``.  Each row is joined from its
-    value texts, each after the text that leads up to its key's value, instead
-    of going through the pure-Python encoder."""
-    meta = {"command": command, "parameters": params, "version": __version__}
-    head = json.dumps({"meta": meta, "rows": []}, indent=2).removesuffix("[]\n}")
+# A column's spelling by its dtype's kind: from a block of its values, as
+# Python objects, to their texts.  A bool indexes ("false", "true").
+_NUMBERS, _BOOLS = functools.partial(map, repr), functools.partial(map, ("false", "true").__getitem__)
+_CSV_SPELLINGS = {"i": _NUMBERS, "f": _NUMBERS, "b": _BOOLS, "U": iter}
+_JSON_SPELLINGS = {**_CSV_SPELLINGS, "f": _json_floats, "U": functools.partial(map, json.dumps)}
+
+
+def _blocks(columns, spellings: dict):
+    """The value texts of ``_BLOCK_ROWS`` rows at a time, one iterator per
+    column.  Each column is 1-D, an array or a list made one by
+    ``np.asarray``, and its spelling is chosen once, from its dtype."""
+    columns = [np.asarray(column) for column in columns]
+    spell = [spellings[column.dtype.kind] for column in columns]
+    for first in range(0, len(columns[0]), _BLOCK_ROWS):
+        yield [s(column[first : first + _BLOCK_ROWS].tolist()) for s, column in zip(spell, columns)]
+
+
+def _write_csv(path: str, header: list[str], columns) -> None:
+    """Write a header line and one comma-separated line per row: numbers in
+    their shortest round-trip form, bools as true or false and strings as
+    they are, so that equal columns give identical files."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for texts in _blocks(columns, _CSV_SPELLINGS):
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+
+
+def _write_json(path: str, command: str, params: dict, header: list[str], columns) -> None:
+    """Write ``{"meta": ..., "rows": [{header[0]: ..., ...}, ...]}`` in exactly
+    the layout of ``json.dump(..., indent=2)``, values spelled as in CSV but
+    for NaN, the infinities and strings, which are spelled as JSON.  The head
+    and each row are joined from ``json.dumps`` texts of single keys and
+    values: the indenting encoder is pure Python, slow per row, and leaves
+    its closures in reference cycles."""
+    lines = [f"      {json.dumps(key)}: {json.dumps(value)}" for key, value in params.items()]
+    parameters = "{\n" + ",\n".join(lines) + "\n    }" if lines else "{}"
+    head = (f'{{\n  "meta": {{\n    "command": {json.dumps(command)},\n    "parameters": {parameters},\n'
+            f'    "version": {json.dumps(__version__)}\n  }},\n  "rows": ')
     keys = [json.dumps(key) for key in header]
     leads = ["    {\n      " + keys[0] + ": "] + [",\n      " + key + ": " for key in keys[1:]]
     # Each block's columns in a list: unpacking a generator would build each
     # block's tuple by resizing it, which leaves one more tuple in CPython's
     # free list per block, up to 2,000 of them (200 KB at seven columns).
-    columns = (
-        [map(lead.__add__, map(_JSON_CONSTANTS.get, t, t)) for lead, t in zip(leads, map(list, texts))]
-        for texts in _blocks(rows, _json_fmt)
-    )
-    entries = ("\n    },\n".join(map("".join, zip(*block))) for block in columns)  # never the whole file
+    blocks = ([map(lead.__add__, t) for lead, t in zip(leads, texts)] for texts in _blocks(columns, _JSON_SPELLINGS))
+    entries = ("\n    },\n".join(map("".join, zip(*block))) for block in blocks)  # never the whole file
     first = next(entries, None)
     with open(path, "w") as fh:
-        if first is None:
-            fh.write(head + "[]\n}\n")
-            return
-        fh.write(head + "[\n" + first)
-        fh.writelines("\n    },\n" + entry for entry in entries)
-        fh.write("\n    }\n  ]\n}\n")
+        fh.write(head + ("[]" if first is None else "[\n" + first))
+        fh.writelines("\n    },\n" + entry for entry in entries)  # none if there is no first
+        fh.write("\n}\n" if first is None else "\n    }\n  ]\n}\n")
 
 
 _NOT_PARAMETERS = frozenset(("command", "func", "format", "out"))
 
 
-def _write_rows(args, header: list[str], rows) -> None:
-    """Write the rows to ``args.out`` in ``args.format``.  The JSON meta
-    records ``args.command`` and, as its parameters, every other parsed flag
-    but ``--out`` and ``--format``, in the parser's order."""
+def _write_rows(args, header: list[str], columns) -> None:
+    """Write one 1-D column per header to ``args.out`` in ``args.format``.
+    The JSON meta records ``args.command`` and, as its parameters, every
+    other parsed flag but ``--out`` and ``--format``, in the parser's order."""
     if args.format == "csv":
-        _write_csv(args.out, header, rows)
+        _write_csv(args.out, header, columns)
     else:
         params = {key: value for key, value in vars(args).items() if key not in _NOT_PARAMETERS}
-        _write_json(args.out, args.command, params, header, rows)
+        _write_json(args.out, args.command, params, header, columns)
 
 
 # -- subcommand implementations ---------------------------------------------
@@ -144,8 +145,7 @@ def _write_rows(args, header: list[str], rows) -> None:
 
 def cmd_table(args) -> int:
     columns = family_table(args.max_product)
-    rows = list(zip(*(column.tolist() for column in columns.values())))
-    _write_rows(args, list(columns), rows)
+    _write_rows(args, list(columns), list(columns.values()))
     return 0
 
 
@@ -158,19 +158,19 @@ def cmd_trace(args) -> int:
     trace = integrate(ratios, LevelEnergies.degenerate(), pulse, t_end, config)
     analytic = populations_general_array(basis, pulse.area(trace.times).a)
     header = ["t", "p1", "p2", "p3", "p1_num", "p2_num", "p3_num"]
-    rows = np.column_stack((trace.times, analytic, trace.populations))
-    _write_rows(args, header, rows)
+    _write_rows(args, header, [trace.times, *analytic.T, *trace.populations.T])
     return 0
 
 
 def cmd_verify(args) -> int:
     checks = verify_conditions(args.max_product, IntegratorConfig(steps_per_period=args.steps_per_period))
     header = ["n1", "n2", "analytic_error", "ode_deviation", "cases_ok", "status"]
-    rows = [
-        [c.condition.n1, c.condition.n2, c.analytic_error, c.ode_deviation, c.cases_ok, "pass" if c.passed else "fail"]
-        for c in checks
+    columns = [
+        [c.condition.n1 for c in checks], [c.condition.n2 for c in checks],
+        [c.analytic_error for c in checks], [c.ode_deviation for c in checks],
+        [c.cases_ok for c in checks], ["pass" if c.passed else "fail" for c in checks],
     ]
-    _write_rows(args, header, rows)
+    _write_rows(args, header, columns)
     for c in checks:
         print(f"{'pass' if c.passed else 'FAIL'} (n1={c.condition.n1}, n2={c.condition.n2}) "
               f"analytic={c.analytic_error:.2e} ode={c.ode_deviation:.2e}")
@@ -235,18 +235,18 @@ def cmd_leakage(args) -> int:
     ratios = [(w12 / args.omega, w13 / args.omega) for w12, w13 in grid]
     deficits = leakage_scan(cond, ratios, config=config, omega=args.omega)
     header = ["omega12_ratio", "omega13_ratio", "deficit", "estimate"]
-    rows = [[r12, r13, deficit, delta_p2_at_t0(cond, r12, r13)] for (r12, r13), deficit in zip(ratios, deficits)]
-    _write_rows(args, header, rows)
+    r12, r13 = zip(*ratios)
+    _write_rows(args, header, [r12, r13, deficits, [delta_p2_at_t0(cond, *r) for r in ratios]])
     return 0
 
 
 def cmd_conditions(args) -> int:
     match = validate_condition(args.alpha, args.beta, args.area, tol=args.tol)
     header = ["n1", "n2", "n_o", "n_op", "sign", "A_t0", "alpha", "beta"]
-    rows = [] if match is None else [[
+    row = () if match is None else (
         match.n1, match.n2, match.pair.n_o, match.pair.n_op, match.sign, match.action_t0, match.alpha, match.beta,
-    ]]
-    _write_rows(args, header, rows)
+    )
+    _write_rows(args, header, [row[i : i + 1] for i in range(len(header))])  # one row or none
     return 0
 
 
@@ -260,7 +260,6 @@ def cmd_kick(args) -> int:
     basis = build_dressed_basis(ratios)
     ideal = [abs(c) ** 2 for c in propagate_kick(basis, args.area).a]
     header = ["kind", "width", "p1", "p2", "p3"]
-    rows = [["ideal", 0.0, *ideal]]
     energies = LevelEnergies.from_splittings(args.omega12, args.omega13)
     # Each Gaussian sits at 10 widths in a window of 20, so its support (8
     # widths) lies inside; the window divided by the step count gives dt, so
@@ -268,8 +267,8 @@ def cmd_kick(args) -> int:
     k = ratios.coupling_matrix()
     runs = [(k, energies, Pulse.gaussian_kick(args.area, 10.0 * w, w), 20.0 * w) for w in widths]
     traces = integrate_batch(runs, IntegratorConfig(steps_per_period=args.steps_per_period))
-    rows.extend(["gaussian", w, *trace.populations[-1].tolist()] for w, trace in zip(widths, traces))
-    _write_rows(args, header, rows)
+    populations = np.array([ideal, *(trace.populations[-1] for trace in traces)])
+    _write_rows(args, header, [["ideal"] + ["gaussian"] * len(widths), [0.0, *widths], *populations.T])
     return 0
 
 

@@ -76,9 +76,9 @@ NORM_DRIFT_LIMIT = 1e-6
 # and 1,500 runs): 12 KB of populations, 12 x 6 x 6 floats of step
 # coefficients (3.4 KB), 10 steps x 384 bytes of chunk buffers and the
 # tree's products; making the coefficients peaks lower, at 5.6 KB a run on
-# top of the populations.  Each distinct drive adds 9.5 KB of samples (a
-# block and its stacked copy): 1.8 GB at 80,000 runs on one drive, as a
-# leakage grid is, and 2.6 GB on 80,000 drives.
+# top of the populations.  Each distinct drive adds 4.2 KB, a block of its
+# samples (27.0 KB a run on distinct drives): 1.8 GB at 80,000 runs on one
+# drive, as a leakage grid is, and 2.2 GB on 80,000 drives.
 MAX_RUN_RECORDS = 40_000_000
 
 _log = logging.getLogger("tripop")
@@ -351,6 +351,9 @@ def _rk4(
     # Overflow and NaN, in the step coefficients too, propagate into the
     # amplitudes, where the drift gate catches them.
     with np.errstate(over="ignore", invalid="ignore"):
+        # one row of samples per drive; made after the coefficients, it left a
+        # sweep bench worker's peak RSS about 0.1 MB higher
+        drive_buffer = np.empty((len(drives), 2 * block + 1))
         coefficients = _step_coefficients(k, e, dt).reshape(n_runs, n_mono, n_entries)
         # made once the coefficients' temporaries are freed, so the two never add up
         mono_buffer = np.empty(n_mono * n_runs * chunk)
@@ -362,7 +365,9 @@ def _rk4(
             if last > v_last:
                 v_first, v_last = first, min(first + block, n_steps)
                 half_steps = np.arange(2 * v_first, 2 * v_last + 1)
-                v = np.stack([p.value(half_steps * h) for p, h in drives])  # one row per drive
+                v = drive_buffer[:, : len(half_steps)]
+                for row, (p, h) in zip(v, drives):
+                    row[:] = p.value(half_steps * h)
             length = last - first
             v_chunk = v[drive_of_run, 2 * (first - v_first) : 2 * (last - v_first) + 1]
             # (1, vh, vh^2) x (1, v1), then the same times v0: the order of _MONOMIALS

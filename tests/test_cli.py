@@ -5,8 +5,10 @@ back and checked against library results and published values.
 """
 
 import argparse
+import contextlib
 import csv
 import gc
+import io
 import json
 import logging
 import math
@@ -24,7 +26,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -757,6 +759,86 @@ def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
     return dict(action.choices)
 
 
+# Floats where parsing, overflow and rounding break: signed zeros,
+# subnormals, 1e+-300, the largest floats, infinities and NaN, or ordinary.
+HOSTILE_FLOAT = st.one_of(
+    st.sampled_from([
+        0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e-300, -1e-300, 1e300, -1e300, 1.7e308, -1.7e308,
+        math.inf, -math.inf, math.nan,
+    ]),
+    st.floats(-10.0, 10.0),
+)
+HOSTILE_COUNT = st.integers(-3, 60)  # negative counts, and family bounds small enough to run at once
+
+
+def flag(name: str, value) -> str:
+    return f"--{name}={value!r}"
+
+
+@st.composite
+def hostile_argv(draw) -> list[str]:
+    """A subcommand and every flag of it drawn from hostile ranges, all of
+    which the parser accepts, with --steps-per-period in 1 ... 200."""
+    command = draw(st.sampled_from(sorted(SMALL_RUNS)))
+    steps = flag("steps-per-period", draw(st.integers(1, 200)))
+    if command in ("table", "verify"):
+        return [command, flag("max-product", draw(HOSTILE_COUNT)), steps]
+    if command == "leakage":
+        axes = [
+            f"{name}:{draw(HOSTILE_FLOAT)!r}" if draw(st.booleans())
+            else f"{name}:{draw(HOSTILE_FLOAT)!r}:{draw(HOSTILE_FLOAT)!r}:{draw(st.integers(-2, 4))}"
+            for name in ("omega12", "omega13")
+        ]
+        return [
+            command, flag("n-o", draw(HOSTILE_COUNT)), flag("n-op", draw(HOSTILE_COUNT)),
+            flag("beta", draw(st.sampled_from([1, -1]))), flag("omega", draw(HOSTILE_FLOAT)),
+            f"--grid={','.join(axes)}", steps,
+        ]
+    argv = [command, *(flag(name, draw(HOSTILE_FLOAT)) for name in ("alpha", "beta", "area"))]
+    if command == "trace":
+        return [*argv, flag("periods", draw(HOSTILE_FLOAT)), steps]
+    if command == "conditions":
+        return [*argv, flag("tol", draw(HOSTILE_FLOAT))]
+    widths = ",".join(map(repr, draw(st.lists(HOSTILE_FLOAT, max_size=3))))
+    return [*argv, f"--widths={widths}", *(flag(name, draw(HOSTILE_FLOAT)) for name in ("omega12", "omega13")), steps]
+
+
+def floats_written(path: Path, fmt: str):
+    """(column, value) of every float in a written file."""
+    if fmt == "json":
+        for row in json.loads(path.read_text())["rows"]:
+            yield from ((key, value) for key, value in row.items() if isinstance(value, float))
+        return
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            for key, text in row.items():
+                with contextlib.suppress(ValueError):  # true, false and the strings
+                    yield key, float(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hostile_argv(), st.sampled_from(["csv", "json"]))
+@example(["leakage", "--n-o=1", "--n-op=1", "--grid=omega12:0,omega13:inf:-1e198:2"], "csv")
+def test_hostile_argv_exits_cleanly(argv, fmt):
+    """Any argv the parser accepts exits 0, 1 or 2, with no warning.  On 2
+    stderr is one ``error:`` line; on 0 or 1 it is empty, and every float
+    written is finite but ``verify``'s ``ode_deviation``, ``inf`` when a
+    run tripped the norm drift gate."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv, "--format", fmt, "--out", str(out)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+            return
+        assert err.getvalue() == ""
+        infinite = [(key, value) for key, value in floats_written(out, fmt) if not math.isfinite(value)]
+        assert all(argv[0] == "verify" and key == "ode_deviation" for key, _ in infinite), infinite
+
+
 class TestMetaFollowsTheParser:
     """The JSON meta records every flag the parser defines, in its order,
     but ``--out`` and ``--format``, so no subcommand can leave one out."""
@@ -783,42 +865,60 @@ class TestMetaFollowsTheParser:
         assert given.read_bytes() == plain.read_bytes()
         assert len(plain.read_text().splitlines()) > 1
 
-    @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
-    def test_a_run_leaves_no_cyclic_garbage(self, tmp_path, command):
-        """The parser is built once a process: a CSV run frees all it made
-        when it returns, with nothing left for the garbage collector."""
-        argv = [command, *SMALL_RUNS[command], "--out", str(tmp_path / "out.csv")]
+    @pytest.mark.parametrize("command, fmt", [
+        # a CSV case is named by its command alone
+        pytest.param(command, fmt, id=command if fmt == "csv" else f"{command}-{fmt}")
+        for fmt in ("csv", "json") for command in sorted(SMALL_RUNS)
+    ])
+    def test_a_run_leaves_no_cyclic_garbage(self, tmp_path, command, fmt):
+        """The parser is built once a process and the JSON head is joined
+        from plain ``json.dumps`` texts: a run frees all it made when it
+        returns, with nothing left for the garbage collector."""
+        argv = [command, *SMALL_RUNS[command], "--format", fmt, "--out", str(tmp_path / f"out.{fmt}")]
         assert main(argv) == 0
         gc.collect()
         assert main(argv) == 0
         assert gc.collect() == 0
 
 
-JSON_VALUE = st.one_of(
-    st.floats(), st.integers(-(10**20), 10**20), st.booleans(), st.text(max_size=8), st.none(),
-)
-# Values whose texts differ between repr, str and json, or that a float
-# column can hold at its edges: ints past 2**53, signed zeros, subnormals,
-# the largest float, infinities and NaN.
-EDGE_VALUE = st.one_of(
-    st.booleans(),
-    st.integers(-(2**64), 2**64),
-    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e16, 1.7976931348623157e308, math.inf, -math.inf, math.nan]),
-    st.floats(),
-    st.text(st.characters(max_codepoint=0x7F), max_size=4),
-    st.none(),
-)
+# Values at the edges of each column type the writers take: floats whose
+# texts differ between repr, str and json, or that sit at the edges of the
+# float range (signed zeros, subnormals, the largest float, infinities and
+# NaN); ints past 2**53, to the ends of int64; bools; and ASCII strings.
+# numpy's str dtype drops trailing NULs, and no subcommand writes one, so the
+# strings leave NUL out.
+COLUMN_VALUES = {
+    "float": st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e16, 1.7976931348623157e308, math.inf, -math.inf, math.nan]),
+        st.floats(),
+    ),
+    "int": st.one_of(st.sampled_from([-(2**63), 2**53 + 1, 2**63 - 1]), st.integers(-(2**63), 2**63 - 1)),
+    "bool": st.booleans(),
+    "str": st.text(st.characters(min_codepoint=1, max_codepoint=0x7F), max_size=4),
+}
 
 
-def draw_rows(data, width: int):
-    """0 to 7 rows of ``width`` values: all floats (a list or, at random, an
-    array) or a mix of every kind of value the writers format."""
-    if data.draw(st.booleans()):
-        rows = data.draw(st.lists(st.lists(st.floats(), min_size=width, max_size=width), max_size=7))
-        return np.array(rows).reshape(-1, width) if data.draw(st.booleans()) else rows
-    return data.draw(st.lists(st.lists(EDGE_VALUE, min_size=width, max_size=width), max_size=7))
+def draw_columns(data, width: int) -> tuple[list, list[tuple]]:
+    """``width`` typed columns of 0 to 7 rows, each an array or, at random, a
+    list, and the same values as rows of plain Python values."""
+    n_rows = data.draw(st.integers(0, 7))
+    values = [
+        data.draw(st.lists(COLUMN_VALUES[kind], min_size=n_rows, max_size=n_rows))
+        for kind in data.draw(st.lists(st.sampled_from(sorted(COLUMN_VALUES)), min_size=width, max_size=width))
+    ]
+    columns = [np.asarray(column) if data.draw(st.booleans()) else column for column in values]
+    return columns, list(zip(*values))
 
 
+def csv_text(value) -> str:
+    """One value's CSV text, decided value by value."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value if isinstance(value, str) else repr(value)
+
+
+# the kinds of value a parsed flag can hold
+PARAMETER_VALUE = st.one_of(st.floats(), st.integers(), st.text(max_size=4))
 # Two rows a block, so that 0 to 7 rows end in a full block, a short one or none.
 SMALL_BLOCKS = patch.object(cli_module, "_BLOCK_ROWS", 2)
 
@@ -830,17 +930,17 @@ class TestCsvWriter:
     def reference(path, header, rows) -> None:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows.tolist() if isinstance(rows, np.ndarray) else rows:
-                fh.write(",".join(map(cli_module._fmt, row)) + "\n")
+            for row in rows:
+                fh.write(",".join(map(csv_text, row)) + "\n")
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_matches_row_by_row_writer(self, data):
         header = [f"c{i}" for i in range(data.draw(st.integers(1, 5)))]
-        rows = draw_rows(data, len(header))
+        columns, rows = draw_columns(data, len(header))
         with tempfile.TemporaryDirectory() as tmp, SMALL_BLOCKS:
             ours, ref = Path(tmp) / "ours.csv", Path(tmp) / "ref.csv"
-            cli_module._write_csv(str(ours), header, rows)
+            cli_module._write_csv(str(ours), header, columns)
             self.reference(ref, header, rows)
             assert ours.read_bytes() == ref.read_bytes()
 
@@ -862,20 +962,19 @@ class TestJsonWriter:
     @given(st.data())
     def test_matches_json_dump(self, data):
         header = data.draw(st.lists(st.text(max_size=6), min_size=1, max_size=5, unique=True))
-        rows = draw_rows(data, len(header)) if data.draw(st.booleans()) else data.draw(
-            st.lists(st.lists(JSON_VALUE, min_size=len(header), max_size=len(header)), max_size=7))
-        params = {"x": data.draw(st.floats()), "s": data.draw(st.text(max_size=4))}
+        columns, rows = draw_columns(data, len(header))
+        params = data.draw(st.dictionaries(st.text(max_size=4), PARAMETER_VALUE, max_size=3))
         with tempfile.TemporaryDirectory() as tmp, SMALL_BLOCKS:
             ours, ref = Path(tmp) / "ours.json", Path(tmp) / "ref.json"
-            cli_module._write_json(str(ours), "cmd", params, header, rows)
+            cli_module._write_json(str(ours), "cmd", params, header, columns)
             self.reference(ref, "cmd", params, header, rows)
             assert ours.read_bytes() == ref.read_bytes()
 
     def test_array_rows_and_braced_keys_match_json_dump(self, tmp_path):
         rows = np.array([[0.1, math.nan, -math.inf], [1e300, -0.0, 3.0]])
         header = ["t", "{}", 'a"{0}']
-        cli_module._write_json(str(tmp_path / "ours.json"), "trace", {}, header, rows)
-        self.reference(tmp_path / "ref.json", "trace", {}, header, rows)
+        cli_module._write_json(str(tmp_path / "ours.json"), "trace", {}, header, list(rows.T))
+        self.reference(tmp_path / "ref.json", "trace", {}, header, rows.tolist())
         assert (tmp_path / "ours.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
@@ -884,27 +983,27 @@ class TestWriterMemory:
     its memory does not grow with the number of rows."""
 
     @staticmethod
-    def peak(write, rows) -> int:
+    def peak(write, columns) -> int:
         tracemalloc.start()
         try:
-            write(rows)
+            write(columns)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("kind", ["array", "list"])
+    @pytest.mark.parametrize("kind", ["array", "view"])
     def test_peak_does_not_grow_with_the_rows(self, tmp_path, fmt, kind):
+        """Seven float columns, each a whole array or a strided view of a
+        [rows, 7] array, as ``trace`` hands the writer its populations."""
         header = ["t", "p1", "p2", "p3", "p1_num", "p2_num", "p3_num"]
         path = str(tmp_path / f"out.{fmt}")
         write = {
-            "csv": lambda rows: cli_module._write_csv(path, header, rows),
-            "json": lambda rows: cli_module._write_json(path, "trace", {}, header, rows),
+            "csv": lambda columns: cli_module._write_csv(path, header, columns),
+            "json": lambda columns: cli_module._write_json(path, "trace", {}, header, columns),
         }[fmt]
         rng = np.random.default_rng(3)
-        small, large = rng.random((4000, 7)), rng.random((40000, 7))
-        if kind == "list":
-            small, large = small.tolist(), large.tolist()
+        small, large = (list(rng.random((7, n)) if kind == "array" else rng.random((n, 7)).T) for n in (4000, 40000))
         write(small)  # first-call imports and caches
         small_peak, large_peak = self.peak(write, small), self.peak(write, large)
         # ten times the rows: 5.4 MB of CSV text, 10 MB of JSON text

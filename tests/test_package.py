@@ -191,7 +191,7 @@ def test_only_the_cli_writes_files():
 
 
 def test_commands_write_through_one_path():
-    """Every ``cmd_*`` of the CLI hands its rows to ``_write_rows(args, ...)``
+    """Every ``cmd_*`` of the CLI hands its columns to ``_write_rows(args, ...)``
     once and calls no format's writer itself, and none builds a dict, so the
     JSON meta can only come from the parsed flags."""
     commands = [node for node in ast.walk(_sources()["cli"]) if isinstance(node, ast.FunctionDef)]

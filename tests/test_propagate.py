@@ -389,20 +389,21 @@ class TestBatchedCore:
 
     def test_working_memory_is_records_plus_one_chunk(self):
         """25 runs of 5,000 steps, on one drive and on 25, and 200 runs of
-        500 steps on one drive, hold their records, their step coefficients
-        and, twice over, the monomial and step-matrix buffers of one chunk
-        of max(1,024, N x RECORD_EVERY) configuration-steps (room for the
-        tree's products) and one block of samples per distinct drive (the
-        stacked samples and the next block's).  A larger budget, a chunk of
-        more than one record interval past 102 runs, a drive block per run
-        of a shared drive, or memory that grows chunk by chunk, passes this
-        bound."""
+        500 steps, on one drive and on 200, hold their records, their step
+        coefficients and, twice over, the monomial and step-matrix buffers of
+        one chunk of max(1,024, N x RECORD_EVERY) configuration-steps (room
+        for the tree's products), and once over one block of samples per
+        distinct drive.  A larger budget, a chunk of more than one record
+        interval past 102 runs, a drive block per run of a shared drive, a
+        second copy of the drive blocks, or memory that grows chunk by chunk,
+        passes this bound."""
         k = RATIOS_33.coupling_matrix()
         config = IntegratorConfig(steps_per_period=20000)
-        for n_runs, n_records, n_drives in ((25, 501, 1), (25, 501, 25), (200, 51, 1)):
+        for n_runs, n_records, n_drives in ((25, 501, 1), (25, 501, 25), (200, 51, 1), (200, 51, 200)):
             t_end = T * (n_records - 1) * propagate.RECORD_EVERY / 20000
             runs = [
-                (k, LevelEnergies.from_splittings(0.01 * i, 0.0), Pulse.harmonic(1.0 + i % n_drives, 1.0), t_end)
+                (k, LevelEnergies.from_splittings(0.01 * i, 0.0),
+                 Pulse.harmonic(1.0 + (i % n_drives) / n_drives, 1.0), t_end)
                 for i in range(n_runs)
             ]
             integrate_batch(runs[:2], config)  # first-call imports and caches
@@ -417,7 +418,7 @@ class TestBatchedCore:
             coefficients = n_runs * 12 * 36 * 8
             buffers = max(1024, n_runs * propagate.RECORD_EVERY) * (12 + 36) * 8  # monomials and step matrices
             drive = n_drives * (2 * 256 + 1) * 8  # one block of half-step samples per distinct drive
-            assert peak < records + coefficients + 2 * buffers + 2 * drive, (n_runs, n_drives)
+            assert peak < records + coefficients + 2 * buffers + drive, (n_runs, n_drives)
 
     def test_batch_is_logged(self, caplog):
         """One debug record per batch; a warning names the run whose drift
