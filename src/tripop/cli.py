@@ -230,7 +230,8 @@ def cmd_leakage(args) -> int:
     config = IntegratorConfig(steps_per_period=args.steps_per_period)
     # Every grid point is one run of the batch that leakage_scan integrates:
     # a grid past the batch's records cap is refused before its lists are built.
-    n_steps = config.step_count(harmonic_for_condition(cond, args.omega), math.pi / (2.0 * args.omega))
+    pulse = harmonic_for_condition(cond, args.omega)
+    n_steps = config.step_count(pulse, pulse.period / 4)
     grid = _parse_grid(args.grid, MAX_RUN_RECORDS // config.record_count(n_steps))  # absolute splittings
     ratios = [(w12 / args.omega, w13 / args.omega) for w12, w13 in grid]
     deficits = leakage_scan(cond, ratios, config=config, omega=args.omega)

@@ -5,8 +5,8 @@ longer complete.  Two perturbative estimates of the level-2 deficit are
 provided:
 
 * an early-time expansion whose leading term grows as t^4,
-* its evaluation at the quarter-period transfer time t0 = pi/(2 omega)
-  in terms of the family integers.
+* the same expansion at the quarter-period transfer time t0 = T/4 of the
+  condition's harmonic drive, which the family integers fix.
 
 Both are leading-order truncations.  The early-time form is quantitative
 only while both omega_ij * t and V(0) * t are small; the t0 form inherits a
@@ -28,7 +28,6 @@ or two-level phase is not finite, raises InvalidInputError.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -80,30 +79,23 @@ def delta_p2_early(
 
 
 def delta_p2_at_t0(cond: TransferCondition, omega12_ratio: float, omega13_ratio: float) -> float:
-    """The early-time estimate evaluated at t0 = pi/(2 omega), in family integers:
+    """``delta_p2_early`` at t0 = T/4 of the condition's harmonic drive.
+
+    The drive's V_ij(0) are the condition's couplings times v0 = omega A(t0),
+    so in the family integers, with the condition's beta,
 
         dP2(t0) ~ (1/27)(pi/2)^6 [ (pi/3) beta n1 n2 (n2-n1)(2 w13/w - w12/w)
-                                   + (n2-n1)^2 (w12/w)^2 ]
+                                   + (n2-n1)^2 (w12/w)^2 ].
 
-    with the condition's beta.  Identically zero for n1 = n2; see the module
-    docstring for the caveats on the linear term.
+    Identically zero for n1 = n2; see the module docstring for the caveats
+    on the linear term.
     """
     _require_level_two(cond)
     _require_finite("splitting ratios", omega12_ratio, omega13_ratio)
-    n1, n2 = cond.n1, cond.n2
-    if n1 == n2:  # both terms carry n2 - n1, and 0 * inf would be NaN past the float range
+    if cond.n1 == cond.n2:  # both terms carry n2 - n1, and 0 * inf would be NaN past the float range
         return 0.0
-    try:  # ** keeps the bits of the CLI's estimate column, and raises OverflowError past the float range
-        square = omega12_ratio**2
-    except OverflowError:
-        square = math.inf
-    bracket = (
-        (math.pi / 3.0) * cond.beta * n1 * n2 * (n2 - n1) * (2.0 * omega13_ratio - omega12_ratio)
-        + (n2 - n1) ** 2 * square
-    )
-    estimate = (math.pi / 2.0) ** 6 * bracket / 27.0
-    _require_finite("the estimate at t0", estimate)
-    return estimate
+    v0 = cond.action_t0  # the drive amplitude at omega = 1, where t0 = pi/2
+    return delta_p2_early(cond.alpha * v0, cond.beta * v0, v0, omega12_ratio, omega13_ratio, math.pi / 2.0)
 
 
 def measured_deficit(
@@ -149,9 +141,8 @@ def leakage_scan(
     _require_level_two(cond)
     pulse = harmonic_for_condition(cond, omega)
     k = cond.ratios().coupling_matrix()
-    t0 = math.pi / (2.0 * omega)
     runs = [
-        (k, LevelEnergies.from_splittings(r12 * omega, r13 * omega), pulse, t0)
+        (k, LevelEnergies.from_splittings(r12 * omega, r13 * omega), pulse, pulse.period / 4)
         for r12, r13 in omega_ratios
     ]
     return [float(1.0 - trace.p2[-1]) for trace in integrate_batch(runs, config)]
@@ -160,34 +151,38 @@ def leakage_scan(
 # -- two-level reference atom ---------------------------------------------
 
 
+def _rabi_frequency(eps1: float, eps2: float) -> float:
+    """Omega = sqrt(1 + ((eps2 - eps1)/2)^2), the two-level atom's Rabi frequency per unit coupling."""
+    return math.hypot(1.0, 0.5 * (eps2 - eps1))
+
+
 def two_level_populations(eps1: float, eps2: float, action: float) -> tuple[float, float]:
     """Populations (p1, p2) of the two-level atom with diagonal ratios
-    eps1, eps2 at the given action, from the 2x2 dressed basis.
+    eps1, eps2 at the given action, from Rabi's formula:
 
-    The dressed combinations c = a1 + y a2 use the roots of
-    y^2 + (eps1 - eps2) y - 1 = 0 and evolve with z = eps1 + y; the basis
-    determinant is -2 sqrt(1 + ((eps2 - eps1)/2)^2).  For eps1 = eps2 this
-    reduces to p2 = sin^2(A); for unequal diagonals the transfer is capped at
-    p2 <= 1 / (1 + (eps2 - eps1)^2 / 4).  Raises InvalidInputError unless all
-    three inputs and both phases (eps1 + y) * action are finite.
+        p2 = (sin(Omega A) / Omega)^2,
+        p1 = cos^2(Omega A) + ((eps2 - eps1) / (2 Omega) sin(Omega A))^2,
+
+    with Omega = sqrt(1 + ((eps2 - eps1)/2)^2).  A common diagonal shift is
+    a global phase, so only eps2 - eps1 enters.  For eps1 = eps2 this is
+    p2 = sin^2(A); for unequal diagonals the transfer is capped at
+    p2 <= 1 / Omega^2.  Raises InvalidInputError unless all three inputs
+    and the phase Omega A are finite.
     """
     _require_finite("two-level parameters", eps1, eps2, action)
-    d = eps2 - eps1
-    # The root of larger magnitude has no cancellation; the roots' product is -1.
-    y_big = 0.5 * d + math.copysign(0.5 * math.hypot(d, 2.0), d)
-    y_small = -1.0 / y_big
-    phases = ((eps1 + y_big) * action, (eps1 + y_small) * action)
-    _require_finite("two-level phases (eps1 + y) * action", *phases)
-    c_big, c_small = (cmath.exp(-1j * phase) for phase in phases)
-    det = y_small - y_big
-    return abs((y_small * c_big - y_big * c_small) / det) ** 2, abs((c_small - c_big) / det) ** 2
+    rabi = _rabi_frequency(eps1, eps2)
+    phase = rabi * action
+    _require_finite("the two-level phase Omega * action", phase)
+    transferred = math.sin(phase) / rabi
+    detuned = 0.5 * (eps2 - eps1) / rabi * math.sin(phase)
+    return math.cos(phase) ** 2 + detuned * detuned, transferred * transferred
 
 
 def two_level_p2_bound(eps1: float, eps2: float) -> float:
     """Supremum of p2 over the action for the given diagonal ratios; both must be finite."""
     _require_finite("diagonal ratios", eps1, eps2)
-    d = eps2 - eps1
-    return 1.0 / (1.0 + d * d / 4.0)  # a product, not **, so a huge d gives 0.0 rather than OverflowError
+    rabi = _rabi_frequency(eps1, eps2)
+    return 1.0 / (rabi * rabi)  # a product, not **, so a huge Omega gives 0.0 rather than OverflowError
 
 
 def measured_two_level_deficit(
@@ -197,14 +192,15 @@ def measured_two_level_deficit(
 ) -> float:
     """1 - P2(t0) for the harmonic two-level atom with v0/omega = pi/2.
 
-    RK4 with E = (0, -omega12) up to t0 = pi/(2 omega), a quarter of the
-    drive period, at ``config``'s ``steps_per_period`` steps per period, as
+    RK4 with E = (0, -omega12) up to t0 = T/4, a quarter of the drive
+    period, at ``config``'s ``steps_per_period`` steps per period, as
     ``measured_deficit`` runs; the two-level coupling is embedded in a 3x3
-    matrix.  The reference scaling is dP2(t0) ~ (1/4)(pi/2)^6 (omega12/omega)^2
-    for small splittings.
+    matrix.  The deficit follows the quadratic law c (omega12/omega)^2 for
+    small splittings, with c = 0.165 measured; the t0-truncation reference
+    c = (1/4)(pi/2)^6 overestimates it about 23-fold, so only the quadratic
+    law is to be relied on.
     """
-    t0 = math.pi / (2.0 * omega)
     pulse = Pulse.harmonic(0.5 * math.pi * omega, omega)
     energies = LevelEnergies.from_splittings(omega12_ratio * omega, 0.0)
-    (trace,) = integrate_batch([(_TWO_LEVEL_COUPLING, energies, pulse, t0)], config)
+    (trace,) = integrate_batch([(_TWO_LEVEL_COUPLING, energies, pulse, pulse.period / 4)], config)
     return float(1.0 - trace.p2[-1])

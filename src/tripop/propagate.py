@@ -21,22 +21,24 @@ same stage times, the same weights and the same fourth-order error, with
 no eigen-decomposition, dressed basis or analytic action involved.  Only
 the rounding order differs from a stage-by-stage loop.
 
-Each H is diag(E) + V K, so P is a polynomial in the step's three drive
-samples: linear in V(t), at most quadratic in V(t + h/2) and linear in
-V(t + h).  Over the 12 monomials mu_m of these samples,
+P depends on h only through h H = diag(h E) + h V K, so the core works in
+step units: P is a polynomial in the step's drive samples times h, linear
+in h V(t), at most quadratic in h V(t + h/2) and linear in h V(t + h).
+Over the 12 monomials mu_m of these samples,
 
     P = I + sum_m mu_m M_m,
 
-where each M_m collects the words in diag(E) and K of the formula above
-that carry monomial m, with their powers of h.  The M_m are expanded once
-per batch, not fitted to P at sample drives, which would lose the h^4 terms
-to cancellation.  I is added after the sum, as in the formula: folding it
-into the constant M_m would round the same way in every step, a bias that
-grows with the run length.
+where each M_m collects the words in diag(h E) and K of the formula above
+that carry monomial m.  No power of h stands apart from its E or V, so a
+tiny step on a huge drive cannot make 0 * inf.  The M_m are expanded once
+per batch, not fitted to P at sample drives, which would lose the h^4
+terms to cancellation.  I is added after the sum, as in the formula:
+folding it into the constant M_m would round the same way in every step,
+a bias that grows with the run length.
 
 The core advances N configurations at once, a chunk of steps at a time.  It
-samples each drive on the half-step grid once per block of chunks (runs
-with the same pulse and step share the samples), and builds P for every
+samples each drive times h on the half-step grid once per block of chunks
+(runs with the same pulse and step share the samples), and builds P for every
 step of a chunk with one stacked product of the chunk's monomials and the
 run's M_m, written into buffers made once per batch.  P acts on
 (Re a, Im a) as the real block matrix [[Re P, -Im P], [Im P, Re P]], which
@@ -323,7 +325,7 @@ def _rk4(
 
     Each run's step coefficients M [12, (2 n)^2] (``_step_coefficients``)
     are made once.  A chunk's step matrices are then one stacked product,
-    the monomials [12, N, steps] of its drive samples times M, plus I, both
+    the monomials [12, N, steps] of its samples of h V times M, plus I, both
     written into buffers made once per batch.  A chunk (``_chunk_sizes``)
     holds whole record intervals and ends on a record step, so Python work
     scales with the number of chunks, not of steps.  Runs with the same
@@ -344,7 +346,7 @@ def _rk4(
     a[:, 0] = 1.0
 
     drives: dict[tuple[Pulse, float], int] = {}
-    drive_of_run = np.array([drives.setdefault((p, float(h)), len(drives)) for p, h in zip(pulses, 0.5 * dt)])
+    drive_of_run = np.array([drives.setdefault((p, float(h)), len(drives)) for p, h in zip(pulses, dt)])
     chunk, block = _chunk_sizes(n_runs, record_every, n_steps)
     n_mono, n_entries = len(_MONOMIALS), 4 * n * n
     v_first = v_last = first = 0
@@ -354,7 +356,7 @@ def _rk4(
         # one row of samples per drive; made after the coefficients, it left a
         # sweep bench worker's peak RSS about 0.1 MB higher
         drive_buffer = np.empty((len(drives), 2 * block + 1))
-        coefficients = _step_coefficients(k, e, dt).reshape(n_runs, n_mono, n_entries)
+        coefficients = _step_coefficients(k, e * dt[:, None]).reshape(n_runs, n_mono, n_entries)
         # made once the coefficients' temporaries are freed, so the two never add up
         mono_buffer = np.empty(n_mono * n_runs * chunk)
         step_buffer = np.empty(n_runs * chunk * n_entries)
@@ -367,7 +369,7 @@ def _rk4(
                 half_steps = np.arange(2 * v_first, 2 * v_last + 1)
                 v = drive_buffer[:, : len(half_steps)]
                 for row, (p, h) in zip(v, drives):
-                    row[:] = p.value(half_steps * h)
+                    np.multiply(h, p.value(half_steps * (0.5 * h)), out=row)  # h V
             length = last - first
             v_chunk = v[drive_of_run, 2 * (first - v_first) : 2 * (last - v_first) + 1]
             # (1, vh, vh^2) x (1, v1), then the same times v0: the order of _MONOMIALS
@@ -395,11 +397,11 @@ def _rk4(
     return record_steps, pops, None if amps is None else amps.transpose(1, 0, 2)
 
 
-# Exponents of (V(t), V(t + h/2), V(t + h)) in the monomials of a step's
-# drive samples that P is linear in, in the column order the core uses.
+# Exponents of (h V(t), h V(t + h/2), h V(t + h)) in the monomials of a
+# step's drive samples that P is linear in, in the column order the core uses.
 _MONOMIALS = tuple(itertools.product((0, 1), (0, 1, 2), (0, 1)))
 
-# The step formula as P = I + sum of w (-i h)^L H[s_1] ... H[s_L]: the
+# The step formula as P = I + sum of w (-i)^L (h H[s_1]) ... (h H[s_L]): the
 # weight w and the sample s (0: t, 1: t + h/2, 2: t + h) of each factor H.
 _RK4_WORDS = (
     (1 / 6, (0,)), (4 / 6, (1,)), (1 / 6, (2,)),
@@ -409,18 +411,19 @@ _RK4_WORDS = (
 )
 
 
-def _step_coefficients(k: np.ndarray, e: np.ndarray, dt: np.ndarray) -> np.ndarray:
+def _step_coefficients(k: np.ndarray, he: np.ndarray) -> np.ndarray:
     """M [N, 12, 2 n, 2 n], real block form, with P - I = sum_m mu_m M_m.
 
-    mu_m is the monomial _MONOMIALS[m] of the step's drive samples.  Each
-    factor H = diag(E) + V K of a word in _RK4_WORDS contributes diag(E) or
-    V K, so the word expands into words in diag(E) and K; each goes, with
-    its weight and power of h, into the M_m of its V factors.  The identity
-    is left out, so the core adds it last.
+    ``he`` [N, n] holds each run's energies times its step, h E, and mu_m is
+    the monomial _MONOMIALS[m] of the step's drive samples times the step,
+    h V.  Each factor h H = diag(h E) + (h V) K of a word in _RK4_WORDS
+    contributes diag(h E) or (h V) K, so the word expands into words in
+    diag(h E) and K; each goes, with its weight, into the M_m of its h V
+    factors.  The identity is left out, so the core adds it last.
     """
-    n = e.shape[1]
-    letters = (e[:, :, None] * np.eye(n), k)  # diag(E), K
-    m = np.zeros((len(e), len(_MONOMIALS), 2 * n, 2 * n))
+    n = he.shape[1]
+    letters = (he[:, :, None] * np.eye(n), k)  # diag(h E), K
+    m = np.zeros((len(he), len(_MONOMIALS), 2 * n, 2 * n))
     parts = (m[..., :n, :n], m[..., n:, :n])  # the real and imaginary parts, summed in place
     # Only the words of two lengths are held at once: those of the RK4 words
     # of one length, and the shorter ones they are made from.
@@ -431,7 +434,7 @@ def _step_coefficients(k: np.ndarray, e: np.ndarray, dt: np.ndarray) -> np.ndarr
                      for picks in itertools.product((0, 1), repeat=length)}
         for weight, samples in group:
             phase = (-1j) ** length  # +-1 or +-i
-            scale = (phase.real + phase.imag) * weight * dt[:, None, None] ** length
+            scale = (phase.real + phase.imag) * weight
             for picks in itertools.product((0, 1), repeat=length):
                 exponents = [0, 0, 0]
                 for pick, sample in zip(picks, samples):

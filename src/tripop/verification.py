@@ -64,17 +64,15 @@ def verify_conditions(max_product: int, config: IntegratorConfig = IntegratorCon
 def _check_conditions(conds: list[TransferCondition], config: IntegratorConfig) -> list[ConditionCheck]:
     """The check battery for each condition, with every RK4 run in one batch.
 
-    Each condition is driven at omega = 1 up to t0 = pi/2, a quarter of the
+    Each condition is driven at omega = 1 up to t0 = T/4, a quarter of the
     drive period, which ``config`` divides into ``steps_per_period`` steps,
     so the runs share a step count.  When runs drift past the limit, the
     batch's error carries the other runs' traces: a drifting run fails only
     its own check, with an infinite ODE deviation.
     """
-    omega = 1.0
-    t0 = math.pi / (2.0 * omega)
-    pulses = [harmonic_for_condition(cond, omega) for cond in conds]
+    pulses = [harmonic_for_condition(cond, 1.0) for cond in conds]
     runs = [
-        (cond.ratios().coupling_matrix(), LevelEnergies.degenerate(), pulse, t0)
+        (cond.ratios().coupling_matrix(), LevelEnergies.degenerate(), pulse, pulse.period / 4)
         for cond, pulse in zip(conds, pulses)
     ]
     try:

@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tripop import (
@@ -136,6 +136,19 @@ class TestTransferTimeEstimate:
                     packed = delta_p2_at_t0(replace(cond, beta=beta), r12, r13)
                     assert packed == pytest.approx(raw, rel=1e-12)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_matches_the_family_integer_form(self, sign):
+        """The docstring's expression in the family integers, for every
+        member with n1 n2 <= 200, either sign of r and either beta."""
+        for cond in enumerate_conditions(200):
+            n1, n2 = cond.n1, cond.n2
+            for beta in (1, -1):
+                member = replace(cond, sign=sign, beta=beta)
+                for r12, r13 in ((0.03, 0.0), (0.02, 0.05), (-0.1, 0.07)):
+                    bracket = (math.pi / 3.0) * beta * n1 * n2 * (n2 - n1) * (2.0 * r13 - r12) + (n2 - n1) ** 2 * r12**2
+                    expected = (math.pi / 2.0) ** 6 * bracket / 27.0
+                    assert delta_p2_at_t0(member, r12, r13) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_quadratic_scaling_against_measurement(self, cond_15):
         """On the ray 2*omega13 = omega12 the linear term cancels and the
         estimate is purely quadratic; the measured deficit follows the same
@@ -175,6 +188,18 @@ class TestMeasuredScan:
         doubled = measured_deficit(cond_33, w12 / 2.0, 0.0, config=SCAN, omega=2.0)
         assert doubled < base
         assert base / doubled == pytest.approx(4.0, rel=0.1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-150.0, 150.0))
+    @example(-150.0)
+    @example(150.0)
+    def test_degenerate_deficit_depends_on_the_action_alone(self, cond_15, u):
+        """Without splittings the dynamics see the drive only through its
+        action, so the deficit at t0 is the same at every omega = 10^u."""
+        (deficit,) = leakage_scan(cond_15, [(0.0, 0.0)], config=SCAN, omega=10.0**u)
+        (reference,) = leakage_scan(cond_15, [(0.0, 0.0)], config=SCAN)
+        assert math.isfinite(deficit)
+        assert deficit == pytest.approx(reference, rel=0, abs=1e-12)
 
     def test_direct_coupling_comes_from_the_condition(self, cond_15):
         """A beta = -1 condition is measured with beta = -1: its deficit is
@@ -270,6 +295,13 @@ class TestTwoLevel:
             p1, p2 = two_level_populations(eps, eps, float(a))
             assert p2 == pytest.approx(math.sin(float(a)) ** 2, abs=1e-12)
             assert p1 + p2 == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("eps, action", [(1e308, 10.0), (-1.7e308, 3.0), (1e200, 1e200)])
+    def test_common_shift_past_the_float_range_is_a_global_phase(self, eps, action):
+        """Equal diagonals give (cos^2 A, sin^2 A) even where eps A is past the float range."""
+        p1, p2 = two_level_populations(eps, eps, action)
+        assert p1 == pytest.approx(math.cos(action) ** 2, rel=0, abs=1e-12)
+        assert p2 == pytest.approx(math.sin(action) ** 2, rel=0, abs=1e-12)
 
     def test_quarter_pi_points(self):
         assert two_level_populations(0.3, 0.3, math.pi / 2.0)[1] == pytest.approx(

@@ -13,7 +13,7 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 from helpers import compare_analytic_numeric, count_returns
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tripop import (
@@ -302,15 +302,15 @@ class TestBatchedCore:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_monomial_matrices_make_one_rk4_step(self, data):
-        """I + sum_m mu_m(v0, vh, v1) M_m is one four-stage step, column by
-        column of the real block form, for random K, split E, h and drive
-        samples with h |v| ||K|| <= 1."""
+        """I + sum_m mu_m(h v0, h vh, h v1) M_m, with M from h E and K, is one
+        four-stage step, column by column of the real block form, for random
+        K, split E, h and drive samples with h |v| ||K|| <= 1."""
         k = _symmetric(data.draw)
         e = np.array(data.draw(st.lists(_unit, min_size=3, max_size=3)))
         v = np.array(data.draw(st.lists(_unit, min_size=3, max_size=3)))
         h = data.draw(st.floats(1e-6, 1.0)) / max(1.0, np.max(np.abs(v)) * np.linalg.norm(k, 2))
-        m = propagate._step_coefficients(k[None], e[None], np.array([h]))[0]
-        mono = np.prod(v ** np.array(propagate._MONOMIALS), axis=1)
+        m = propagate._step_coefficients(k[None], h * e[None])[0]
+        mono = np.prod((h * v) ** np.array(propagate._MONOMIALS), axis=1)
         p = np.eye(6) + np.tensordot(mono, m, 1)
         for column, a in enumerate([*np.eye(3), *(1j * np.eye(3))]):
             expected = stagewise_step(k, e, v, h, a)
@@ -323,12 +323,11 @@ class TestBatchedCore:
         Holding every word and the real and imaginary parts apart passes it."""
         n_runs = 2000
         k = np.broadcast_to(RATIOS_33.coupling_matrix(), (n_runs, 3, 3)).copy()
-        e = np.zeros((n_runs, 3))
-        dt = np.full(n_runs, 1e-3)
-        propagate._step_coefficients(k[:2], e[:2], dt[:2])  # first-call caches
+        he = np.zeros((n_runs, 3))
+        propagate._step_coefficients(k[:2], he[:2])  # first-call caches
         tracemalloc.start()
         try:
-            m = propagate._step_coefficients(k, e, dt)
+            m = propagate._step_coefficients(k, he)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -634,6 +633,22 @@ class TestPropagateKick:
             )
             errors.append(abs(ideal_p2 - trace.p2[-1]))
         assert errors[0] > errors[1] > errors[2]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-150.0, 0.0))
+    @example(-150.0)
+    def test_degenerate_gaussian_kick_depends_on_the_area_alone(self, u):
+        """Without splittings a Gaussian kick acts through its area alone: the
+        populations after widths 10^u, from 1e-150 to 1, are the width-1 ones."""
+        def kick(width):
+            pulse = Pulse.gaussian_kick(1.6557, 10.0 * width, width)
+            config = IntegratorConfig(steps_per_period=8000)  # norm drift 7e-14
+            return integrate(CouplingRatios(2.5, 0.7), DEGENERATE, pulse, 20.0 * width, config).populations[-1]
+
+        populations = kick(10.0**u)
+        assert np.all(np.isfinite(populations))
+        assert populations.sum() == pytest.approx(1.0, rel=0, abs=1e-12)
+        np.testing.assert_allclose(populations, kick(1.0), rtol=0, atol=1e-12)
 
 
 class TestTwoLevelLimit:
