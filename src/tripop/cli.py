@@ -84,9 +84,12 @@ _JSON_SPELLINGS = {**_CSV_SPELLINGS, "f": _json_floats, "U": functools.partial(m
 def _blocks(columns, spellings: dict):
     """The value texts of ``_BLOCK_ROWS`` rows at a time, one iterator per
     column.  Each column is 1-D, an array or a list made one by
-    ``np.asarray``, and its spelling is chosen once, from its dtype."""
-    columns = [np.asarray(column) for column in columns]
-    spell = [spellings[column.dtype.kind] for column in columns]
+    ``np.asarray``, and its spelling is chosen once, from its dtype.  A str
+    column keeps its own str objects, since numpy's fixed-width str dtype
+    drops a value's trailing NUL characters."""
+    arrays = [np.asarray(column) for column in columns]
+    spell = [spellings[array.dtype.kind] for array in arrays]
+    columns = [np.array(c, dtype=object) if a.dtype.kind == "U" else a for c, a in zip(columns, arrays)]
     for first in range(0, len(columns[0]), _BLOCK_ROWS):
         yield [s(column[first : first + _BLOCK_ROWS].tolist()) for s, column in zip(spell, columns)]
 

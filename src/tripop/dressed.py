@@ -36,7 +36,7 @@ its y.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 # np.linalg.eigh's LAPACK kernel, called directly: K is always a float64 3x3, so eigh's checks never apply
@@ -71,7 +71,7 @@ class CouplingRatios:
         return np.array((e1, a, b, a, e2, 1.0, b, 1.0, e3)).reshape(3, 3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DressedBasis:
     """Dressed states of the coupling-ratio matrix K.
 
@@ -80,22 +80,21 @@ class DressedBasis:
     so the bare amplitudes at action A, from a(0) = (1, 0, 0), are
     a_i(A) = sum_j m_inv[i, j] * exp(-i z_j A).  The paper's (1, x, y) gauge
     is (m_inv / m_inv[0]).T, where no weight m_inv[0, j] vanishes.
-
-    ``max_phase_rate`` is max |z_j|, taken once from ``z`` for the phase
-    guard of ``amplitudes_at``.
+    ``build_dressed_basis`` hands over ``m_inv`` read-only.
     """
 
     z: tuple[float, float, float]
     m_inv: np.ndarray
     ratios: CouplingRatios
-    max_phase_rate: float = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self.m_inv.setflags(write=False)
-        object.__setattr__(self, "max_phase_rate", max(map(abs, self.z)))
+    @property
+    def max_phase_rate(self) -> float:
+        """max |z_j|, the phase rate that ``amplitudes_at`` guards: z ascends,
+        so its largest magnitude is at one end."""
+        return max(-self.z[0], self.z[2])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AmplitudeState:
     """Complex amplitudes of the three bare levels at a given action value."""
 
@@ -153,7 +152,9 @@ def build_dressed_basis(ratios: CouplingRatios) -> DressedBasis:
     z = tuple(z.tolist())
     if not all(map(math.isfinite, z)):
         raise InvalidInputError(f"the dressed spectrum {z} of {ratios} is not finite")
-    return DressedBasis(z=z, m_inv=u * u[0], ratios=ratios)
+    m_inv = u * u[0]
+    m_inv.setflags(write=False)
+    return DressedBasis(z, m_inv, ratios)
 
 
 def amplitudes_at(basis: DressedBasis, action: float) -> AmplitudeState:

@@ -98,7 +98,10 @@ class Pulse:
     def period(self) -> float:
         if self.shape != "harmonic":
             raise InvalidInputError("only harmonic pulses have a period")
-        return 2.0 * math.pi / self.omega
+        period = 2.0 * math.pi / self.omega
+        if not math.isfinite(period):  # omega below about 3.5e-308
+            raise InvalidInputError(f"period 2 pi / omega is not finite for omega = {self.omega!r}")
+        return period
 
     # -- evaluation ----------------------------------------------------
 
@@ -163,17 +166,24 @@ class Pulse:
         return cumulative[k] + 0.5 * (values[k] + np.interp(u, knots, values)) * (u - knots[k])
 
     def _table_in_range(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The table, once every time in ``ts`` is known to lie inside it."""
+        """The table, once every time in ``ts`` is known to lie inside it; a
+        single time is compared as one float, at scalar cost."""
         knots = self._table[0]
-        if ts.size and (ts.min() < knots[0] or ts.max() > knots[-1]):
+        if ts.ndim == 0:
+            outside = not knots[0] <= float(ts) <= knots[-1]
+        else:
+            outside = ts.size and (ts.min() < knots[0] or ts.max() > knots[-1])
+        if outside:
             first = float(np.extract((ts < knots[0]) | (ts > knots[-1]), ts)[0])
             raise InvalidInputError(f"t={first} outside the table range [{knots[0]}, {knots[-1]}]")
         return self._table
 
 
 def _finite_times(t: float | np.ndarray) -> np.ndarray:
+    """``t`` as a float array, refused unless every time in it is finite; a
+    single time is checked as one float, at scalar cost."""
     ts = np.asarray(t, dtype=float)
-    if not np.isfinite(ts).all():
+    if not (math.isfinite(ts) if ts.ndim == 0 else np.isfinite(ts).all()):
         raise InvalidInputError("time must be finite")
     return ts
 

@@ -885,8 +885,9 @@ class TestMetaFollowsTheParser:
 # texts differ between repr, str and json, or that sit at the edges of the
 # float range (signed zeros, subnormals, the largest float, infinities and
 # NaN); ints past 2**53, to the ends of int64; bools; and ASCII strings.
-# numpy's str dtype drops trailing NULs, and no subcommand writes one, so the
-# strings leave NUL out.
+# numpy's str dtype drops trailing NULs, so a column drawn as an array could
+# not hold one: the strings leave NUL out, and a test of each writer gives
+# one in a list.
 COLUMN_VALUES = {
     "float": st.one_of(
         st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e16, 1.7976931348623157e308, math.inf, -math.inf, math.nan]),
@@ -944,6 +945,10 @@ class TestCsvWriter:
             self.reference(ref, header, rows)
             assert ours.read_bytes() == ref.read_bytes()
 
+    def test_str_list_keeps_trailing_nul(self, tmp_path):
+        cli_module._write_csv(str(tmp_path / "out.csv"), ["s"], [["a\x00", "b"]])
+        assert (tmp_path / "out.csv").read_bytes() == b"s\na\x00\nb\n"
+
 
 class TestJsonWriter:
     """The JSON writer gives the bytes of ``json.dump(..., indent=2)`` plus a newline."""
@@ -969,6 +974,10 @@ class TestJsonWriter:
             cli_module._write_json(str(ours), "cmd", params, header, columns)
             self.reference(ref, "cmd", params, header, rows)
             assert ours.read_bytes() == ref.read_bytes()
+
+    def test_str_list_keeps_trailing_nul(self, tmp_path):
+        cli_module._write_json(str(tmp_path / "out.json"), "cmd", {}, ["s"], [["a\x00", "b"]])
+        assert json.loads((tmp_path / "out.json").read_text())["rows"] == [{"s": "a\x00"}, {"s": "b"}]
 
     def test_array_rows_and_braced_keys_match_json_dump(self, tmp_path):
         rows = np.array([[0.1, math.nan, -math.inf], [1e300, -0.0, 3.0]])

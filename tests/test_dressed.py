@@ -6,12 +6,13 @@ and the squared amplitudes for the population formulas.  The paper's
 (1, x, y) gauge is checked on the library's basis through ``paper_gauge``.
 """
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import paper_gauge
 from scipy.linalg import expm
@@ -426,6 +427,32 @@ class TestAgainstDocumentedFormulas:
             basis = build_dressed_basis(CouplingRatios(alpha, beta, eps=tuple(eps)))
         assert np.array(basis.z).tobytes() == z.tobytes()
         assert basis.m_inv.tobytes() == (u * u[0]).tobytes()
+
+
+class TestRecords:
+    def test_records_are_frozen(self, basis_33):
+        """No field of a basis or an amplitude state can be reassigned, a
+        basis's m_inv cannot be written, and neither record holds a
+        ``__dict__``."""
+        for record in (basis_33, amplitudes_at(basis_33, 1.0)):
+            assert not hasattr(record, "__dict__")
+            for f in dataclasses.fields(record):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, f.name, getattr(record, f.name))
+        assert not basis_33.m_inv.flags.writeable
+
+    @settings(max_examples=300, deadline=None)
+    @given(couplings_with_eps(), st.floats(-30.0, 30.0))
+    @example((0.5, -0.5, (0.3, -0.2, -0.2)), 20.0)
+    @example((0.5, -0.5, (0.3, -0.2, -0.2)), -20.0)
+    def test_max_phase_rate_is_the_largest_magnitude(self, coupling, shift):
+        """max(-z[0], z[2]) of the ascending z is max |z_j|.  A common
+        diagonal shift past the unshifted spectrum's largest |z_j| (at most
+        about 10.3 here) gives spectra all of one sign, the shortcut's edge
+        cases; the examples are one of each."""
+        alpha, beta, eps = coupling
+        basis = build_dressed_basis(CouplingRatios(alpha, beta, eps=tuple(e + shift for e in eps)))
+        assert basis.max_phase_rate == max(abs(z) for z in basis.z)
 
 
 class TestNonFiniteSpectrum:

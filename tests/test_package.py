@@ -92,11 +92,15 @@ _LEAKAGE = ["leakage", "--n-o", "1", "--n-op", "1", "--grid"]
     pytest.param(lambda: Pulse.gaussian_kick(1.0, 0.0, 0.0), "positive width", id="gaussian-width-0"),
     pytest.param(lambda: Pulse.tabulated([0.0], [1.0]), "at least two samples", id="one-knot"),
     pytest.param(lambda: Pulse.constant(1.0).period, "only harmonic pulses", id="constant-period"),
+    pytest.param(lambda: Pulse.harmonic(1.0, 1e-308).period, "period 2 pi / omega is not finite for omega = 1e-308",
+                 id="harmonic-period-inf"),
     pytest.param(lambda: harmonic_for_condition(condition_from_odd_pair(OddPair(1, 1)), 0.0),
                  "requires omega > 0", id="condition-omega-0"),
     pytest.param(_LEAKAGE + ["omega12:0:1,omega13:0"], "malformed grid axis 'omega12:0:1'", id="cli-grid-3-fields"),
     pytest.param(_LEAKAGE + ["omega12:0:1:0,omega13:0"], "grid count must be >= 1", id="cli-grid-count-0"),
     pytest.param(_LEAKAGE + ["omega12:0"], "both omega12 and omega13", id="cli-grid-axis-missing"),
+    pytest.param(["leakage", "--n-o", "1", "--n-op", "1", "--omega", "1e-308", "--grid", "omega12:0,omega13:0"],
+                 "period 2 pi / omega is not finite for omega = 1e-308", id="cli-leakage-period-inf"),
     pytest.param(["kick", "--alpha", "0", "--area", "1", "--widths", "0.1,0"], "kick widths must be positive",
                  id="cli-kick-width-0"),
 ])

@@ -150,6 +150,66 @@ class TestValue:
             Pulse.tabulated([0.0, 1.0, 1.0], [0.0, 1.0, 2.0])
 
 
+@st.composite
+def tables(draw) -> Pulse:
+    """A tabulated pulse of 2 to 8 knots that brackets t = 0."""
+    inner = draw(st.lists(st.floats(-10.0, 10.0), max_size=6, unique=True))
+    knots = sorted([draw(st.floats(-20.0, -10.5)), *inner, draw(st.floats(10.5, 20.0))])
+    return Pulse.tabulated(knots, draw(st.lists(st.floats(-5.0, 5.0), min_size=len(knots), max_size=len(knots))))
+
+
+ANY_SHAPE = st.one_of(
+    st.builds(Pulse.harmonic, st.floats(-10.0, 10.0), st.floats(0.01, 10.0)),
+    st.builds(Pulse.constant, st.floats(-10.0, 10.0)),
+    st.builds(Pulse.gaussian_kick, st.floats(-10.0, 10.0), st.floats(-5.0, 5.0), st.floats(0.01, 5.0)),
+    tables(),
+)
+# a single time as each form a caller may hand it
+SCALAR_FORMS = st.sampled_from([float, np.float64, np.array])
+
+
+def refusal(query, t) -> str:
+    with pytest.raises(InvalidInputError) as refused:
+        query(t)
+    return str(refused.value)
+
+
+class TestScalarTime:
+    """A single time, checked as one float, gives what the same time in a
+    one-element array gives: the same bits, or the same refusal."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ANY_SHAPE, st.data())
+    def test_same_bits_as_a_one_element_array(self, pulse, data):
+        if pulse.shape == "tabulated":
+            knots = [t for t, _ in pulse.samples]
+            t = data.draw(st.one_of(st.sampled_from(knots), st.floats(knots[0], knots[-1])))
+        else:
+            t = data.draw(st.floats(-50.0, 50.0))
+        scalar = data.draw(SCALAR_FORMS)(t)
+        value, action = pulse.value(scalar), pulse.area(scalar).a
+        assert isinstance(value, float) and isinstance(action, float)
+        assert np.float64(value).tobytes() == pulse.value(np.array([t]))[:1].tobytes()
+        assert np.float64(action).tobytes() == pulse.area(np.array([t])).a[:1].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(ANY_SHAPE, st.sampled_from([math.nan, math.inf, -math.inf]), SCALAR_FORMS)
+    def test_non_finite_time_is_refused_as_in_an_array(self, pulse, t, form):
+        for query in (pulse.value, pulse.area):
+            assert refusal(query, form(t)) == refusal(query, np.array([t])) == "time must be finite"
+
+    @settings(max_examples=100, deadline=None)
+    @given(tables(), st.data(), SCALAR_FORMS)
+    def test_time_outside_the_table_is_refused_as_in_an_array(self, pulse, data, form):
+        first, last = pulse.samples[0][0], pulse.samples[-1][0]
+        finite = {"allow_nan": False, "allow_infinity": False}
+        t = data.draw(st.one_of(st.floats(max_value=first, exclude_max=True, **finite),
+                                st.floats(min_value=last, exclude_min=True, **finite)))
+        for query in (pulse.value, pulse.area):
+            assert refusal(query, form(t)) == refusal(query, np.array([t]))
+            assert refusal(query, form(t)).startswith(f"t={t} outside the table range")
+
+
 class TestArea:
     def test_zero_at_origin(self):
         pulses = [
