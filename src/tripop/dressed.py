@@ -71,7 +71,7 @@ class CouplingRatios:
         return np.array((e1, a, b, a, e2, 1.0, b, 1.0, e3)).reshape(3, 3)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class DressedBasis:
     """Dressed states of the coupling-ratio matrix K.
 
@@ -81,6 +81,9 @@ class DressedBasis:
     a_i(A) = sum_j m_inv[i, j] * exp(-i z_j A).  The paper's (1, x, y) gauge
     is (m_inv / m_inv[0]).T, where no weight m_inv[0, j] vanishes.
     ``build_dressed_basis`` hands over ``m_inv`` read-only.
+
+    Bases compare and hash by identity: two builds of one coupling are two
+    bases, and either can be a dict key or a set member.
     """
 
     z: tuple[float, float, float]

@@ -40,17 +40,23 @@ The core advances N configurations at once, a chunk of steps at a time.  It
 samples each drive times h on the half-step grid once per block of chunks
 (runs with the same pulse and step share the samples), and builds P for every
 step of a chunk with one stacked product of the chunk's monomials and the
-run's M_m, written into buffers made once per batch.  P acts on
-(Re a, Im a) as the real block matrix [[Re P, -Im P], [Im P, Re P]], which
-numpy multiplies several times faster than a complex 3x3.  Between two
-records only the product of the step maps matters: each record interval's
-matrices are multiplied by a pairwise tree, a prefix scan over the chunk's
-interval products gives the state at each of its records, and the state is
-updated once per chunk.  A chunk holds the whole record intervals that fit
-in ``_CHUNK_CONFIG_STEPS`` (1,024) configuration-steps, and one at least, so
-the buffers stay within 384 KiB up to 102 runs and hold 3.75 KiB a run past
-that, whatever the run length.  The chunks set only how the products are
-grouped: results at other budgets differ in rounding alone.
+run's M_m.  P acts on (Re a, Im a) as the real block matrix
+[[Re P, -Im P], [Im P, Re P]], which numpy multiplies several times faster
+than a complex 3x3.  Between two records only the product of the step maps
+matters: each record interval's matrices are multiplied by a pairwise tree,
+a prefix scan over the chunk's interval products gives the state at each of
+its records, and the state is updated once per chunk.  A chunk holds the
+whole record intervals that fit in ``_CHUNK_CONFIG_STEPS`` (1,024)
+configuration-steps, and one at least.  The chunks set only how the products
+are grouped: results at other budgets differ in rounding alone.
+
+Every level of that work is written into buffers made once per batch, so
+the chunk loop allocates no array but a gather of its drive samples, and no
+step-sized array is mapped afresh however the allocator is tuned.  At the
+RECORD_EVERY stride the buffers take 595 bytes a configuration-step of a
+chunk (monomials 96, step matrices 288, the tree's first level 144, the
+scan 58, states and amplitudes 10): 593 KiB up to 102 runs and 5.8 KiB a
+run past that, whatever the run length.
 """
 
 from __future__ import annotations
@@ -74,13 +80,16 @@ NORM_DRIFT_LIMIT = 1e-6
 # Runs x records of one batch: 4e7 hold 960 MB of populations, about the
 # memory the table cap allows.  verify and leakage put every member or grid
 # point in one batch of 501 records at the default step, so about 80,000 fit.
-# Such a batch peaks inside the chunk loop at 22.9 KB a run (tracemalloc, 500
-# and 1,500 runs): 12 KB of populations, 12 x 6 x 6 floats of step
-# coefficients (3.4 KB), 10 steps x 384 bytes of chunk buffers and the
-# tree's products; making the coefficients peaks lower, at 5.6 KB a run on
-# top of the populations.  Each distinct drive adds 4.2 KB, a block of its
-# samples (27.0 KB a run on distinct drives): 1.8 GB at 80,000 runs on one
-# drive, as a leakage grid is, and 2.2 GB on 80,000 drives.
+# Such a batch peaks inside the chunk loop at 22.0 KB a run (tracemalloc, 500
+# and 1,500 runs): 12 KB of populations and 9.9 KB beyond them, 12 x 6 x 6
+# floats of step coefficients (3.4 KB) and 10 steps x 595 bytes of chunk
+# buffers (see the module docstring); making the coefficients peaks lower,
+# at 5.6 KB a run on top of the populations.  Each distinct drive adds
+# 4.1 KB, a block of its samples (26.1 KB a run on distinct drives): 1.8 GB
+# at 80,000 runs on one drive, as a leakage grid is, and 2.1 GB on 80,000
+# drives.  Whatever its size, a batch holds at most 0.8 MB plus 9.9 KB a run
+# and 4.1 KB a distinct drive beyond its records: below about 100 runs, the
+# buffers of a chunk's 1,024 configuration-steps set the floor.
 MAX_RUN_RECORDS = 40_000_000
 
 _log = logging.getLogger("tripop")
@@ -275,8 +284,8 @@ def integrate_batch(
 # intervals that fit in this many configuration-steps, and one at least, so
 # max(1,024, N x RECORD_EVERY) whatever the run length.  That floor took
 # 1,521 runs from 0.48 to 0.28 us per configuration-step on the VM below.
-# Its step matrices (288 bytes each) and monomials (96 bytes) live in two
-# buffers made once per batch; the tree's temporaries add at most as much.
+# Its buffers, made once per batch, take 595 bytes a configuration-step at
+# the RECORD_EVERY stride (the module docstring lists them).
 # Bigger chunks pay the per-chunk numpy calls less often but hold more: on
 # the benchmark (2-vCPU Xeon VM, ten alternating runs against 256 without
 # the buffers), 1,024 took sweep from 0.095-0.109 to 0.053-0.062 s and
@@ -285,7 +294,10 @@ def integrate_batch(
 # peak to 39.1 MB.  Without the buffers, chunks this large are mapped and
 # page-faulted afresh whenever glibc's mmap threshold sits at its 128 KiB
 # floor: with MALLOC_MMAP_THRESHOLD_=131072, in-process verify --max-product
-# 35 at 2,048 took 40-47 ms without them and 31-40 ms with them.
+# 35 at 2,048 took 40-47 ms without them and 31-40 ms with them.  With the
+# tree's and scan's levels in buffers too, an in-process verify, leakage and
+# kick pass at that threshold makes 339-375 minor page faults, not 2,427
+# (111-112 at the default threshold, against 111-384).
 _CHUNK_CONFIG_STEPS = 1024
 # A run's drive is sampled once per block of at most this many steps, or
 # once per chunk when a chunk is longer, so a batch of many runs with short
@@ -325,8 +337,9 @@ def _rk4(
 
     Each run's step coefficients M [12, (2 n)^2] (``_step_coefficients``)
     are made once.  A chunk's step matrices are then one stacked product,
-    the monomials [12, N, steps] of its samples of h V times M, plus I, both
-    written into buffers made once per batch.  A chunk (``_chunk_sizes``)
+    the monomials [12, N, steps] of its samples of h V times M, plus I.
+    They, the tree's and the scan's levels, the states and the populations
+    are written into buffers made once per batch.  A chunk (``_chunk_sizes``)
     holds whole record intervals and ends on a record step, so Python work
     scales with the number of chunks, not of steps.  Runs with the same
     pulse and step share their drive samples.
@@ -348,8 +361,10 @@ def _rk4(
     drives: dict[tuple[Pulse, float], int] = {}
     drive_of_run = np.array([drives.setdefault((p, float(h)), len(drives)) for p, h in zip(pulses, dt)])
     chunk, block = _chunk_sizes(n_runs, record_every, n_steps)
+    stride = min(record_every, chunk)
+    n_intervals = chunk // stride  # in a chunk, at most
     n_mono, n_entries = len(_MONOMIALS), 4 * n * n
-    v_first = v_last = first = 0
+    v_first = v_last = first = mono_length = 0
     # Overflow and NaN, in the step coefficients too, propagate into the
     # amplitudes, where the drift gate catches them.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -360,6 +375,10 @@ def _rk4(
         # made once the coefficients' temporaries are freed, so the two never add up
         mono_buffer = np.empty(n_mono * n_runs * chunk)
         step_buffer = np.empty(n_runs * chunk * n_entries)
+        level_buffer = np.empty(n_runs * n_intervals * -(-stride // 2) * n_entries)
+        scan_buffers = np.empty((2, n_intervals * n_runs * n_entries))
+        state_buffer = np.empty((n_intervals, n_runs, 2 * n, 1))
+        amplitude_buffer = np.empty((n_intervals, n_runs, n), dtype=complex)
         while first < n_steps:
             last = min(first + chunk, n_steps)
             if last // record_every > first // record_every:
@@ -374,21 +393,29 @@ def _rk4(
             v_chunk = v[drive_of_run, 2 * (first - v_first) : 2 * (last - v_first) + 1]
             # (1, vh, vh^2) x (1, v1), then the same times v0: the order of _MONOMIALS
             mono = mono_buffer[: n_mono * n_runs * length].reshape(n_mono, n_runs, length)
-            mono[0] = 1.0
+            if length != mono_length:  # no other row is written over the ones
+                mono[0] = 1.0
+                mono_length = length
             mono[2] = v_chunk[:, 1::2]
             np.square(mono[2], out=mono[4])
             np.multiply(mono[0:6:2], v_chunk[:, 2::2], out=mono[1:6:2])
             np.multiply(mono[:6], v_chunk[:, 0:-1:2], out=mono[6:])
-            steps = step_buffer[: n_runs * length * n_entries].reshape(n_runs, length, n_entries)
-            np.matmul(mono.transpose(1, 2, 0), coefficients, out=steps)  # P - I
-            steps[..., :: 2 * n + 1] += 1.0
+            steps = step_buffer[: n_runs * length * n_entries]
+            np.matmul(mono.transpose(1, 2, 0), coefficients, out=steps.reshape(n_runs, length, n_entries))  # P - I
+            for diagonal in range(0, n_entries, 2 * n + 1):  # I, one strided pass per entry
+                steps[diagonal::n_entries] += 1.0
             intervals = steps.reshape(-1, min(record_every, length), 2 * n, 2 * n)
-            products = _tree_products(intervals).reshape(n_runs, -1, 2 * n, 2 * n).swapaxes(0, 1)
-            states = _prefix_products(products) @ a  # [intervals, N, 2 n, 1]
-            a = states[-1]
+            products = _tree_products(intervals, level_buffer, step_buffer)
+            products = _prefix_products(products.reshape(n_runs, -1, 2 * n, 2 * n).swapaxes(0, 1), scan_buffers)
+            states = state_buffer[: len(products)]
+            np.matmul(products, a, out=states)  # [intervals, N, 2 n, 1]
+            a[...] = states[-1]  # a copy: the next chunk writes over the states
             recorded = slice(next_record, next_record + len(states))
-            amplitudes = states[..., :n, 0] + 1j * states[..., n:, 0]
-            pops[recorded] = np.abs(amplitudes) ** 2
+            amplitudes = amplitude_buffer[: len(states)]  # Re a + 1j Im a, then |a| ** 2
+            np.multiply(1j, states[..., n:, 0], out=amplitudes)
+            np.add(states[..., :n, 0], amplitudes, out=amplitudes)
+            np.abs(amplitudes, out=pops[recorded])
+            np.square(pops[recorded], out=pops[recorded])
             if amps is not None:
                 amps[recorded] = amplitudes
             next_record += len(states)
@@ -445,21 +472,38 @@ def _step_coefficients(k: np.ndarray, he: np.ndarray) -> np.ndarray:
     return m
 
 
-def _tree_products(p: np.ndarray) -> np.ndarray:
-    """p[:, L-1] @ ... @ p[:, 0] for each row of p [M, L, ...], multiplied pairwise."""
+def _tree_products(p: np.ndarray, level: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """p[:, L-1] @ ... @ p[:, 0] for each row of p [M, L, ...], multiplied pairwise.
+
+    Level 1 is written into the flat buffer ``level``, and later levels
+    alternately into ``spare`` and ``level``, so ``spare`` may hold p itself,
+    spent once level 1 is written.  An odd leftover is copied into the last
+    slot of its level.  Returns a view into one of the two buffers.
+    """
     while p.shape[1] > 1:
-        even = p.shape[1] - p.shape[1] % 2
-        pairs = p[:, 1:even:2] @ p[:, 0:even:2]
-        p = np.concatenate((pairs, p[:, even:]), axis=1) if even < p.shape[1] else pairs
+        width = p.shape[1]
+        even = width - width % 2
+        shape = (len(p), width - even // 2, *p.shape[2:])
+        out = level[: math.prod(shape)].reshape(shape)
+        np.matmul(p[:, 1:even:2], p[:, 0:even:2], out=out[:, : even // 2])
+        if even < width:
+            out[:, -1] = p[:, -1]
+        p, level, spare = out, spare, level
     return p[:, 0]
 
 
-def _prefix_products(q: np.ndarray) -> np.ndarray:
-    """s[j] = q[j] @ ... @ q[0] along the first axis, by a log-depth scan."""
-    span = 1
+def _prefix_products(q: np.ndarray, buffers: np.ndarray) -> np.ndarray:
+    """s[j] = q[j] @ ... @ q[0] along the first axis, by a log-depth scan.
+
+    Each level is written into one of the two flat ``buffers`` [2, >= q.size]
+    in turn; the result is q itself or a view into one of them.
+    """
+    span, target = 1, 0
     while span < len(q):
-        q = np.concatenate((q[:span], q[span:] @ q[:-span]))
-        span *= 2
+        out = buffers[target, : q.size].reshape(q.shape)
+        out[:span] = q[:span]
+        np.matmul(q[span:], q[:-span], out=out[span:])
+        q, span, target = out, 2 * span, 1 - target
     return q
 
 

@@ -87,3 +87,25 @@ def compare_analytic_numeric(
     actions = pulse.area(trace.times).a
     analytic = populations_general_array(basis, actions)
     return float(np.max(np.abs(analytic - trace.populations)))
+
+
+def tree_products_reference(p: np.ndarray) -> np.ndarray:
+    """p[:, L-1] @ ... @ p[:, 0] for each row of p [M, L, ...], multiplied
+    pairwise with a new array per level: the grouping and rounding that the
+    RK4 core's buffered tree must keep."""
+    while p.shape[1] > 1:
+        even = p.shape[1] - p.shape[1] % 2
+        pairs = p[:, 1:even:2] @ p[:, 0:even:2]
+        p = np.concatenate((pairs, p[:, even:]), axis=1) if even < p.shape[1] else pairs
+    return p[:, 0]
+
+
+def prefix_products_reference(q: np.ndarray) -> np.ndarray:
+    """s[j] = q[j] @ ... @ q[0] along the first axis, by a log-depth scan
+    with a new array per level: the grouping and rounding that the RK4
+    core's buffered scan must keep."""
+    span = 1
+    while span < len(q):
+        q = np.concatenate((q[:span], q[span:] @ q[:-span]))
+        span *= 2
+    return q

@@ -132,6 +132,16 @@ class TestBuildDressedBasis:
         for x, y, z in zip(gauge.x, gauge.y, gauge.z):
             assert z == pytest.approx(4.0 * r * x + y, abs=1e-12)
 
+    def test_bases_compare_and_hash_by_identity(self):
+        """A basis holds an array, so field-wise equality would be ambiguous:
+        two builds of one coupling are unequal, each equal to itself, and
+        both hash, as dict keys and set members."""
+        first, second = (build_dressed_basis(CouplingRatios(2.5, 0.7)) for _ in range(2))
+        assert first == first and first != second
+        assert hash(first) != hash(second)
+        assert len({first, second, first}) == 2
+        assert {first: 1}[first] == 1
+
     def test_beta_minus_one_flips_x(self):
         np.testing.assert_allclose(gauge_of(CouplingRatios(0.0, -1.0)).x, [-1.0, -1.0, 1.0], atol=1e-12)
 
