@@ -36,27 +36,25 @@ terms to cancellation.  I is added after the sum, as in the formula:
 folding it into the constant M_m would round the same way in every step,
 a bias that grows with the run length.
 
-The core advances N configurations at once, a chunk of steps at a time.  It
-samples each drive times h on the half-step grid once per block of chunks
-(runs with the same pulse and step share the samples), and builds P for every
-step of a chunk with one stacked product of the chunk's monomials and the
-run's M_m.  P acts on (Re a, Im a) as the real block matrix
-[[Re P, -Im P], [Im P, Re P]], which numpy multiplies several times faster
-than a complex 3x3.  Between two records only the product of the step maps
-matters: each record interval's matrices are multiplied by a pairwise tree,
-a prefix scan over the chunk's interval products gives the state at each of
-its records, and the state is updated once per chunk.  A chunk holds the
-whole record intervals that fit in ``_CHUNK_CONFIG_STEPS`` (1,024)
-configuration-steps, and one at least.  The chunks set only how the products
-are grouped: results at other budgets differ in rounding alone.
+The core advances N configurations at once, a chunk of steps at a time
+(``_chunk_sizes``).  It samples each drive times h on the half-step grid a
+block of steps at a time (runs with the same pulse and step share the
+samples), and builds P for every step of a chunk with one stacked product of
+the chunk's monomials and the run's M_m.  P acts on (Re a, Im a) as the real
+block matrix [[Re P, -Im P], [Im P, Re P]], which numpy multiplies several
+times faster than a complex 3x3.  Between two records only the product of
+the step maps matters: each record interval's matrices are multiplied by a
+pairwise tree, a prefix scan over the chunk's interval products gives the
+state at each of its records, and the state is updated once per chunk.  The
+chunks set only how the products are grouped: results at other budgets
+differ in rounding alone.
 
 Every level of that work is written into buffers made once per batch, so
 the chunk loop allocates no array but a gather of its drive samples, and no
 step-sized array is mapped afresh however the allocator is tuned.  At the
-RECORD_EVERY stride the buffers take 595 bytes a configuration-step of a
-chunk (monomials 96, step matrices 288, the tree's first level 144, the
-scan 58, states and amplitudes 10): 593 KiB up to 102 runs and 5.8 KiB a
-run past that, whatever the run length.
+RECORD_EVERY stride they take 595 bytes a configuration-step of a chunk:
+monomials 96, step matrices 288, the tree's first level 144, the scan 58,
+states and amplitudes 10.
 """
 
 from __future__ import annotations
@@ -78,18 +76,8 @@ DEFAULT_STEPS_PER_PERIOD = 20000
 RECORD_EVERY = 10  # the trace stride: 2,000 samples per drive period at the default step
 NORM_DRIFT_LIMIT = 1e-6
 # Runs x records of one batch: 4e7 hold 960 MB of populations, about the
-# memory the table cap allows.  verify and leakage put every member or grid
-# point in one batch of 501 records at the default step, so about 80,000 fit.
-# Such a batch peaks inside the chunk loop at 22.0 KB a run (tracemalloc, 500
-# and 1,500 runs): 12 KB of populations and 9.9 KB beyond them, 12 x 6 x 6
-# floats of step coefficients (3.4 KB) and 10 steps x 595 bytes of chunk
-# buffers (see the module docstring); making the coefficients peaks lower,
-# at 5.6 KB a run on top of the populations.  Each distinct drive adds
-# 4.1 KB, a block of its samples (26.1 KB a run on distinct drives): 1.8 GB
-# at 80,000 runs on one drive, as a leakage grid is, and 2.1 GB on 80,000
-# drives.  Whatever its size, a batch holds at most 0.8 MB plus 9.9 KB a run
-# and 4.1 KB a distinct drive beyond its records: below about 100 runs, the
-# buffers of a chunk's 1,024 configuration-steps set the floor.
+# memory the table cap allows.  Beyond its records a batch holds at most
+# 0.8 MB, plus 9.9 KB a run and 4.1 KB a distinct drive.
 MAX_RUN_RECORDS = 40_000_000
 
 _log = logging.getLogger("tripop")
@@ -252,13 +240,13 @@ def integrate_batch(
         )
 
     pulses = [run[2] for run in runs]
-    record_steps, pops, _ = _rk4(k, e, pulses, dt, n_steps, RECORD_EVERY, False)
+    record_steps, pops, _ = _rk4(k, e, pulses, dt, n_steps, False)
     drifts = np.max(np.abs(1.0 - pops.sum(axis=2)), axis=1)
     worst = int(np.argmax(drifts))  # a NaN drift counts as the worst
     _log.debug(
         "RK4 batch: %d runs x %d steps, record every %d, chunks of at most %d steps, "
         "drive blocks of at most %d steps, max norm drift %.3e",
-        len(runs), n_steps, RECORD_EVERY, *_chunk_sizes(len(runs), RECORD_EVERY, n_steps),
+        len(runs), n_steps, RECORD_EVERY, *_chunk_sizes(len(runs), n_steps),
         drifts[worst],
     )
     drifting = np.count_nonzero(~(drifts <= 0.1 * NORM_DRIFT_LIMIT))
@@ -280,40 +268,23 @@ def integrate_batch(
     return traces
 
 
-# The core's working memory beyond records: a chunk holds the whole record
-# intervals that fit in this many configuration-steps, and one at least, so
-# max(1,024, N x RECORD_EVERY) whatever the run length.  That floor took
-# 1,521 runs from 0.48 to 0.28 us per configuration-step on the VM below.
-# Its buffers, made once per batch, take 595 bytes a configuration-step at
-# the RECORD_EVERY stride (the module docstring lists them).
-# Bigger chunks pay the per-chunk numpy calls less often but hold more: on
-# the benchmark (2-vCPU Xeon VM, ten alternating runs against 256 without
-# the buffers), 1,024 took sweep from 0.095-0.109 to 0.053-0.062 s and
-# long_trace from 0.131-0.144 to 0.107-0.116 s, with sweep's peak RSS 37.5-
-# 37.8 -> 38.1-38.4 MB; 2,048 was no faster (0.057-0.059 s) and raised that
-# peak to 39.1 MB.  Without the buffers, chunks this large are mapped and
-# page-faulted afresh whenever glibc's mmap threshold sits at its 128 KiB
-# floor: with MALLOC_MMAP_THRESHOLD_=131072, in-process verify --max-product
-# 35 at 2,048 took 40-47 ms without them and 31-40 ms with them.  With the
-# tree's and scan's levels in buffers too, an in-process verify, leakage and
-# kick pass at that threshold makes 339-375 minor page faults, not 2,427
-# (111-112 at the default threshold, against 111-384).
+# Bigger chunks pay the per-chunk numpy calls less often but hold more
+# buffer memory; CHANGES.md has the benchmark runs that chose this budget.
 _CHUNK_CONFIG_STEPS = 1024
-# A run's drive is sampled once per block of at most this many steps, or
-# once per chunk when a chunk is longer, so a batch of many runs with short
-# chunks makes one Pulse.value call per run and block, not per chunk.
+# Sampling the drives a block at a time lets a batch of many runs, whose
+# chunks are short, make one Pulse.value call per distinct drive and block.
 _DRIVE_BLOCK_STEPS = 256
 
 
-def _chunk_sizes(n_runs: int, record_every: int, n_steps: int) -> tuple[int, int]:
+def _chunk_sizes(n_runs: int, n_steps: int) -> tuple[int, int]:
     """Steps per chunk of step matrices, and per block of drive samples.
 
-    A chunk is the most whole record intervals whose configuration-steps
-    fit in _CHUNK_CONFIG_STEPS, and one at least.  A block is the largest
-    whole number of chunks within _DRIVE_BLOCK_STEPS steps, and at least
-    one chunk.  Neither is longer than the run's n_steps.
+    A chunk is the most whole RECORD_EVERY intervals whose configuration-steps
+    (runs x steps) fit in _CHUNK_CONFIG_STEPS, and one interval at least.  A
+    block is the largest whole number of chunks within _DRIVE_BLOCK_STEPS
+    steps, and one chunk at least.  Neither is longer than the run's n_steps.
     """
-    chunk = record_every * max(1, _CHUNK_CONFIG_STEPS // (n_runs * record_every))
+    chunk = RECORD_EVERY * max(1, _CHUNK_CONFIG_STEPS // (n_runs * RECORD_EVERY))
     block = chunk * max(1, _DRIVE_BLOCK_STEPS // chunk)
     return min(chunk, n_steps), min(block, n_steps)
 
@@ -324,28 +295,18 @@ def _rk4(
     pulses: Sequence[Pulse],
     dt: np.ndarray,
     n_steps: int,
-    record_every: int,
     record_amplitudes: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """RK4 for N runs from a(0) = (1, 0, ..., 0), all taking n_steps steps.
 
     ``k`` is [N, n, n] and ``e`` is [N, n], both real; run i has step dt[i]
-    and drive pulses[i].  Records are taken at steps 0, record_every,
-    2 record_every, ... and at the last step.  Returns the record steps, the
+    and drive pulses[i].  Records are taken at steps 0, RECORD_EVERY,
+    2 RECORD_EVERY, ... and at the last step.  Returns the record steps, the
     populations [N, n_records, n] and, if asked for, the amplitudes in the
     same shape (None otherwise).
-
-    Each run's step coefficients M [12, (2 n)^2] (``_step_coefficients``)
-    are made once.  A chunk's step matrices are then one stacked product,
-    the monomials [12, N, steps] of its samples of h V times M, plus I.
-    They, the tree's and the scan's levels, the states and the populations
-    are written into buffers made once per batch.  A chunk (``_chunk_sizes``)
-    holds whole record intervals and ends on a record step, so Python work
-    scales with the number of chunks, not of steps.  Runs with the same
-    pulse and step share their drive samples.
     """
     n_runs, n = e.shape
-    record_steps = np.arange(0, n_steps + 1, record_every)
+    record_steps = np.arange(0, n_steps + 1, RECORD_EVERY)
     if record_steps[-1] != n_steps:
         record_steps = np.append(record_steps, n_steps)
     eye = np.eye(n)
@@ -360,16 +321,16 @@ def _rk4(
 
     drives: dict[tuple[Pulse, float], int] = {}
     drive_of_run = np.array([drives.setdefault((p, float(h)), len(drives)) for p, h in zip(pulses, dt)])
-    chunk, block = _chunk_sizes(n_runs, record_every, n_steps)
-    stride = min(record_every, chunk)
+    chunk, block = _chunk_sizes(n_runs, n_steps)
+    stride = min(RECORD_EVERY, chunk)
     n_intervals = chunk // stride  # in a chunk, at most
     n_mono, n_entries = len(_MONOMIALS), 4 * n * n
     v_first = v_last = first = mono_length = 0
     # Overflow and NaN, in the step coefficients too, propagate into the
     # amplitudes, where the drift gate catches them.
     with np.errstate(over="ignore", invalid="ignore"):
-        # one row of samples per drive; made after the coefficients, it left a
-        # sweep bench worker's peak RSS about 0.1 MB higher
+        # one row of samples per drive, made first: after the coefficients it
+        # left the peak RSS higher
         drive_buffer = np.empty((len(drives), 2 * block + 1))
         coefficients = _step_coefficients(k, e * dt[:, None]).reshape(n_runs, n_mono, n_entries)
         # made once the coefficients' temporaries are freed, so the two never add up
@@ -381,8 +342,8 @@ def _rk4(
         amplitude_buffer = np.empty((n_intervals, n_runs, n), dtype=complex)
         while first < n_steps:
             last = min(first + chunk, n_steps)
-            if last // record_every > first // record_every:
-                last -= last % record_every  # end at the chunk's last record step
+            if last // RECORD_EVERY > first // RECORD_EVERY:
+                last -= last % RECORD_EVERY  # end at the chunk's last record step
             if last > v_last:
                 v_first, v_last = first, min(first + block, n_steps)
                 half_steps = np.arange(2 * v_first, 2 * v_last + 1)
@@ -404,7 +365,7 @@ def _rk4(
             np.matmul(mono.transpose(1, 2, 0), coefficients, out=steps.reshape(n_runs, length, n_entries))  # P - I
             for diagonal in range(0, n_entries, 2 * n + 1):  # I, one strided pass per entry
                 steps[diagonal::n_entries] += 1.0
-            intervals = steps.reshape(-1, min(record_every, length), 2 * n, 2 * n)
+            intervals = steps.reshape(-1, min(RECORD_EVERY, length), 2 * n, 2 * n)
             products = _tree_products(intervals, level_buffer, step_buffer)
             products = _prefix_products(products.reshape(n_runs, -1, 2 * n, 2 * n).swapaxes(0, 1), scan_buffers)
             states = state_buffer[: len(products)]

@@ -59,8 +59,14 @@ class Pulse:
             raise InvalidInputError(f"pulse parameters must be finite, got {scalars}")
         if self.shape == "harmonic" and not self.omega > 0:
             raise InvalidInputError("harmonic pulse requires omega > 0")
-        if self.shape == "gaussian_kick" and not self.kick_width > 0:
-            raise InvalidInputError("gaussian kick requires a positive width")
+        if self.shape == "gaussian_kick":
+            if not self.kick_width > 0:
+                raise InvalidInputError("gaussian kick requires a positive width")
+            if not math.isfinite(abs(self.kick_area) / (self.kick_width * math.sqrt(2.0 * math.pi))):
+                raise InvalidInputError(
+                    f"gaussian kick peak |area| / (width sqrt(2 pi)) is not finite for area {self.kick_area!r} "
+                    f"and width {self.kick_width!r}"
+                )
         if self.shape == "tabulated":
             if not self.samples or len(self.samples) < 2:
                 raise InvalidInputError("tabulated pulse needs at least two samples")

@@ -109,3 +109,21 @@ def prefix_products_reference(q: np.ndarray) -> np.ndarray:
         q = np.concatenate((q[:span], q[span:] @ q[:-span]))
         span *= 2
     return q
+
+
+def scalar_rk4(k: np.ndarray, pulse, t_end: float, n_steps: int) -> np.ndarray:
+    """Amplitudes [n_steps + 1, 3] after every step of classical RK4 on
+    i da/dt = V(t) K a from a(0) = (1, 0, 0), with h = t_end / n_steps.
+
+    Every step matrix is then a polynomial in K, so in K's eigenbasis each
+    step multiplies dressed state j by RK4's scalar step factor at
+    x = h V z_j, with V at the step's start, midpoint and end, sampled at the
+    RK4 core's half-step times."""
+    z, u = np.linalg.eigh(k)
+    h = t_end / n_steps
+    hv = h * pulse.value(np.arange(2 * n_steps + 1) * (0.5 * h))
+    x0, xh, x1 = hv[0:-1:2, None] * z, hv[1::2, None] * z, hv[2::2, None] * z
+    factors = (1.0 - (xh * x0 + xh**2 + x1 * xh) / 6 + x1 * xh**2 * x0 / 24
+               - 1j * ((x0 + 4 * xh + x1) / 6 - (xh**2 * x0 + x1 * xh**2) / 12))
+    dressed = np.cumprod(np.vstack((np.ones(3), factors)), axis=0)
+    return (dressed * u[0]) @ u.T

@@ -90,6 +90,9 @@ _LEAKAGE = ["leakage", "--n-o", "1", "--n-op", "1", "--grid"]
     pytest.param(lambda: PopulationTrace(np.zeros(2), np.zeros((3, 3)), 0.0), "length mismatch", id="trace-lengths"),
     pytest.param(lambda: Pulse.harmonic(1.0, 0.0), "requires omega > 0", id="harmonic-omega-0"),
     pytest.param(lambda: Pulse.gaussian_kick(1.0, 0.0, 0.0), "positive width", id="gaussian-width-0"),
+    pytest.param(lambda: Pulse.gaussian_kick(1.0, 0.0, 1e-310),
+                 "gaussian kick peak |area| / (width sqrt(2 pi)) is not finite for area 1.0 and width 1e-310",
+                 id="gaussian-peak-inf"),
     pytest.param(lambda: Pulse.tabulated([0.0], [1.0]), "at least two samples", id="one-knot"),
     pytest.param(lambda: Pulse.constant(1.0).period, "only harmonic pulses", id="constant-period"),
     pytest.param(lambda: Pulse.harmonic(1.0, 1e-308).period, "period 2 pi / omega is not finite for omega = 1e-308",
@@ -103,6 +106,9 @@ _LEAKAGE = ["leakage", "--n-o", "1", "--n-op", "1", "--grid"]
                  "period 2 pi / omega is not finite for omega = 1e-308", id="cli-leakage-period-inf"),
     pytest.param(["kick", "--alpha", "0", "--area", "1", "--widths", "0.1,0"], "kick widths must be positive",
                  id="cli-kick-width-0"),
+    pytest.param(["kick", "--alpha", "0", "--area", "1", "--widths", "1e-310"],
+                 "gaussian kick peak |area| / (width sqrt(2 pi)) is not finite for area 1.0 and width 1e-310",
+                 id="cli-kick-peak-inf"),
 ])
 def test_each_refusal_names_its_fault(refused, fragment, tmp_path, capsys):
     """A library refusal raises ``InvalidInputError`` with the message

@@ -12,7 +12,13 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from helpers import compare_analytic_numeric, count_returns, prefix_products_reference, tree_products_reference
+from helpers import (
+    compare_analytic_numeric,
+    count_returns,
+    prefix_products_reference,
+    scalar_rk4,
+    tree_products_reference,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -32,12 +38,14 @@ from tripop import (
     integrate,
     integrate_batch,
     leakage_scan,
+    populations_closed_form_array,
     propagate_kick,
     two_level_populations,
     verify_conditions,
 )
 from tripop import propagate, verification
 from tripop.propagate import _rk4
+from tripop.verification import ODE_TOL
 
 RNG = np.random.default_rng(19)
 
@@ -202,6 +210,19 @@ def _symmetric(draw):
     return k + np.triu(k, 1).T
 
 
+def _drive(draw, t_end):
+    """A harmonic, constant, Gaussian or tabulated drive for a run to t_end."""
+    shape = draw(st.sampled_from(("harmonic", "constant", "gaussian_kick", "tabulated")))
+    if shape == "harmonic":
+        return Pulse.harmonic(draw(_unit), draw(st.floats(0.5, 5.0)))
+    if shape == "constant":
+        return Pulse.constant(draw(_unit))
+    if shape == "gaussian_kick":
+        return Pulse.gaussian_kick(draw(_unit), draw(st.floats(0.0, t_end)), draw(st.floats(0.1, 1.0)))
+    knots = np.linspace(-0.5, t_end + 0.5, draw(st.integers(2, 12)))
+    return Pulse.tabulated(knots, draw(st.lists(_unit, min_size=len(knots), max_size=len(knots))))
+
+
 @st.composite
 def rk4_runs(draw):
     """N runs of random symmetric K, split E, pulse and step, sharing a step
@@ -226,25 +247,42 @@ def rk4_runs(draw):
         k = _symmetric(draw)
         e = np.array(draw(st.lists(_unit, min_size=3, max_size=3)))
         t_end = draw(st.floats(0.2, 2.0))
-        shape = draw(st.sampled_from(("harmonic", "gaussian_kick", "tabulated")))
-        if shape == "harmonic":
-            pulse = Pulse.harmonic(draw(_unit), draw(st.floats(0.5, 5.0)))
-        elif shape == "gaussian_kick":
-            pulse = Pulse.gaussian_kick(draw(_unit), draw(st.floats(0.0, t_end)), draw(st.floats(0.1, 1.0)))
-        else:
-            knots = np.linspace(-0.5, t_end + 0.5, draw(st.integers(2, 12)))
-            pulse = Pulse.tabulated(knots, draw(st.lists(_unit, min_size=len(knots), max_size=len(knots))))
-        runs.append((k, e, pulse, t_end / n_steps))
+        runs.append((k, e, _drive(draw, t_end), t_end / n_steps))
     return runs, n_steps, record_every, budget, block
 
 
+@st.composite
+def degenerate_batches(draw):
+    """Runs of random symmetric K on degenerate levels, each on one of up to
+    three drives of the four shapes, at a record stride of 3, 7, 10 or 100.
+
+    At the default budget and block, 1 to 103 runs of 40 to 1,500 steps
+    take chunks from one record interval up to 1,023 steps and cross the
+    chunk and drive-block edges; the last record interval may be shorter
+    than the stride, and a run of fewer steps than the stride records only
+    its ends.  Returns the (K, E, pulse, t_end) runs, the step count and the
+    stride.
+    """
+    n_runs = draw(st.sampled_from((1, 2, 17, 40, 103)))
+    n_steps = draw(st.integers(40, 1500))
+    stride = draw(st.sampled_from((3, 7, 10, 100)))
+    drives = [(_drive(draw, t_end), t_end) for t_end in draw(st.lists(st.floats(0.2, 2.0), min_size=1, max_size=3))]
+    k = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-2.0, 2.0, (n_runs, 3, 3))
+    k = 0.5 * (k + k.transpose(0, 2, 1))
+    return [(k[i], np.zeros(3), *drives[i % len(drives)]) for i in range(n_runs)], n_steps, stride
+
+
 def run_core(runs, n_steps, record_every, budget=propagate._CHUNK_CONFIG_STEPS, block=propagate._DRIVE_BLOCK_STEPS):
-    """_rk4 on (K, E, pulse, dt) runs at the given chunk budget and drive block."""
+    """_rk4 on (K, E, pulse, dt) runs at the given record stride, chunk budget and drive block."""
     k = np.array([r[0] for r in runs])
     e = np.array([r[1] for r in runs])
     dt = np.array([r[3] for r in runs])
-    with patch.object(propagate, "_CHUNK_CONFIG_STEPS", budget), patch.object(propagate, "_DRIVE_BLOCK_STEPS", block):
-        return _rk4(k, e, [r[2] for r in runs], dt, n_steps, record_every, True)
+    with (
+        patch.object(propagate, "RECORD_EVERY", record_every),
+        patch.object(propagate, "_CHUNK_CONFIG_STEPS", budget),
+        patch.object(propagate, "_DRIVE_BLOCK_STEPS", block),
+    ):
+        return _rk4(k, e, [r[2] for r in runs], dt, n_steps, True)
 
 
 class TestBatchedCore:
@@ -261,6 +299,18 @@ class TestBatchedCore:
             ki, ei, pulse, dti = runs[i]
             reference = stagewise_rk4(ki, ei, pulse, dti, n_steps)[steps]
             np.testing.assert_allclose(amps[i], reference, rtol=0, atol=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(degenerate_batches())
+    def test_core_matches_scalar_rk4_on_degenerate_runs(self, case):
+        """On degenerate levels every RK4 step map is a polynomial in K, so
+        every run of a batch is, at every record, RK4's scalar step factors
+        multiplied out in K's eigenbasis (``helpers.scalar_rk4``)."""
+        runs, n_steps, stride = case
+        steps, _, amps = run_core([(k, e, pulse, t_end / n_steps) for k, e, pulse, t_end in runs], n_steps, stride)
+        assert steps.tolist() == [*range(0, n_steps, stride), n_steps]
+        for (k, _, pulse, t_end), run_amps in zip(runs, amps):
+            np.testing.assert_allclose(run_amps, scalar_rk4(k, pulse, t_end, n_steps)[steps], rtol=0, atol=1e-11)
 
     def test_results_do_not_depend_on_the_budget(self):
         """One batch of split levels under harmonic, Gaussian and tabulated
@@ -293,7 +343,7 @@ class TestBatchedCore:
         stride = propagate.RECORD_EVERY
         for budget, n_steps in itertools.product((1, 64, 1024), (7, 25, 5000)):
             with patch.object(propagate, "_CHUNK_CONFIG_STEPS", budget):
-                chunk, _ = propagate._chunk_sizes(n_runs, stride, n_steps)
+                chunk, _ = propagate._chunk_sizes(n_runs, n_steps)
             assert 0 < chunk <= n_steps and (chunk % stride == 0 or chunk == n_steps), (budget, n_steps, chunk)
             assert n_runs * chunk <= max(budget, n_runs * stride)
             if n_runs <= 102 and budget == 1024:
@@ -342,7 +392,7 @@ class TestBatchedCore:
         e = np.array(LevelEnergies.from_splittings(1.0, 1.0).e)
         pulse = Pulse.gaussian_kick(cond_15.action_t0, 0.5, 0.05)
         n_steps, dt = 20000, 1.0 / 20000
-        steps, _, amps = _rk4(k[None], e[None], [pulse], np.array([dt]), n_steps, 10, True)
+        steps, _, amps = _rk4(k[None], e[None], [pulse], np.array([dt]), n_steps, True)
         reference = stagewise_rk4(k, e, pulse, dt, n_steps)[steps]
         np.testing.assert_allclose(amps[0], reference, rtol=0, atol=1e-12)
 
@@ -410,7 +460,7 @@ class TestBatchedCore:
         4.1 KB for each distinct drive."""
 
         def peak_beyond_records(n_runs, n_chunks, block):
-            chunk, _ = propagate._chunk_sizes(n_runs, propagate.RECORD_EVERY, 2**53)
+            chunk, _ = propagate._chunk_sizes(n_runs, 2**53)
             runs = [(RATIOS_33.coupling_matrix(), (0.0, -0.01 * i, 0.0), Pulse.harmonic(1.0 + 0.01 * i, 1.0),
                      T / 20000) for i in range(n_runs)]
             run_core(runs, propagate.RECORD_EVERY, propagate.RECORD_EVERY)  # first-call imports and caches
@@ -661,6 +711,35 @@ class TestAnalyticAgreement:
             dev = compare_analytic_numeric(ratios, Pulse.harmonic(0.5, 1.0), T, config)
             assert dev < 1e-6, (alpha, beta, dev)
             count += 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(enumerate_conditions(60)),
+        st.sampled_from((1, -1)),
+        st.sampled_from((1, -1)),
+        st.sampled_from((2, 3)),
+        st.sampled_from(("harmonic", "gaussian_kick", "constant", "tabulated")),
+    )
+    def test_only_the_area_matters(self, member, sign, beta, target, shape):
+        """The transfer condition is on the action A(t0) alone: a harmonic
+        drive, a Gaussian (centre t0/2, width t0/8), a constant and a
+        tabulated sin^2 of 41 knots, each scaled to A(t0) = action_t0 at
+        t0 = pi/2, drive RK4 along the closed form at the run's own A(t) to
+        the member's target level."""
+        cond = condition_from_odd_pair(member.pair, sign, beta, target)
+        t0 = math.pi / 2
+        knots = np.linspace(0.0, t0, 41)
+        make = {
+            "harmonic": lambda c: Pulse.harmonic(c, 1.0),
+            "gaussian_kick": lambda c: Pulse.gaussian_kick(c, t0 / 2, t0 / 8),
+            "constant": Pulse.constant,
+            "tabulated": lambda c: Pulse.tabulated(knots, c * np.sin(knots * (math.pi / t0)) ** 2),
+        }[shape]
+        pulse = make(cond.action_t0 / make(1.0).area(t0).a)
+        trace = integrate(cond.ratios(), DEGENERATE, pulse, t0)
+        analytic = populations_closed_form_array(cond, pulse.area(trace.times).a)
+        assert np.max(np.abs(analytic - trace.populations)) < ODE_TOL
+        assert trace.populations[-1, target - 1] > 1.0 - ODE_TOL
 
     def test_fourth_order_convergence(self):
         """Halving the step cuts the deviation by 12x-20x (asymptotically 16x)."""
