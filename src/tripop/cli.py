@@ -15,15 +15,7 @@ serialized with their shortest round-trip representation, no timestamps or
 host data enter the output, and the command line alone sets every run
 parameter, so identical invocations produce byte-identical files.  Every
 float written is finite but ``verify``'s ``ode_deviation``, which is ``inf``
-when a run tripped the norm drift gate.  The writers take one 1-D column per
-header, an array or a list, and spell each column once by its dtype: numbers
-through ``repr``, bools as ``true`` or ``false``, strings as they are in CSV
-and as JSON strings in JSON.  They format a small block of rows at a time,
-column by column, and join each block's lines from those texts, so no
-per-row Python code runs and the whole file is never held in memory.  The
-JSON meta records the subcommand and every parsed flag except ``--out`` and
-``--format``; ``table`` and ``conditions`` accept ``--steps-per-period`` and
-leave it out, since they run no RK4.
+when a run tripped the norm drift gate.
 
 Exit codes: 0 on success; 1 when a ``verify`` row fails; 2 when the library
 refuses an input or a run (any ``TripopError``) or the operating system
@@ -83,7 +75,8 @@ _JSON_SPELLINGS = {**_CSV_SPELLINGS, "f": _json_floats, "U": functools.partial(m
 
 def _blocks(columns, spellings: dict):
     """The value texts of ``_BLOCK_ROWS`` rows at a time, one iterator per
-    column.  Each column is 1-D, an array or a list made one by
+    column, so that no Python code runs per row and no writer holds a whole
+    file.  Each column is 1-D, an array or a list made one by
     ``np.asarray``, and its spelling is chosen once, from its dtype.  A str
     column keeps its own str objects, since numpy's fixed-width str dtype
     drops a value's trailing NUL characters."""

@@ -9,9 +9,7 @@ when the coupling ratios and the action satisfy
 where n1 = 2*n_o + n_o' and n2 = n_o + 2*n_o' for arbitrary odd integers
 (n_o, n_o') with n1*n2 > 0.  Equivalently (n1+n2)/3 must be an even integer
 while (2n1-n2)/3 and (2n2-n1)/3 are odd.  With n1, n2 > 0 the family is
-exactly the odd n1, n2 with n1 + n2 = 0 (mod 6): for each odd n1 the n2 run
-over n2 = -n1 (mod 6) in steps of 6, which is how ``family_integers``
-enumerates it.
+exactly the odd n1, n2 with n1 + n2 = 0 (mod 6).
 
 The map inverts in closed form.  With r = pi / (3 |A(t0)|), n1 n2 = 2 / r^2
 and n2 - n1 = alpha / r, so n1 and n2 are the roots
@@ -26,18 +24,6 @@ V(t)) is physically indistinguishable from the sign = +1 member, and the
 condition with alpha of opposite sign at the same positive action is simply
 the order-swapped pair (n2, n1).  Enumeration therefore emits only r > 0
 rows, with both alpha signs appearing through the pair order.
-
-A ``TransferCondition`` is its odd pair and three drive choices: the sign
-of r, the direct coupling beta = +-1 and the target level.  n1, n2, r, alpha
-and A(t0) are derived from these by ``_family_floats``, the one float
-formula that ``family_table`` and ``validate_condition`` use too, so nothing
-stored can disagree with the laws above.  The checks that remain are on the
-inputs: ``OddPair`` refuses non-integer, even and n1*n2 <= 0 entries, and the
-condition refuses a sign, beta or target outside its choices.
-``TransferCondition.ratios`` gives the couplings that realize the condition;
-no caller picks beta apart from the condition.  ``classify_cases`` gives the
-paper's three (k, k') case sets of members (n1, n2), one or a column of them;
-``verify`` checks their product identities and parities.
 """
 
 from __future__ import annotations
@@ -183,18 +169,13 @@ def family_integers(
     return n1[order], n2[order]
 
 
-def _pair_of(n1: int, n2: int) -> OddPair:
-    return OddPair((2 * n1 - n2) // 3, (2 * n2 - n1) // 3)
-
-
 def enumerate_conditions(max_product: int) -> list[TransferCondition]:
     """The sign +1 family members with n1*n2 <= max_product, sorted by
-    (n1*n2, n1).  Ordered pairs (n1, n2) and (n2, n1) are distinct rows; the
-    smallest product is 5, so any bound below that yields an empty list."""
-    if max_product < 5:
-        return []
-    n1s, n2s = family_integers(max_product)
-    return [condition_from_odd_pair(_pair_of(n1, n2)) for n1, n2 in zip(n1s.tolist(), n2s.tolist())]
+    (n1*n2, n1), built from the odd pairs that ``family_table`` writes.
+    Ordered pairs (n1, n2) and (n2, n1) are distinct rows; the smallest
+    product is 5, so any bound below that yields an empty list."""
+    _, (n_o, n_op), _ = classify_cases(*family_integers(max_product))
+    return [condition_from_odd_pair(OddPair(*pair)) for pair in zip(n_o.tolist(), n_op.tolist())]
 
 
 def classify_cases(n1, n2) -> tuple:
@@ -381,5 +362,5 @@ def validate_condition(
     )
     if passed.size == 0:
         return None
-    first = passed[0]
-    return condition_from_odd_pair(_pair_of(int(n1s[first]), int(n2s[first])), sign=sign, beta=beta_resolved)
+    _, pair, _ = classify_cases(int(n1s[passed[0]]), int(n2s[passed[0]]))
+    return condition_from_odd_pair(OddPair(*pair), sign=sign, beta=beta_resolved)

@@ -10,13 +10,8 @@ element sharing one time profile V(t), the coupled amplitude equations
 are i da/dt = V(t) K a with K the real symmetric coupling-ratio matrix, so
 they are solved exactly by the eigenvectors u_j of K (the dressed states):
 each evolves by a pure phase exp(-i z_j A(t)), where A(t) is the action
-integral of V and z_j the eigenvalue.  ``build_dressed_basis`` takes them
-from LAPACK's symmetric eigensolver, through the kernel that
-``numpy.linalg.eigh`` wraps, so it has eigh's bits without the wrapper's
-dtype handling.  That gives a real spectrum and an orthonormal basis for
-every coupling whose spectrum fits in a float; a coupling near the float
-limit, whose spectrum overflows, is refused (the Morris-Shore view of the
-problem: J. R. Morris and B. W. Shore, Phys. Rev. A 27, 906 (1983)).
+integral of V and z_j the eigenvalue (the Morris-Shore view of the problem:
+J. R. Morris and B. W. Shore, Phys. Rev. A 27, 906 (1983)).
 
 The paper reaches the same spectrum another way: it writes each dressed
 state as c = a1 + x*a2 + y*a3, the (1, x, y) gauge, whose y are the roots

@@ -12,11 +12,6 @@ closed form for its running integral:
 An ideal kick A0 * delta(t - t0) is not a pulse: it has no pointwise value
 at its firing time and cannot enter a time stepper, and its whole effect is
 the action jump A0, which ``propagate.propagate_kick`` applies spectrally.
-
-``value`` and ``area`` take a time or an array of times.  A tabulated pulse
-prepares its knot arrays and cumulative trapezoid once, when it is built,
-and the integral from its first knot to t = 0 (the offset every A(t)
-subtracts) once, at its first ``area`` query.
 """
 
 from __future__ import annotations
@@ -57,8 +52,13 @@ class Pulse:
         scalars = (self.v0, self.omega, self.kick_area, self.kick_center, self.kick_width)
         if not all(math.isfinite(v) for v in scalars):
             raise InvalidInputError(f"pulse parameters must be finite, got {scalars}")
-        if self.shape == "harmonic" and not self.omega > 0:
-            raise InvalidInputError("harmonic pulse requires omega > 0")
+        if self.shape == "harmonic":
+            if not self.omega > 0:
+                raise InvalidInputError("harmonic pulse requires omega > 0")
+            if not math.isfinite(float(self.v0) / float(self.omega)):
+                raise InvalidInputError(
+                    f"harmonic amplitude v0 / omega is not finite for v0 {self.v0!r} and omega {self.omega!r}"
+                )
         if self.shape == "gaussian_kick":
             if not self.kick_width > 0:
                 raise InvalidInputError("gaussian kick requires a positive width")
@@ -72,8 +72,22 @@ class Pulse:
                 raise InvalidInputError("tabulated pulse needs at least two samples")
             if not all(map(math.isfinite, chain.from_iterable(self.samples))):
                 raise InvalidInputError("tabulated samples must be finite")
-            if not np.all(np.diff(self._table[0]) > 0.0):
+            with np.errstate(all="ignore"):  # an overflow, or a zero span, here is refused below
+                knots, values, _ = self._table
+                spans = np.diff(knots)
+                slopes = np.diff(values) / spans
+                peak = float(np.abs(values).max())
+                reach = float(np.sum(0.5 * (np.abs(values[1:]) + np.abs(values[:-1])) * spans))
+            if not np.all(spans > 0.0):
                 raise InvalidInputError("tabulated times must be strictly increasing")
+            # ``value`` and ``area`` form differences and pair sums of knot values, up to
+            # 2 max |v|, and running integrals, up to the trapezoid sum of |v|; the
+            # factor 1 + 1e-6 on each covers their rounding
+            if not (np.isfinite(slopes).all() and math.isfinite(2.000002 * peak) and math.isfinite(1.000001 * reach)):
+                raise InvalidInputError(
+                    "tabulated samples overflow their interpolant or running integral: slopes up to "
+                    f"{float(np.abs(slopes).max())!r}, max |v| = {peak!r}, trapezoid sum of |v| = {reach!r}"
+                )
 
     # -- constructors -------------------------------------------------
 
@@ -138,6 +152,9 @@ class Pulse:
         if self.shape == "harmonic":
             a = self.v0 / self.omega * np.sin(self.omega * ts)
         elif self.shape == "constant":
+            latest = abs(float(ts)) if ts.ndim == 0 else float(np.abs(ts).max(initial=0.0))
+            if not math.isfinite(float(self.v0) * latest):
+                raise InvalidInputError(f"constant pulse action v0 t is not finite for v0 {self.v0!r} at |t| = {latest!r}")
             a = self.v0 * ts
         elif self.shape == "gaussian_kick":
             s = self.kick_width * math.sqrt(2.0)

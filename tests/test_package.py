@@ -94,6 +94,13 @@ _LEAKAGE = ["leakage", "--n-o", "1", "--n-op", "1", "--grid"]
                  "gaussian kick peak |area| / (width sqrt(2 pi)) is not finite for area 1.0 and width 1e-310",
                  id="gaussian-peak-inf"),
     pytest.param(lambda: Pulse.tabulated([0.0], [1.0]), "at least two samples", id="one-knot"),
+    pytest.param(lambda: Pulse.tabulated([0.0, 1.0], [1.7e308, -1.7e308]),
+                 "tabulated samples overflow their interpolant or running integral", id="table-overflow"),
+    pytest.param(lambda: Pulse.harmonic(1e300, 1e-10),
+                 "harmonic amplitude v0 / omega is not finite for v0 1e+300 and omega 1e-10", id="harmonic-amplitude-inf"),
+    pytest.param(lambda: Pulse.constant(1e300).area(1e10),
+                 "constant pulse action v0 t is not finite for v0 1e+300 at |t| = 10000000000.0",
+                 id="constant-action-inf"),
     pytest.param(lambda: Pulse.constant(1.0).period, "only harmonic pulses", id="constant-period"),
     pytest.param(lambda: Pulse.harmonic(1.0, 1e-308).period, "period 2 pi / omega is not finite for omega = 1e-308",
                  id="harmonic-period-inf"),
@@ -104,6 +111,8 @@ _LEAKAGE = ["leakage", "--n-o", "1", "--n-op", "1", "--grid"]
     pytest.param(_LEAKAGE + ["omega12:0"], "both omega12 and omega13", id="cli-grid-axis-missing"),
     pytest.param(["leakage", "--n-o", "1", "--n-op", "1", "--omega", "1e-308", "--grid", "omega12:0,omega13:0"],
                  "period 2 pi / omega is not finite for omega = 1e-308", id="cli-leakage-period-inf"),
+    pytest.param(["trace", "--alpha", "1e200", "--area", "1", "--steps-per-period", "100"],
+                 "norm drift nan exceeds 1e-06; reduce the step", id="cli-trace-drift-nan"),
     pytest.param(["kick", "--alpha", "0", "--area", "1", "--widths", "0.1,0"], "kick widths must be positive",
                  id="cli-kick-width-0"),
     pytest.param(["kick", "--alpha", "0", "--area", "1", "--widths", "1e-310"],

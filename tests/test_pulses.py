@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -152,10 +152,27 @@ class TestValue:
 
 @st.composite
 def tables(draw) -> Pulse:
-    """A tabulated pulse of 2 to 8 knots that brackets t = 0."""
+    """A tabulated pulse of 2 to 8 knots that brackets t = 0; a table that
+    ``Pulse.tabulated`` refuses (two knots so close that a slope overflows)
+    is rejected."""
     inner = draw(st.lists(st.floats(-10.0, 10.0), max_size=6, unique=True))
     knots = sorted([draw(st.floats(-20.0, -10.5)), *inner, draw(st.floats(10.5, 20.0))])
-    return Pulse.tabulated(knots, draw(st.lists(st.floats(-5.0, 5.0), min_size=len(knots), max_size=len(knots))))
+    values = draw(st.lists(st.floats(-5.0, 5.0), min_size=len(knots), max_size=len(knots)))
+    try:
+        return Pulse.tabulated(knots, values)
+    except InvalidInputError:
+        reject()
+
+
+@st.composite
+def extreme_tables(draw) -> tuple[np.ndarray, list[float], np.ndarray]:
+    """Knots that bracket t = 0 with spacings from 1e-300 to 1e3, values up to
+    +-1.7e308, and times inside the table: its knots and up to 8 more."""
+    spans = st.lists(st.floats(1e-300, 1e3), min_size=1, max_size=3)
+    knots = np.unique(np.concatenate((-np.cumsum(draw(spans)), [0.0], np.cumsum(draw(spans)))))
+    values = draw(st.lists(st.floats(-1.7e308, 1.7e308), min_size=knots.size, max_size=knots.size))
+    inside = draw(st.lists(st.floats(knots[0], knots[-1]), max_size=8))
+    return knots, values, np.concatenate((knots, inside))
 
 
 ANY_SHAPE = st.one_of(
@@ -285,6 +302,28 @@ class TestArea:
         scale = (knots[-1] - knots[0]) * max(abs(v) for v in values)
         np.testing.assert_allclose(pulse.area(queries).a, reference, rtol=0, atol=1e-12 * scale)
         assert pulse == fresh and hash(pulse) == hash(fresh)
+
+    @settings(max_examples=100, deadline=None)
+    @given(extreme_tables())
+    @example((np.array([0.0, 1.0]), [1.7e308, -1.7e308], np.array([0.5])))
+    def test_extreme_table_is_refused_or_finite(self, table):
+        """A table whose interpolant or running trapezoid could overflow is
+        refused when it is built; any other gives finite values and actions,
+        without a warning, at every time inside it."""
+        knots, values, times = table
+        try:
+            pulse = Pulse.tabulated(knots, values)
+        except InvalidInputError:
+            return
+        assert np.isfinite(pulse.value(times)).all() and np.isfinite(pulse.area(times).a).all()
+        for t in times.tolist():
+            assert math.isfinite(pulse.value(t)) and math.isfinite(pulse.area(t).a)
+
+    def test_table_near_the_float_limit_is_accepted(self):
+        """Only tables whose sums overflow are refused: knot values up to half
+        the float limit and an integral up to the limit itself are kept."""
+        pulse = Pulse.tabulated([0.0, 2.0], [8e307, 8e307])
+        assert pulse.value(1.0) == 8e307 and pulse.area(2.0).a == 1.6e308
 
 
 class TestHarmonicForCondition:
