@@ -25,6 +25,7 @@ from .dressed import (
     build_dressed_basis,
     cubic_coefficients,
     populations_general_array,
+    require_finite_phases,
 )
 from .errors import InvalidInputError, NormDriftExceededError, TripopError
 from .leakage import (
@@ -88,6 +89,7 @@ __all__ = [
     "populations_closed_form_array",
     "populations_general_array",
     "propagate_kick",
+    "require_finite_phases",
     "verify_conditions",
     "two_level_p2_bound",
     "two_level_populations",

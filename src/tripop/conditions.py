@@ -16,7 +16,9 @@ and n2 - n1 = alpha / r, so n1 and n2 are the roots
 
     n1, n2 = (3 |A(t0)| / pi) (sqrt(alpha^2 + 8) -+ alpha) / 2,
 
-and ``validate_condition`` only tests the integers next to them.
+and ``validate_condition`` tests only the members in a box around them,
+widened by the tolerance, or in the whole range when tol >= 1 (see
+``_candidate_box``).
 
 Sign bookkeeping: populations depend on the action only through cosines, so
 they are even in A; the sign = -1 member of a pair (a global sign flip of
@@ -35,7 +37,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .dressed import CouplingRatios
+from .dressed import CouplingRatios, require_finite_phases
 from .errors import InvalidInputError
 
 # The most candidates one lookup may test (its columns peak near 130 MB), and
@@ -232,10 +234,7 @@ def populations_closed_form_array(cond: TransferCondition, actions: np.ndarray) 
     """
     actions = np.atleast_1d(np.asarray(actions, dtype=float))
     n1, n2, r = cond.n1, cond.n2, cond.r
-    # every cosine argument is at most |r| 2 (|n1| + |n2|) |A|
-    largest, rate = float(np.max(np.abs(actions), initial=0.0)), abs(r) * 2.0 * (abs(n1) + abs(n2))
-    if not math.isfinite(largest * rate):
-        raise InvalidInputError(f"action {largest!r} at phase rate {rate!r} gives a non-finite phase")
+    require_finite_phases(actions, abs(r) * 2.0 * (abs(n1) + abs(n2)))  # bounds every cosine argument
     s = n1 + n2
     ra = r * actions
     common = n1 * n1 + n2 * n2 + n1 * n2 * (1.0 + np.cos(s * ra))

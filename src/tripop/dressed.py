@@ -102,12 +102,12 @@ class AmplitudeState:
         return sum(abs(c) ** 2 for c in self.a)
 
 
-def _require_finite_phases(actions, rate: float) -> None:
+def require_finite_phases(actions, rate: float) -> None:
     """Raise InvalidInputError unless every action (an array, or a scalar at
     scalar cost) times ``rate``, the largest phase rate the caller uses, is
-    finite."""
-    array = isinstance(actions, np.ndarray)
-    largest = float(np.max(np.abs(actions), initial=0.0)) if array else abs(float(actions))
+    finite: the one refusal of a non-finite phase that every population and
+    amplitude form shares."""
+    largest = float(np.max(np.abs(actions), initial=0.0)) if isinstance(actions, np.ndarray) else abs(float(actions))
     if not math.isfinite(largest * rate):
         raise InvalidInputError(f"action {largest!r} at phase rate {rate!r} gives a non-finite phase")
 
@@ -161,7 +161,7 @@ def amplitudes_at(basis: DressedBasis, action: float) -> AmplitudeState:
     a_i(A) = sum_j m_inv[i, j] exp(-i z_j A); at A = 0 the inverse rows sum
     to the initial condition (1, 0, 0).
     """
-    _require_finite_phases(action, basis.max_phase_rate)
+    require_finite_phases(action, basis.max_phase_rate)
     phases = np.exp(np.multiply(-1j * action, basis.z))
     return AmplitudeState(a=tuple((basis.m_inv @ phases).tolist()))
 
@@ -179,7 +179,7 @@ def populations_general_array(basis: DressedBasis, actions: np.ndarray) -> np.nd
     InvalidInputError for an action whose phase is not finite.
     """
     actions = np.atleast_1d(np.asarray(actions, dtype=float))
-    _require_finite_phases(actions, max(basis.z) - min(basis.z))
+    require_finite_phases(actions, max(basis.z) - min(basis.z))
     z1, z2, z3 = basis.z
     c12 = np.cos((z1 - z2) * actions)
     c13 = np.cos((z1 - z3) * actions)

@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from .conditions import TransferCondition
-from .dressed import CouplingRatios
+from .dressed import CouplingRatios, require_finite_phases
 from .errors import InvalidInputError
 from .propagate import IntegratorConfig, LevelEnergies, integrate_batch
 from .pulses import Pulse, harmonic_for_condition
@@ -169,10 +169,10 @@ def two_level_populations(eps1: float, eps2: float, action: float) -> tuple[floa
     p2 <= 1 / Omega^2.  Raises InvalidInputError unless all three inputs
     and the phase Omega A are finite.
     """
-    _require_finite("two-level parameters", eps1, eps2, action)
+    _require_finite("two-level parameters", eps1, eps2)
     rabi = _rabi_frequency(eps1, eps2)
+    require_finite_phases(action, rabi)
     phase = rabi * action
-    _require_finite("the two-level phase Omega * action", phase)
     transferred = math.sin(phase) / rabi
     detuned = 0.5 * (eps2 - eps1) / rabi * math.sin(phase)
     return math.cos(phase) ** 2 + detuned * detuned, transferred * transferred

@@ -9,6 +9,12 @@ closed form for its running integral:
     gaussian_kick  normalized Gaussian of area A0  A(t) via the error function
     tabulated      linear interpolation of (t, v)  exact piecewise-trapezoid
 
+A query refuses a time that is not finite, a harmonic phase omega t that is
+not, a constant pulse's action v0 t that is not, and a time outside a table.
+A Gaussian kick's far tail is no error: there the value saturates at exactly
+0 and the action at exactly its limit, also where t - center overflows; only
+a kick so wide that 40 widths overflow too refuses such a time.
+
 An ideal kick A0 * delta(t - t0) is not a pulse: it has no pointwise value
 at its firing time and cannot enter a time stepper, and its whole effect is
 the action jump A0, which ``propagate.propagate_kick`` applies spectrally.
@@ -101,12 +107,7 @@ class Pulse:
 
     @classmethod
     def gaussian_kick(cls, kick_area: float, kick_center: float, kick_width: float) -> "Pulse":
-        return cls(
-            shape="gaussian_kick",
-            kick_area=kick_area,
-            kick_center=kick_center,
-            kick_width=kick_width,
-        )
+        return cls(shape="gaussian_kick", kick_area=kick_area, kick_center=kick_center, kick_width=kick_width)
 
     @classmethod
     def tabulated(cls, times, values) -> "Pulse":
@@ -128,18 +129,19 @@ class Pulse:
     def value(self, t: float | np.ndarray) -> float | np.ndarray:
         """V(t) at a time (returns a float) or an array of times (returns an array).
 
-        Querying a tabulated pulse outside its table is an error.
+        The times it refuses are listed in the module docstring.
         """
-        ts = _finite_times(t)
+        ts, _, _ = self._times(t)
         if self.shape == "harmonic":
             v = self.v0 * np.cos(self.omega * ts)
         elif self.shape == "constant":
             v = np.full_like(ts, self.v0)
         elif self.shape == "gaussian_kick":
-            u = (ts - self.kick_center) / self.kick_width
-            v = self.kick_area * np.exp(-0.5 * u * u) / (self.kick_width * math.sqrt(2.0 * math.pi))
+            with np.errstate(over="ignore"):  # far in the tail u * u overflows, and exp(-inf) is exactly 0
+                u = (ts - self.kick_center) / self.kick_width
+                v = self.kick_area * np.exp(-0.5 * u * u) / (self.kick_width * math.sqrt(2.0 * math.pi))
         else:
-            knots, values, _ = self._table_in_range(ts)
+            knots, values, _ = self._table
             v = np.interp(ts, knots, values)
         return _unwrap(v)
 
@@ -148,21 +150,43 @@ class Pulse:
 
         Like ``value``, takes a time or an array of times; ``.a`` is a float or an array.
         """
-        ts = _finite_times(t)
+        ts, lo, hi = self._times(t)
         if self.shape == "harmonic":
             a = self.v0 / self.omega * np.sin(self.omega * ts)
         elif self.shape == "constant":
-            latest = abs(float(ts)) if ts.ndim == 0 else float(np.abs(ts).max(initial=0.0))
-            if not math.isfinite(float(self.v0) * latest):
-                raise InvalidInputError(f"constant pulse action v0 t is not finite for v0 {self.v0!r} at |t| = {latest!r}")
+            if not math.isfinite(float(self.v0) * (reach := max(-lo, hi))):
+                raise InvalidInputError(f"constant pulse action v0 t is not finite for v0 {self.v0!r} at |t| = {reach!r}")
             a = self.v0 * ts
         elif self.shape == "gaussian_kick":
-            s = self.kick_width * math.sqrt(2.0)
-            a = 0.5 * self.kick_area * (_erf((ts - self.kick_center) / s) - math.erf(-self.kick_center / s))
+            with np.errstate(over="ignore"):  # far in the tail the erf argument overflows, and erf(+-inf) is +-1
+                s = self.kick_width * math.sqrt(2.0)
+                a = 0.5 * self.kick_area * (_erf((ts - self.kick_center) / s) - math.erf(-self.kick_center / s))
         else:  # trapezoid sums are exact for the linear interpolant
-            self._table_in_range(ts)
             a = self._from_first_knot(ts) - self._area_offset
         return ActionValue(a=_unwrap(a))
+
+    def _times(self, t: float | np.ndarray) -> tuple[np.ndarray, float, float]:
+        """``t`` as a float array with its least and greatest time, from which
+        every refusal of a time is read (see the module docstring).  A single
+        time is read as one float, at scalar cost; an empty array has nothing
+        to refuse and gives (0.0, 0.0)."""
+        ts = np.asarray(t, dtype=float)
+        if ts.size == 0:
+            return ts, 0.0, 0.0
+        lo, hi = (float(ts),) * 2 if ts.ndim == 0 else (float(ts.min()), float(ts.max()))
+        if not (math.isfinite(lo) and math.isfinite(hi)):  # a NaN reaches both
+            raise InvalidInputError("time must be finite")
+        if self.shape == "harmonic" and not math.isfinite(float(self.omega) * (reach := max(-lo, hi))):
+            raise InvalidInputError(f"harmonic phase omega t is not finite for omega {self.omega!r} at |t| = {reach!r}")
+        c = float(self.kick_center)
+        if self.shape == "gaussian_kick" and math.isinf(min(40.0 * float(self.kick_width), max(hi - c, c - lo))):
+            raise InvalidInputError(f"gaussian kick of width {self.kick_width!r} has no tail where t - center overflows")
+        if self.shape == "tabulated":
+            knots = self._table[0]
+            if lo < knots[0] or hi > knots[-1]:
+                first = float(np.extract((ts < knots[0]) | (ts > knots[-1]), ts)[0])
+                raise InvalidInputError(f"t={first} outside the table range [{knots[0]}, {knots[-1]}]")
+        return ts, lo, hi
 
     # -- tabulated helpers ----------------------------------------------
 
@@ -187,28 +211,6 @@ class Pulse:
         knots, values, cumulative = self._table
         k = np.minimum(np.searchsorted(knots, u, side="right") - 1, len(knots) - 2)
         return cumulative[k] + 0.5 * (values[k] + np.interp(u, knots, values)) * (u - knots[k])
-
-    def _table_in_range(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The table, once every time in ``ts`` is known to lie inside it; a
-        single time is compared as one float, at scalar cost."""
-        knots = self._table[0]
-        if ts.ndim == 0:
-            outside = not knots[0] <= float(ts) <= knots[-1]
-        else:
-            outside = ts.size and (ts.min() < knots[0] or ts.max() > knots[-1])
-        if outside:
-            first = float(np.extract((ts < knots[0]) | (ts > knots[-1]), ts)[0])
-            raise InvalidInputError(f"t={first} outside the table range [{knots[0]}, {knots[-1]}]")
-        return self._table
-
-
-def _finite_times(t: float | np.ndarray) -> np.ndarray:
-    """``t`` as a float array, refused unless every time in it is finite; a
-    single time is checked as one float, at scalar cost."""
-    ts = np.asarray(t, dtype=float)
-    if not (math.isfinite(ts) if ts.ndim == 0 else np.isfinite(ts).all()):
-        raise InvalidInputError("time must be finite")
-    return ts
 
 
 def _unwrap(x: np.ndarray) -> float | np.ndarray:

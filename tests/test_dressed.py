@@ -28,6 +28,7 @@ from tripop import (
     populations_closed_form_array,
     populations_general_array,
     propagate_kick,
+    two_level_populations,
 )
 from tripop import dressed
 from tripop.errors import InvalidInputError
@@ -278,8 +279,8 @@ class TestPopulations:
                 assert plus.tolist() == minus.tolist()
 
 
-# alpha = 2 and the (1, 5) member have phase rates above 1.8, so an action of
-# 1e308 overflows their phases.
+# alpha = 2, the (1, 5) member and the two-level atom with eps2 - eps1 = 4 have
+# phase rates above 1.8, so an action of 1e308 overflows their phases.
 BASIS_2 = build_dressed_basis(CouplingRatios(2.0, 1.0))
 COND_15 = condition_from_odd_pair(OddPair(-1, 3))
 EVALUATORS = {
@@ -287,6 +288,7 @@ EVALUATORS = {
     "closed_form_array": lambda a: populations_closed_form_array(COND_15, np.array([0.5, a])),
     "amplitudes_at": lambda a: amplitudes_at(BASIS_2, a),
     "propagate_kick": lambda a: propagate_kick(BASIS_2, a),
+    "two_level_populations": lambda a: np.array([two_level_populations(0.0, 4.0, a)]),
 }
 
 

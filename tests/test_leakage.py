@@ -226,11 +226,13 @@ class TestMeasuredScan:
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 # Each estimate with finite arguments; the test puts a non-finite value in each slot in turn.
+# The two-level action is left out: its refusal is the phase refusal of every
+# population form, which test_dressed.TestNonFinitePhase checks.
 FINITE_CALLS = {
     "delta_p2_early": (delta_p2_early, (1.0, 1.0, 1.0, 0.1, 0.0, 0.5)),
     "delta_p2_at_t0": (partial(delta_p2_at_t0, condition_from_odd_pair(OddPair(-1, 3))), (0.01, 0.0)),
     "two_level_p2_bound": (two_level_p2_bound, (0.0, 0.3)),
-    "two_level_populations": (two_level_populations, (0.0, 0.3, 1.0)),
+    "two_level_populations": (partial(two_level_populations, action=1.0), (0.0, 0.3)),
 }
 
 

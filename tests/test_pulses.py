@@ -183,6 +183,17 @@ ANY_SHAPE = st.one_of(
 )
 # a single time as each form a caller may hand it
 SCALAR_FORMS = st.sampled_from([float, np.float64, np.array])
+# Pulses with a time that each refuses at scalar and at array cost alike, and the refusal's start:
+# a time that is not finite, a harmonic phase omega t and a constant pulse's action v0 t past the floats.
+PAST_THE_FLOATS = st.sampled_from([1e300, -1.7e308])
+REFUSED_TIMES = st.one_of(
+    st.tuples(ANY_SHAPE, st.sampled_from([math.nan, math.inf, -math.inf]), st.just(("value", "area")),
+              st.just("time must be finite")),
+    st.tuples(st.builds(Pulse.harmonic, st.floats(-10.0, 10.0), st.floats(1e10, 1e300)), PAST_THE_FLOATS,
+              st.just(("value", "area")), st.just("harmonic phase omega t is not finite")),
+    st.tuples(st.builds(Pulse.constant, st.floats(1e10, 1e300)), PAST_THE_FLOATS, st.just(("area",)),
+              st.just("constant pulse action v0 t is not finite")),
+)
 
 
 def refusal(query, t) -> str:
@@ -210,10 +221,14 @@ class TestScalarTime:
         assert np.float64(action).tobytes() == pulse.area(np.array([t])).a[:1].tobytes()
 
     @settings(max_examples=100, deadline=None)
-    @given(ANY_SHAPE, st.sampled_from([math.nan, math.inf, -math.inf]), SCALAR_FORMS)
-    def test_non_finite_time_is_refused_as_in_an_array(self, pulse, t, form):
-        for query in (pulse.value, pulse.area):
-            assert refusal(query, form(t)) == refusal(query, np.array([t])) == "time must be finite"
+    @given(REFUSED_TIMES, SCALAR_FORMS)
+    def test_non_finite_time_is_refused_as_in_an_array(self, case, form):
+        """A time that is not finite, or whose harmonic phase or constant
+        action is not, is refused as in a one-element array."""
+        pulse, t, queries, reason = case
+        for query in (getattr(pulse, name) for name in queries):
+            assert refusal(query, form(t)) == refusal(query, np.array([t]))
+            assert refusal(query, form(t)).startswith(reason)
 
     @settings(max_examples=100, deadline=None)
     @given(tables(), st.data(), SCALAR_FORMS)
@@ -225,6 +240,57 @@ class TestScalarTime:
         for query in (pulse.value, pulse.area):
             assert refusal(query, form(t)) == refusal(query, np.array([t]))
             assert refusal(query, form(t)).startswith(f"t={t} outside the table range")
+
+
+# Finite floats, with huge ones drawn often, up to the float limit (as test_leakage.FINITE draws them).
+HUGE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-10.0, 10.0),
+    st.sampled_from([1e-308, 1e-300, 1e10, 1e300, -1e300, 1e308, -1e308, 1.7976931348623157e308,
+                     -1.7976931348623157e308]),
+)
+
+
+@st.composite
+def huge_pulses(draw) -> Pulse:
+    """A harmonic, constant or Gaussian pulse with parameters from HUGE; one
+    that ``Pulse`` refuses when it is built is rejected."""
+    build, arity = draw(st.sampled_from([(Pulse.harmonic, 2), (Pulse.constant, 1), (Pulse.gaussian_kick, 3)]))
+    try:
+        return build(*draw(st.tuples(*[HUGE] * arity)))
+    except InvalidInputError:
+        reject()
+
+
+@settings(max_examples=300, deadline=None)
+@given(huge_pulses(), HUGE)
+@example(Pulse.harmonic(1.0, 1e300), 1e300)
+@example(Pulse.gaussian_kick(1.0, 0.0, 1e-300), 1.0)
+@example(Pulse.gaussian_kick(1.0, -1e308, 1.0), 1e308)
+@example(Pulse.gaussian_kick(1.0, 0.0, 1e-308), 1e10)
+@example(Pulse.gaussian_kick(1.0, -1e308, 1e308), 1e308)
+def test_huge_input_is_finite_or_refused(pulse, t):
+    """Value and action are finite or refused, and never warn (warnings are
+    errors): a harmonic pulse is refused where omega t is not finite, a
+    constant pulse's action where v0 t is not, and a Gaussian kick only where
+    t - center and 40 widths both overflow.  Past 40 widths a Gaussian's value
+    is exactly 0 and its action exactly its limit."""
+    c, w = pulse.kick_center, pulse.kick_width
+    value_refused, area_refused = {
+        "harmonic": (not math.isfinite(pulse.omega * t),) * 2,
+        "constant": (False, not math.isfinite(pulse.v0 * t)),
+        "gaussian_kick": (not (math.isfinite(t - c) or math.isfinite(40.0 * w)),) * 2,
+    }[pulse.shape]
+    for query, refused in ((pulse.value, value_refused), (lambda u: pulse.area(u).a, area_refused)):
+        if refused:
+            with pytest.raises(InvalidInputError):
+                query(t)
+        else:
+            assert math.isfinite(query(t))
+    if pulse.shape == "gaussian_kick" and abs(t - c) > 40.0 * w:
+        assert pulse.value(t) == 0.0
+        limit = 0.5 * pulse.kick_area * (math.copysign(1.0, t - c) - math.erf(-c / (w * math.sqrt(2.0))))
+        assert pulse.area(t).a == limit
 
 
 class TestArea:
