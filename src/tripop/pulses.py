@@ -209,7 +209,9 @@ class Pulse:
     def _from_first_knot(self, u: float | np.ndarray) -> float | np.ndarray:
         """The trapezoid integral from the first knot to each time in ``u`` (inside the table)."""
         knots, values, cumulative = self._table
-        k = np.minimum(np.searchsorted(knots, u, side="right") - 1, len(knots) - 2)
+        k = knots.searchsorted(u, side="right") - 1
+        # a single time indexes with one int, at scalar cost
+        k = min(int(k), len(knots) - 2) if k.ndim == 0 else np.minimum(k, len(knots) - 2)
         return cumulative[k] + 0.5 * (values[k] + np.interp(u, knots, values)) * (u - knots[k])
 
 

@@ -428,15 +428,24 @@ class TestAgainstDocumentedFormulas:
 
     @settings(max_examples=300, deadline=None)
     @given(st.tuples(*[st.one_of(RATIO_5, MAGNITUDE)] * 5))
+    @example((1.0, 0.0, 1e227, 0.0, 2e227))
     def test_basis_is_eigh_at_every_magnitude(self, values):
         """With numpy's warnings as errors, z and m_inv equal byte for byte
         what ``np.linalg.eigh`` and m_inv = U * U[0] give, for couplings and
-        diagonals from subnormal to 1e300, signed zeros included."""
+        diagonals from subnormal to 1e300, signed zeros included; where LAPACK
+        does not converge and eigh raises LinAlgError, the basis is refused
+        (the example is such a coupling)."""
         alpha, beta, *eps = values
+        ratios = CouplingRatios(alpha, beta, eps=tuple(eps))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            z, u = np.linalg.eigh(np.array([[eps[0], alpha, beta], [alpha, eps[1], 1.0], [beta, 1.0, eps[2]]]))
-            basis = build_dressed_basis(CouplingRatios(alpha, beta, eps=tuple(eps)))
+            try:
+                z, u = np.linalg.eigh(np.array([[eps[0], alpha, beta], [alpha, eps[1], 1.0], [beta, 1.0, eps[2]]]))
+            except np.linalg.LinAlgError:
+                with pytest.raises(InvalidInputError, match="LAPACK did not converge"):
+                    build_dressed_basis(ratios)
+                return
+            basis = build_dressed_basis(ratios)
         assert np.array(basis.z).tobytes() == z.tobytes()
         assert basis.m_inv.tobytes() == (u * u[0]).tobytes()
 

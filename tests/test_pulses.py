@@ -175,6 +175,13 @@ def extreme_tables(draw) -> tuple[np.ndarray, list[float], np.ndarray]:
     return knots, values, np.concatenate((knots, inside))
 
 
+# Finite floats, with huge ones drawn often, up to the float limit (as test_leakage.FINITE draws them).
+HUGE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-10.0, 10.0),
+    st.sampled_from([1e-308, 1e-300, 1e10, 1e300, -1e300, 1e308, -1e308, 1.7976931348623157e308,
+                     -1.7976931348623157e308]),
+)
 ANY_SHAPE = st.one_of(
     st.builds(Pulse.harmonic, st.floats(-10.0, 10.0), st.floats(0.01, 10.0)),
     st.builds(Pulse.constant, st.floats(-10.0, 10.0)),
@@ -195,6 +202,27 @@ REFUSED_TIMES = st.one_of(
               st.just("constant pulse action v0 t is not finite")),
 )
 
+TABLE_3 = Pulse.tabulated([-1.0, 0.5, 2.0], [1.0, -2.0, 3.0])
+
+
+@st.composite
+def scalar_queries(draw) -> tuple[Pulse, float]:
+    """A pulse and a time inside its range.  A table's time is often one of
+    its knots, t = 0 or in its last interval; a Gaussian's is up to the float
+    limit, past its center or width by any factor, so that u * u or
+    t - center may overflow."""
+    wide_gaussians = st.builds(Pulse.gaussian_kick, st.floats(-10.0, 10.0), HUGE, st.floats(1e-300, 1e300))
+    pulse = draw(st.one_of(ANY_SHAPE, wide_gaussians))
+    if pulse.shape == "tabulated":
+        knots = [t for t, _ in pulse.samples]
+        times = st.one_of(st.sampled_from([0.0, *knots]), st.floats(knots[-2], knots[-1]),
+                          st.floats(knots[0], knots[-1]))
+    elif pulse.shape == "gaussian_kick":
+        times = st.one_of(st.floats(-50.0, 50.0), HUGE)
+    else:
+        times = st.floats(-50.0, 50.0)
+    return pulse, draw(times)
+
 
 def refusal(query, t) -> str:
     with pytest.raises(InvalidInputError) as refused:
@@ -207,14 +235,19 @@ class TestScalarTime:
     one-element array gives: the same bits, or the same refusal."""
 
     @settings(max_examples=300, deadline=None)
-    @given(ANY_SHAPE, st.data())
-    def test_same_bits_as_a_one_element_array(self, pulse, data):
-        if pulse.shape == "tabulated":
-            knots = [t for t, _ in pulse.samples]
-            t = data.draw(st.one_of(st.sampled_from(knots), st.floats(knots[0], knots[-1])))
-        else:
-            t = data.draw(st.floats(-50.0, 50.0))
-        scalar = data.draw(SCALAR_FORMS)(t)
+    @given(scalar_queries(), SCALAR_FORMS)
+    @example((TABLE_3, 0.0), float)
+    @example((TABLE_3, -1.0), np.float64)
+    @example((TABLE_3, 2.0), np.array)
+    @example((TABLE_3, 1.25), float)
+    @example((Pulse.gaussian_kick(1.0, 0.5, 1e-200), 0.75), float)
+    @example((Pulse.gaussian_kick(1.0, -1e308, 1.0), 1e308), np.float64)
+    def test_same_bits_as_a_one_element_array(self, query, form):
+        """The examples: a table's t = 0, first knot, last knot (its interval
+        index clamped to n - 2) and last interval; a Gaussian far in its tail,
+        where u * u overflows, and one whose t - center overflows."""
+        pulse, t = query
+        scalar = form(t)
         value, action = pulse.value(scalar), pulse.area(scalar).a
         assert isinstance(value, float) and isinstance(action, float)
         assert np.float64(value).tobytes() == pulse.value(np.array([t]))[:1].tobytes()
@@ -242,15 +275,6 @@ class TestScalarTime:
             assert refusal(query, form(t)).startswith(f"t={t} outside the table range")
 
 
-# Finite floats, with huge ones drawn often, up to the float limit (as test_leakage.FINITE draws them).
-HUGE = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.floats(-10.0, 10.0),
-    st.sampled_from([1e-308, 1e-300, 1e10, 1e300, -1e300, 1e308, -1e308, 1.7976931348623157e308,
-                     -1.7976931348623157e308]),
-)
-
-
 @st.composite
 def huge_pulses(draw) -> Pulse:
     """A harmonic, constant or Gaussian pulse with parameters from HUGE; one
@@ -269,13 +293,16 @@ def huge_pulses(draw) -> Pulse:
 @example(Pulse.gaussian_kick(1.0, -1e308, 1.0), 1e308)
 @example(Pulse.gaussian_kick(1.0, 0.0, 1e-308), 1e10)
 @example(Pulse.gaussian_kick(1.0, -1e308, 1e308), 1e308)
+@example(Pulse.gaussian_kick(1.0, np.float64(0.0), 1e-300), 1.0)
+@example(Pulse.gaussian_kick(1.0, np.float64(1e10), 1e-300), 5.0)
 def test_huge_input_is_finite_or_refused(pulse, t):
     """Value and action are finite or refused, and never warn (warnings are
     errors): a harmonic pulse is refused where omega t is not finite, a
     constant pulse's action where v0 t is not, and a Gaussian kick only where
     t - center and 40 widths both overflow.  Past 40 widths a Gaussian's value
-    is exactly 0 and its action exactly its limit."""
-    c, w = pulse.kick_center, pulse.kick_width
+    is exactly 0 and its action exactly its limit, also for numpy-float
+    parameters, whose overflow warns where a Python float's does not."""
+    c, w = float(pulse.kick_center), float(pulse.kick_width)
     value_refused, area_refused = {
         "harmonic": (not math.isfinite(pulse.omega * t),) * 2,
         "constant": (False, not math.isfinite(pulse.v0 * t)),
