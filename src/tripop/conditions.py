@@ -31,8 +31,7 @@ rows, with both alpha signs appearing through the pair order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
@@ -80,13 +79,18 @@ class TransferCondition:
     ``target`` is the level that becomes fully occupied at the transfer
     action.  ``alpha`` is r(n2 - n1) for either target; ``ratios`` puts
     (alpha, beta) on (V12, V13) for target 2 and interchanges them for
-    target 3.
+    target 3.  ``r``, ``action_t0`` and ``alpha`` are set when it is built,
+    as ``sign`` times ``_family_floats``; equality, hashing and repr read
+    only the four fields above them.
     """
 
     pair: OddPair
     sign: int = 1
     beta: float = 1.0
     target: int = 2
+    r: float = field(init=False, repr=False, compare=False)
+    action_t0: float = field(init=False, repr=False, compare=False)
+    alpha: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sign not in (-1, 1):
@@ -95,6 +99,8 @@ class TransferCondition:
             raise InvalidInputError("target level must be 2 or 3")
         if self.beta not in (-1.0, 1.0):
             raise InvalidInputError("the direct 1<->3 coupling ratio must be +-1")
+        for name, v in zip(("r", "action_t0", "alpha"), _family_floats(self.pair.n1, self.pair.n2)):
+            object.__setattr__(self, name, self.sign * float(v))
 
     @property
     def n1(self) -> int:
@@ -107,24 +113,6 @@ class TransferCondition:
     @property
     def product(self) -> int:
         return self.n1 * self.n2
-
-    # cached: a numpy evaluation costs about 2 us, and loops over the family reread them
-    @cached_property
-    def _floats(self) -> tuple[float, float, float]:
-        """sign * (r, A(t0), alpha), from one ``_family_floats`` evaluation."""
-        return tuple(self.sign * float(v) for v in _family_floats(self.n1, self.n2))
-
-    @cached_property
-    def r(self) -> float:
-        return self._floats[0]
-
-    @cached_property
-    def action_t0(self) -> float:
-        return self._floats[1]
-
-    @cached_property
-    def alpha(self) -> float:
-        return self._floats[2]
 
     def ratios(self) -> CouplingRatios:
         """Coupling ratios realizing this condition (eps = 0)."""

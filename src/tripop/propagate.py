@@ -325,7 +325,7 @@ def _rk4(
     stride = min(RECORD_EVERY, chunk)
     n_intervals = chunk // stride  # in a chunk, at most
     n_mono, n_entries = len(_MONOMIALS), 4 * n * n
-    v_first = v_last = first = mono_length = 0
+    v_first = v_last = first = 0
     # Overflow and NaN, in the step coefficients too, propagate into the
     # amplitudes, where the drift gate catches them.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -354,9 +354,7 @@ def _rk4(
             v_chunk = v[drive_of_run, 2 * (first - v_first) : 2 * (last - v_first) + 1]
             # (1, vh, vh^2) x (1, v1), then the same times v0: the order of _MONOMIALS
             mono = mono_buffer[: n_mono * n_runs * length].reshape(n_mono, n_runs, length)
-            if length != mono_length:  # no other row is written over the ones
-                mono[0] = 1.0
-                mono_length = length
+            mono[0] = 1.0
             mono[2] = v_chunk[:, 1::2]
             np.square(mono[2], out=mono[4])
             np.multiply(mono[0:6:2], v_chunk[:, 2::2], out=mono[1:6:2])

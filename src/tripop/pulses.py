@@ -9,8 +9,12 @@ closed form for its running integral:
     gaussian_kick  normalized Gaussian of area A0  A(t) via the error function
     tabulated      linear interpolation of (t, v)  exact piecewise-trapezoid
 
-A query refuses a time that is not finite, a harmonic phase omega t that is
-not, a constant pulse's action v0 t that is not, and a time outside a table.
+A pulse refuses its parameters when it is built, among them a table that
+does not bracket t = 0, where A(t) is counted from, a harmonic period
+2 pi / omega that is not finite, and a Gaussian width * sqrt(2 pi) that is
+not finite.  A query then refuses only its times: a time that is not finite,
+a harmonic phase omega t that is not, a constant pulse's action v0 t that is
+not, and a time outside a table.
 A Gaussian kick's far tail is no error: there the value saturates at exactly
 0 and the action at exactly its limit, also where t - center overflows; only
 a kick so wide that 40 widths overflow too refuses such a time.
@@ -65,10 +69,15 @@ class Pulse:
                 raise InvalidInputError(
                     f"harmonic amplitude v0 / omega is not finite for v0 {self.v0!r} and omega {self.omega!r}"
                 )
+            if not math.isfinite(2.0 * math.pi / float(self.omega)):  # omega below about 3.5e-308
+                raise InvalidInputError(f"period 2 pi / omega is not finite for omega = {self.omega!r}")
         if self.shape == "gaussian_kick":
             if not self.kick_width > 0:
                 raise InvalidInputError("gaussian kick requires a positive width")
-            if not math.isfinite(abs(self.kick_area) / (self.kick_width * math.sqrt(2.0 * math.pi))):
+            norm = float(self.kick_width) * math.sqrt(2.0 * math.pi)
+            if not math.isfinite(norm):  # width above about 7.2e307
+                raise InvalidInputError(f"gaussian kick width sqrt(2 pi) is not finite for width {self.kick_width!r}")
+            if not math.isfinite(abs(float(self.kick_area)) / norm):
                 raise InvalidInputError(
                     f"gaussian kick peak |area| / (width sqrt(2 pi)) is not finite for area {self.kick_area!r} "
                     f"and width {self.kick_width!r}"
@@ -86,6 +95,8 @@ class Pulse:
                 reach = float(np.sum(0.5 * (np.abs(values[1:]) + np.abs(values[:-1])) * spans))
             if not np.all(spans > 0.0):
                 raise InvalidInputError("tabulated times must be strictly increasing")
+            if knots[0] > 0.0 or knots[-1] < 0.0:
+                raise InvalidInputError("table must bracket t = 0 so that A(0) = 0 is defined")
             # ``value`` and ``area`` form differences and pair sums of knot values, up to
             # 2 max |v|, and running integrals, up to the trapezoid sum of |v|; the
             # factor 1 + 1e-6 on each covers their rounding
@@ -119,10 +130,7 @@ class Pulse:
     def period(self) -> float:
         if self.shape != "harmonic":
             raise InvalidInputError("only harmonic pulses have a period")
-        period = 2.0 * math.pi / self.omega
-        if not math.isfinite(period):  # omega below about 3.5e-308
-            raise InvalidInputError(f"period 2 pi / omega is not finite for omega = {self.omega!r}")
-        return period
+        return 2.0 * math.pi / self.omega
 
     # -- evaluation ----------------------------------------------------
 
@@ -201,9 +209,6 @@ class Pulse:
     @cached_property
     def _area_offset(self) -> float:
         """The integral from the first knot to t = 0, which every A(t) subtracts."""
-        knots = self._table[0]
-        if knots[0] > 0.0 or knots[-1] < 0.0:
-            raise InvalidInputError("table must bracket t = 0 so that A(0) = 0 is defined")
         return float(self._from_first_knot(0.0))
 
     def _from_first_knot(self, u: float | np.ndarray) -> float | np.ndarray:
@@ -224,7 +229,8 @@ def harmonic_for_condition(cond, omega: float) -> Pulse:
 
     The amplitude obeys v0/omega = A(t0), so the quarter-period action equals
     the condition's transfer action for every omega.  ``Pulse.harmonic`` refuses
-    an omega that is not positive or that leaves v0 not finite.
+    an omega that is not positive, that leaves v0 not finite, or whose period
+    2 pi / omega is not finite.
     """
     return Pulse.harmonic(v0=cond.action_t0 * omega, omega=omega)
 

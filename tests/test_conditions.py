@@ -198,6 +198,15 @@ class TestConditionFromOddPair:
                 couplings = (ratios.alpha, ratios.beta) if target == 2 else (ratios.beta, ratios.alpha)
                 assert couplings == (cond.alpha, beta)
 
+    def test_replaced_sign_sets_the_floats_anew(self, cond_351):
+        """``replace`` builds anew: sign -1 negates r, A(t0) and alpha, and
+        sign +1 again gives a condition equal to, and hashing as, a fresh one."""
+        twin = replace(cond_351, sign=-1)
+        assert (twin.r, twin.action_t0, twin.alpha) == (-cond_351.r, -cond_351.action_t0, -cond_351.alpha)
+        back, fresh = replace(twin, sign=1), condition_from_odd_pair(cond_351.pair)
+        assert back == fresh and hash(back) == hash(fresh) and repr(back) == repr(fresh)
+        assert (back.r, back.action_t0, back.alpha) == (fresh.r, fresh.action_t0, fresh.alpha)
+
     @pytest.mark.parametrize("target", [2, 3])
     @pytest.mark.parametrize("field,bad", [("sign", 0), ("beta", 0), ("beta", 2), ("beta", 0.5)])
     def test_bad_sign_or_beta_is_refused(self, field, bad, target):

@@ -93,6 +93,8 @@ _LEAKAGE = ["leakage", "--n-o", "1", "--n-op", "1", "--grid"]
     pytest.param(lambda: Pulse.gaussian_kick(1.0, 0.0, 1e-310),
                  "gaussian kick peak |area| / (width sqrt(2 pi)) is not finite for area 1.0 and width 1e-310",
                  id="gaussian-peak-inf"),
+    pytest.param(lambda: Pulse.gaussian_kick(np.float64(1.0), 0.0, 1e-310), "gaussian kick peak |area|",
+                 id="gaussian-peak-numpy-area"),
     pytest.param(lambda: Pulse.tabulated([0.0], [1.0]), "at least two samples", id="one-knot"),
     pytest.param(lambda: Pulse.tabulated([0.0, 1.0], [1.7e308, -1.7e308]),
                  "tabulated samples overflow their interpolant or running integral", id="table-overflow"),
@@ -104,6 +106,10 @@ _LEAKAGE = ["leakage", "--n-o", "1", "--n-op", "1", "--grid"]
     pytest.param(lambda: Pulse.constant(1.0).period, "only harmonic pulses", id="constant-period"),
     pytest.param(lambda: Pulse.harmonic(1.0, 1e-308).period, "period 2 pi / omega is not finite for omega = 1e-308",
                  id="harmonic-period-inf"),
+    pytest.param(lambda: Pulse.harmonic(1e-310, 1e-310), "period 2 pi / omega is not finite for omega = 1e-310",
+                 id="harmonic-period-at-build"),
+    pytest.param(lambda: Pulse.harmonic(1e-310, np.float64(1e-310)),
+                 f"period 2 pi / omega is not finite for omega = {np.float64(1e-310)!r}", id="harmonic-period-numpy-omega"),
     pytest.param(lambda: harmonic_for_condition(condition_from_odd_pair(OddPair(1, 1)), 0.0),
                  "requires omega > 0", id="condition-omega-0"),
     pytest.param(_LEAKAGE + ["omega12:0:1,omega13:0"], "malformed grid axis 'omega12:0:1'", id="cli-grid-3-fields"),
