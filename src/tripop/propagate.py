@@ -46,8 +46,9 @@ times faster than a complex 3x3.  Between two records only the product of
 the step maps matters: each record interval's matrices are multiplied by a
 pairwise tree, a prefix scan over the chunk's interval products gives the
 state at each of its records, and the state is updated once per chunk.  The
-chunks set only how the products are grouped: results at other budgets
-differ in rounding alone.
+core yields each chunk's records as amplitudes, and its caller,
+``integrate_batch``, keeps them as populations.  The chunks set only how the
+products are grouped: results at other budgets differ in rounding alone.
 
 Every level of that work is written into buffers made once per batch, so
 the chunk loop allocates no array but a gather of its drive samples, and no
@@ -62,7 +63,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -239,8 +240,18 @@ def integrate_batch(
             f"make {len(runs) * n_records} records, past the cap of {MAX_RUN_RECORDS:.0e}"
         )
 
-    pulses = [run[2] for run in runs]
-    record_steps, pops, _ = _rk4(k, e, pulses, dt, n_steps, False)
+    record_steps = np.minimum(np.arange(n_records) * RECORD_EVERY, n_steps)
+    pops = np.empty((n_records, len(runs), 3))
+    filled = 0
+    # Overflow and NaN, in the step coefficients too, propagate into the
+    # amplitudes, where the drift gate catches them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for amplitudes in _rk4(k, e, [run[2] for run in runs], dt, n_steps):
+            recorded = pops[filled : filled + len(amplitudes)]
+            np.abs(amplitudes, out=recorded)
+            np.square(recorded, out=recorded)
+            filled += len(amplitudes)
+    pops = pops.transpose(1, 0, 2)
     drifts = np.max(np.abs(1.0 - pops.sum(axis=2)), axis=1)
     worst = int(np.argmax(drifts))  # a NaN drift counts as the worst
     _log.debug(
@@ -295,27 +306,17 @@ def _rk4(
     pulses: Sequence[Pulse],
     dt: np.ndarray,
     n_steps: int,
-    record_amplitudes: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> Iterator[np.ndarray]:
     """RK4 for N runs from a(0) = (1, 0, ..., 0), all taking n_steps steps.
 
     ``k`` is [N, n, n] and ``e`` is [N, n], both real; run i has step dt[i]
-    and drive pulses[i].  Records are taken at steps 0, RECORD_EVERY,
-    2 RECORD_EVERY, ... and at the last step.  Returns the record steps, the
-    populations [N, n_records, n] and, if asked for, the amplitudes in the
-    same shape (None otherwise).
+    and drive pulses[i].  Yields the amplitudes at record 0 first, then each
+    chunk's records, at steps RECORD_EVERY, 2 RECORD_EVERY, ... and at the
+    last step, each block complex [records, N, n].  A block is a view into
+    the core's buffer, valid until the next ``next()``.  The caller holds
+    any errstate: one held here would stay set while the core is suspended.
     """
     n_runs, n = e.shape
-    record_steps = np.arange(0, n_steps + 1, RECORD_EVERY)
-    if record_steps[-1] != n_steps:
-        record_steps = np.append(record_steps, n_steps)
-    eye = np.eye(n)
-    pops = np.empty((len(record_steps), n_runs, n))
-    pops[0] = eye[0]
-    amps = np.empty((len(record_steps), n_runs, n), dtype=complex) if record_amplitudes else None
-    if amps is not None:
-        amps[0] = eye[0]
-    next_record = 1
     a = np.zeros((n_runs, 2 * n, 1))  # (Re a, Im a)
     a[:, 0] = 1.0
 
@@ -326,61 +327,53 @@ def _rk4(
     n_intervals = chunk // stride  # in a chunk, at most
     n_mono, n_entries = len(_MONOMIALS), 4 * n * n
     v_first = v_last = first = 0
-    # Overflow and NaN, in the step coefficients too, propagate into the
-    # amplitudes, where the drift gate catches them.
-    with np.errstate(over="ignore", invalid="ignore"):
-        # one row of samples per drive, made first: after the coefficients it
-        # left the peak RSS higher
-        drive_buffer = np.empty((len(drives), 2 * block + 1))
-        coefficients = _step_coefficients(k, e * dt[:, None]).reshape(n_runs, n_mono, n_entries)
-        # made once the coefficients' temporaries are freed, so the two never add up
-        mono_buffer = np.empty(n_mono * n_runs * chunk)
-        step_buffer = np.empty(n_runs * chunk * n_entries)
-        level_buffer = np.empty(n_runs * n_intervals * -(-stride // 2) * n_entries)
-        scan_buffers = np.empty((2, n_intervals * n_runs * n_entries))
-        state_buffer = np.empty((n_intervals, n_runs, 2 * n, 1))
-        amplitude_buffer = np.empty((n_intervals, n_runs, n), dtype=complex)
-        while first < n_steps:
-            last = min(first + chunk, n_steps)
-            if last // RECORD_EVERY > first // RECORD_EVERY:
-                last -= last % RECORD_EVERY  # end at the chunk's last record step
-            if last > v_last:
-                v_first, v_last = first, min(first + block, n_steps)
-                half_steps = np.arange(2 * v_first, 2 * v_last + 1)
-                v = drive_buffer[:, : len(half_steps)]
-                for row, (p, h) in zip(v, drives):
-                    np.multiply(h, p.value(half_steps * (0.5 * h)), out=row)  # h V
-            length = last - first
-            v_chunk = v[drive_of_run, 2 * (first - v_first) : 2 * (last - v_first) + 1]
-            # (1, vh, vh^2) x (1, v1), then the same times v0: the order of _MONOMIALS
-            mono = mono_buffer[: n_mono * n_runs * length].reshape(n_mono, n_runs, length)
-            mono[0] = 1.0
-            mono[2] = v_chunk[:, 1::2]
-            np.square(mono[2], out=mono[4])
-            np.multiply(mono[0:6:2], v_chunk[:, 2::2], out=mono[1:6:2])
-            np.multiply(mono[:6], v_chunk[:, 0:-1:2], out=mono[6:])
-            steps = step_buffer[: n_runs * length * n_entries]
-            np.matmul(mono.transpose(1, 2, 0), coefficients, out=steps.reshape(n_runs, length, n_entries))  # P - I
-            for diagonal in range(0, n_entries, 2 * n + 1):  # I, one strided pass per entry
-                steps[diagonal::n_entries] += 1.0
-            intervals = steps.reshape(-1, min(RECORD_EVERY, length), 2 * n, 2 * n)
-            products = _tree_products(intervals, level_buffer, step_buffer)
-            products = _prefix_products(products.reshape(n_runs, -1, 2 * n, 2 * n).swapaxes(0, 1), scan_buffers)
-            states = state_buffer[: len(products)]
-            np.matmul(products, a, out=states)  # [intervals, N, 2 n, 1]
-            a[...] = states[-1]  # a copy: the next chunk writes over the states
-            recorded = slice(next_record, next_record + len(states))
-            amplitudes = amplitude_buffer[: len(states)]  # Re a + 1j Im a, then |a| ** 2
-            np.multiply(1j, states[..., n:, 0], out=amplitudes)
-            np.add(states[..., :n, 0], amplitudes, out=amplitudes)
-            np.abs(amplitudes, out=pops[recorded])
-            np.square(pops[recorded], out=pops[recorded])
-            if amps is not None:
-                amps[recorded] = amplitudes
-            next_record += len(states)
-            first = last
-    pops = pops.transpose(1, 0, 2)
-    return record_steps, pops, None if amps is None else amps.transpose(1, 0, 2)
+    # one row of samples per drive, made first: after the coefficients it
+    # left the peak RSS higher
+    drive_buffer = np.empty((len(drives), 2 * block + 1))
+    coefficients = _step_coefficients(k, e * dt[:, None]).reshape(n_runs, n_mono, n_entries)
+    # made once the coefficients' temporaries are freed, so the two never add up
+    mono_buffer = np.empty(n_mono * n_runs * chunk)
+    step_buffer = np.empty(n_runs * chunk * n_entries)
+    level_buffer = np.empty(n_runs * n_intervals * -(-stride // 2) * n_entries)
+    scan_buffers = np.empty((2, n_intervals * n_runs * n_entries))
+    state_buffer = np.empty((n_intervals, n_runs, 2 * n, 1))
+    amplitude_buffer = np.empty((n_intervals, n_runs, n), dtype=complex)
+    amplitude_buffer[0] = np.eye(n)[0]
+    yield amplitude_buffer[:1]
+    while first < n_steps:
+        last = min(first + chunk, n_steps)
+        if last // RECORD_EVERY > first // RECORD_EVERY:
+            last -= last % RECORD_EVERY  # end at the chunk's last record step
+        if last > v_last:
+            v_first, v_last = first, min(first + block, n_steps)
+            half_steps = np.arange(2 * v_first, 2 * v_last + 1)
+            v = drive_buffer[:, : len(half_steps)]
+            for row, (p, h) in zip(v, drives):
+                np.multiply(h, p.value(half_steps * (0.5 * h)), out=row)  # h V
+        length = last - first
+        v_chunk = v[drive_of_run, 2 * (first - v_first) : 2 * (last - v_first) + 1]
+        # (1, vh, vh^2) x (1, v1), then the same times v0: the order of _MONOMIALS
+        mono = mono_buffer[: n_mono * n_runs * length].reshape(n_mono, n_runs, length)
+        mono[0] = 1.0
+        mono[2] = v_chunk[:, 1::2]
+        np.square(mono[2], out=mono[4])
+        np.multiply(mono[0:6:2], v_chunk[:, 2::2], out=mono[1:6:2])
+        np.multiply(mono[:6], v_chunk[:, 0:-1:2], out=mono[6:])
+        steps = step_buffer[: n_runs * length * n_entries]
+        np.matmul(mono.transpose(1, 2, 0), coefficients, out=steps.reshape(n_runs, length, n_entries))  # P - I
+        for diagonal in range(0, n_entries, 2 * n + 1):  # I, one strided pass per entry
+            steps[diagonal::n_entries] += 1.0
+        intervals = steps.reshape(-1, min(RECORD_EVERY, length), 2 * n, 2 * n)
+        products = _tree_products(intervals, level_buffer, step_buffer)
+        products = _prefix_products(products.reshape(n_runs, -1, 2 * n, 2 * n).swapaxes(0, 1), scan_buffers)
+        states = state_buffer[: len(products)]
+        np.matmul(products, a, out=states)  # [intervals, N, 2 n, 1]
+        a[...] = states[-1]  # a copy: the next chunk writes over the states
+        amplitudes = amplitude_buffer[: len(states)]  # Re a + 1j Im a
+        np.multiply(1j, states[..., n:, 0], out=amplitudes)
+        np.add(states[..., :n, 0], amplitudes, out=amplitudes)
+        first = last
+        yield amplitudes
 
 
 # Exponents of (h V(t), h V(t + h/2), h V(t + h)) in the monomials of a

@@ -272,17 +272,28 @@ def degenerate_batches(draw):
     return [(k[i], np.zeros(3), *drives[i % len(drives)]) for i in range(n_runs)], n_steps, stride
 
 
-def run_core(runs, n_steps, record_every, budget=propagate._CHUNK_CONFIG_STEPS, block=propagate._DRIVE_BLOCK_STEPS):
-    """_rk4 on (K, E, pulse, dt) runs at the given record stride, chunk budget and drive block."""
+def core_blocks(runs, n_steps):
+    """The generator _rk4 makes for (K, E, pulse, dt) runs."""
     k = np.array([r[0] for r in runs])
     e = np.array([r[1] for r in runs])
     dt = np.array([r[3] for r in runs])
+    return _rk4(k, e, [r[2] for r in runs], dt, n_steps)
+
+
+def run_core(runs, n_steps, record_every, budget=propagate._CHUNK_CONFIG_STEPS, block=propagate._DRIVE_BLOCK_STEPS):
+    """The record steps and the amplitudes [N, records, n] of _rk4 on (K, E,
+    pulse, dt) runs at the given record stride, chunk budget and drive block.
+
+    Each block is copied, since the core writes the next one over it, and the
+    core is drained inside the patches, since it reads them only once it runs.
+    """
     with (
         patch.object(propagate, "RECORD_EVERY", record_every),
         patch.object(propagate, "_CHUNK_CONFIG_STEPS", budget),
         patch.object(propagate, "_DRIVE_BLOCK_STEPS", block),
     ):
-        return _rk4(k, e, [r[2] for r in runs], dt, n_steps, True)
+        amps = np.concatenate([records.copy() for records in core_blocks(runs, n_steps)]).transpose(1, 0, 2)
+    return np.minimum(np.arange(amps.shape[1]) * record_every, n_steps), amps
 
 
 class TestBatchedCore:
@@ -292,9 +303,8 @@ class TestBatchedCore:
         """The step-matrix core is the four-stage RK4, run by run, at every
         record; the first, middle and last runs of a batch are checked."""
         runs, n_steps, record_every, budget, block = case
-        steps, pops, amps = run_core(runs, n_steps, record_every, budget, block)
+        steps, amps = run_core(runs, n_steps, record_every, budget, block)
         assert steps.tolist() == [*range(0, n_steps, record_every), n_steps]
-        np.testing.assert_array_equal(pops, np.abs(amps) ** 2)
         for i in sorted({0, len(runs) // 2, len(runs) - 1}):
             ki, ei, pulse, dti = runs[i]
             reference = stagewise_rk4(ki, ei, pulse, dti, n_steps)[steps]
@@ -307,10 +317,40 @@ class TestBatchedCore:
         every run of a batch is, at every record, RK4's scalar step factors
         multiplied out in K's eigenbasis (``helpers.scalar_rk4``)."""
         runs, n_steps, stride = case
-        steps, _, amps = run_core([(k, e, pulse, t_end / n_steps) for k, e, pulse, t_end in runs], n_steps, stride)
+        steps, amps = run_core([(k, e, pulse, t_end / n_steps) for k, e, pulse, t_end in runs], n_steps, stride)
         assert steps.tolist() == [*range(0, n_steps, stride), n_steps]
         for (k, _, pulse, t_end), run_amps in zip(runs, amps):
             np.testing.assert_allclose(run_amps, scalar_rk4(k, pulse, t_end, n_steps)[steps], rtol=0, atol=1e-11)
+
+    def test_populations_are_the_squared_yielded_amplitudes(self):
+        """integrate_batch keeps |a|^2 of the amplitudes the core yields, bit
+        for bit, at times [0, RE, 2 RE, ..., n_steps] dt, for split levels
+        over 501 steps, which the stride does not divide, in chunks of 340."""
+        config = IntegratorConfig(steps_per_period=2002)
+        k = CouplingRatios(2.5, 0.7).coupling_matrix()
+        runs = [(k, LevelEnergies.from_splittings(0.3 * s, -0.2), Pulse.harmonic(s, 1.0), T / 4)
+                for s in (0.5, 1.0, 1.5)]
+        n_steps = config.step_count(runs[0][2], T / 4)
+        assert n_steps == 501
+        traces = integrate_batch(runs, config)
+        core_runs = [(k, np.array(energies.e), pulse, t_end / n_steps) for _, energies, pulse, t_end in runs]
+        _, amps = run_core(core_runs, n_steps, propagate.RECORD_EVERY)
+        steps = np.array([*range(0, n_steps, propagate.RECORD_EVERY), n_steps])
+        for trace, run_amps, (*_, t_end) in zip(traces, amps, runs):
+            np.testing.assert_array_equal(trace.populations, np.square(np.abs(run_amps)))
+            np.testing.assert_array_equal(trace.times, steps * (t_end / n_steps))
+
+    def test_core_leaves_the_error_state_alone_while_suspended(self):
+        """Between two yielded blocks the caller's numpy error state holds: an
+        errstate held in the core across a yield would silence the caller's
+        own overflow while the core is suspended."""
+        caller = np.geterr()
+        blocks = core_blocks([(RATIOS_33.coupling_matrix(), np.zeros(3), Pulse.harmonic(1.0, 1.0), T / 100)], 100)
+        next(blocks)
+        assert np.geterr() == caller
+        next(blocks)
+        assert np.geterr() == caller
+        blocks.close()
 
     def test_results_do_not_depend_on_the_budget(self):
         """One batch of split levels under harmonic, Gaussian and tabulated
@@ -329,8 +369,8 @@ class TestBatchedCore:
             (s * k, np.array(LevelEnergies.from_splittings(0.3 * i, -0.2 * i).e), pulse, 1.5 / 2000)
             for i, (s, pulse) in enumerate(zip((1.0, 0.5, 1.2, 0.8, 1.1), pulses))
         ]
-        (steps, _, reference), *others = [run_core(runs, 2000, 100, budget) for budget in (1024, 256, 64)]
-        for other_steps, _, amps in others:
+        (steps, reference), *others = [run_core(runs, 2000, 100, budget) for budget in (1024, 256, 64)]
+        for other_steps, amps in others:
             np.testing.assert_array_equal(other_steps, steps)
             np.testing.assert_allclose(amps, reference, rtol=0, atol=1e-13)
 
@@ -392,7 +432,7 @@ class TestBatchedCore:
         e = np.array(LevelEnergies.from_splittings(1.0, 1.0).e)
         pulse = Pulse.gaussian_kick(cond_15.action_t0, 0.5, 0.05)
         n_steps, dt = 20000, 1.0 / 20000
-        steps, _, amps = _rk4(k[None], e[None], [pulse], np.array([dt]), n_steps, True)
+        steps, amps = run_core([(k, e, pulse, dt)], n_steps, propagate.RECORD_EVERY)
         reference = stagewise_rk4(k, e, pulse, dt, n_steps)[steps]
         np.testing.assert_allclose(amps[0], reference, rtol=0, atol=1e-12)
 
@@ -452,30 +492,32 @@ class TestBatchedCore:
             np.testing.assert_array_equal(a, b)
 
     def test_chunk_loop_memory_does_not_grow(self):
-        """Beyond its records, _rk4 holds the same memory (within 1 KB) over 4
-        chunks as over 40, at 1, 17 and 300 runs, each run on its own drive;
-        with a drive block of one chunk, the drive samples are the same size
-        at both lengths.  At the default block, 40 chunks stay under the
-        figure of the MAX_RUN_RECORDS comment: 0.8 MB plus 9.9 KB a run, and
-        4.1 KB for each distinct drive."""
+        """Drained, _rk4 holds the same memory (within 1 KB) over 4 chunks as
+        over 40, at 1, 17 and 300 runs, each run on its own drive; with a
+        drive block of one chunk, the drive samples are the same size at
+        both lengths.  At the default block, 40 chunks stay under the figure
+        of the MAX_RUN_RECORDS comment for a batch beyond its records: 0.8 MB
+        plus 9.9 KB a run, and 4.1 KB for each distinct drive."""
 
-        def peak_beyond_records(n_runs, n_chunks, block):
+        def drained_peak(n_runs, n_chunks, block):
             chunk, _ = propagate._chunk_sizes(n_runs, 2**53)
             runs = [(RATIOS_33.coupling_matrix(), (0.0, -0.01 * i, 0.0), Pulse.harmonic(1.0 + 0.01 * i, 1.0),
                      T / 20000) for i in range(n_runs)]
-            run_core(runs, propagate.RECORD_EVERY, propagate.RECORD_EVERY)  # first-call imports and caches
-            tracemalloc.start()
-            try:
-                steps, pops, amps = run_core(runs, n_chunks * chunk, propagate.RECORD_EVERY, block=block)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            return peak - steps.nbytes - pops.nbytes - amps.nbytes
+            for _ in core_blocks(runs, propagate.RECORD_EVERY):  # first-call imports and caches
+                pass
+            with patch.object(propagate, "_DRIVE_BLOCK_STEPS", block):
+                tracemalloc.start()
+                try:
+                    for _ in core_blocks(runs, n_chunks * chunk):
+                        pass
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
 
         for n_runs in (1, 17, 300):
-            short, long = (peak_beyond_records(n_runs, n_chunks, 1) for n_chunks in (4, 40))
+            short, long = (drained_peak(n_runs, n_chunks, 1) for n_chunks in (4, 40))
             assert abs(long - short) < 1e3, (n_runs, short, long)
-            assert peak_beyond_records(n_runs, 40, propagate._DRIVE_BLOCK_STEPS) < 0.8e6 + n_runs * (9.9e3 + 4.1e3)
+            assert drained_peak(n_runs, 40, propagate._DRIVE_BLOCK_STEPS) < 0.8e6 + n_runs * (9.9e3 + 4.1e3)
 
     @staticmethod
     def _drive_calls(monkeypatch, drives):

@@ -118,8 +118,6 @@ class TestValue:
             table.value(np.array([0.5, 2.5, 3.0]))
         with pytest.raises(InvalidInputError, match="t=2.5"):
             table.area(np.array([0.5, 2.5, -1.0]))
-        with pytest.raises(InvalidInputError, match="bracket"):
-            Pulse.tabulated([1.0, 2.0], [1.0, 1.0]).area(np.array([1.2, 1.5]))
         with pytest.raises(ValueError):
             Pulse.constant(1.0).value(np.array([0.0, np.nan]))
         with pytest.raises(ValueError):
