@@ -76,10 +76,15 @@ from .pulses import Pulse
 DEFAULT_STEPS_PER_PERIOD = 20000
 RECORD_EVERY = 10  # the trace stride: 2,000 samples per drive period at the default step
 NORM_DRIFT_LIMIT = 1e-6
-# Runs x records of one batch: 4e7 hold 960 MB of populations, about the
-# memory the table cap allows.  Beyond its records a batch holds at most
-# 0.8 MB, plus 9.9 KB a run and 4.1 KB a distinct drive.
+# What one batch may hold, counted in records of three float64 populations:
+# 4e7 records are 960 MB, about the memory the table cap allows.  Beyond its
+# records a batch holds at most 0.8 MB, plus the core's buffers of 9.9 KB a
+# run and 4.1 KB a distinct drive; ``IntegratorConfig.max_runs`` counts each
+# run as its records and both buffers, rounded up to whole records.
 MAX_RUN_RECORDS = 40_000_000
+_RECORD_BYTES = 24
+_RUN_BYTES = 9_900
+_DRIVE_BYTES = 4_100
 
 _log = logging.getLogger("tripop")
 
@@ -140,9 +145,17 @@ class IntegratorConfig:
         nearest = round(ratio)
         return max(1, nearest if abs(ratio - nearest) <= 1e-12 * ratio else math.ceil(ratio))
 
-    def record_count(self, n_steps: int) -> int:
-        """Records of a run of ``n_steps`` steps: step 0, every ``RECORD_EVERY``-th, and the last."""
-        return -(-n_steps // RECORD_EVERY) + 1
+    def max_runs(self, pulse: Pulse, t_end: float) -> int:
+        """Runs of ``pulse`` to ``t_end`` that one batch may hold.  Each costs
+        its records and, as if it had a drive of its own, the core's buffers,
+        rounded up to whole records; a batch holds ``MAX_RUN_RECORDS``."""
+        buffers = -(-(_RUN_BYTES + _DRIVE_BYTES) // _RECORD_BYTES)
+        return MAX_RUN_RECORDS // (_record_count(self.step_count(pulse, t_end)) + buffers)
+
+
+def _record_count(n_steps: int) -> int:
+    """Records of a run of ``n_steps`` steps: step 0, every ``RECORD_EVERY``-th, and the last."""
+    return -(-n_steps // RECORD_EVERY) + 1
 
 
 @dataclass(frozen=True)
@@ -200,8 +213,9 @@ def integrate_batch(
     resolves its own step from ``config`` as ``integrate`` does, and all of
     them must come to the same number of steps.
 
-    Refuses a batch of more than ``MAX_RUN_RECORDS`` runs x records before
-    integrating it.
+    Refuses a batch of more runs than ``config.max_runs`` allows for run 0's
+    pulse and t_end, before it checks or integrates any run: each run counts
+    its records and the core's buffers against ``MAX_RUN_RECORDS``.
 
     Returns one trace per run, in order.  When a run's norm drift exceeds
     NORM_DRIFT_LIMIT or is not finite, the whole batch is still integrated
@@ -214,6 +228,11 @@ def integrate_batch(
     """
     if not runs:
         return []
+    if len(runs) > (cap := config.max_runs(*runs[0][2:])):
+        raise InvalidInputError(
+            f"{len(runs)} runs of {config.step_count(*runs[0][2:])} steps, recorded every {RECORD_EVERY}, "
+            f"are past the cap of {cap} such runs in one batch"
+        )
     k = np.empty((len(runs), 3, 3))
     e = np.empty((len(runs), 3))
     dt = np.empty(len(runs))
@@ -233,13 +252,7 @@ def integrate_batch(
         dt[i] = t_end / n_steps
     if len(step_counts) != 1:
         raise InvalidInputError(f"runs in one batch must share a step count, got {sorted(step_counts)}")
-    n_records = config.record_count(n_steps)
-    if len(runs) * n_records > MAX_RUN_RECORDS:
-        raise InvalidInputError(
-            f"{len(runs)} runs of {n_steps} steps, recorded every {RECORD_EVERY}, "
-            f"make {len(runs) * n_records} records, past the cap of {MAX_RUN_RECORDS:.0e}"
-        )
-
+    n_records = _record_count(n_steps)
     record_steps = np.minimum(np.arange(n_records) * RECORD_EVERY, n_steps)
     pops = np.empty((n_records, len(runs), 3))
     filled = 0

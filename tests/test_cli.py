@@ -378,8 +378,15 @@ class TestLeakage:
         assert code == 2 and err == f"error: grid axis {axis!r} needs finite ends a finite distance apart\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("omega", ["0", "-1", "nan", "inf"])
-    def test_unusable_omega_is_an_error(self, tmp_path, capsys, omega):
+    @pytest.mark.parametrize("omega, line", [
+        pytest.param(omega, line, id=omega) for omega, line in [
+            ("0", "harmonic pulse requires omega > 0"), ("-0.0", "harmonic pulse requires omega > 0"),
+            ("-1", "harmonic pulse requires omega > 0"), ("nan", "pulse parameters must be finite"),
+            ("inf", "pulse parameters must be finite"), ("-inf", "pulse parameters must be finite"),
+        ]
+    ])
+    def test_unusable_omega_is_an_error(self, tmp_path, capsys, omega, line):
+        """The harmonic pulse refuses the drive frequency, in its own words."""
         out = tmp_path / "scan.csv"
         code = main(
             [
@@ -387,8 +394,9 @@ class TestLeakage:
                 "--grid", "omega12:0.05,omega13:0", "--out", str(out),
             ]
         )
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith(f"error: {line}") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestConditions:
@@ -530,10 +538,13 @@ class TestOversizedRequests:
             ["trace", "--alpha", "0", "--area", "1.0", "--periods", "1e306"],
             ["kick", "--alpha", "0", "--area", "1.0", "--steps-per-period", "1" + "0" * 400],
             ["leakage", "--n-o", "1", "--n-op", "1", "--grid", "omega12:0:1:100000,omega13:0:1:100000"],
-            # 20,005,000 points: past MAX_RUN_RECORDS // 2, since each run records two steps at least
+            # 20,005,000 points: past the cap at any step, since each run holds two records at least
             ["leakage", "--n-o", "1", "--n-op", "1", "--grid", "omega12:0:1:5000,omega13:0:1:4001"],
-            # one point past the cap at the default step, where each run makes 501 records
-            ["leakage", "--n-o", "1", "--n-op", "1", "--grid", "omega12:0:0.1:79841,omega13:0"],
+            # one point past the cap at the default step, where each run costs 501 records and 584 for the core
+            ["leakage", "--n-o", "1", "--n-op", "1", "--grid", "omega12:0:0.1:36867,omega13:0"],
+            # 20,000,000 runs of 2 records: within a cap of records alone, but 200 GB of core buffers
+            ["leakage", "--n-o", "1", "--n-op", "1", "--steps-per-period", "40",
+             "--grid", "omega12:0:1:5000,omega13:0:1:4000"],
         ],
     )
     def test_refused_before_allocating(self, tmp_path, capsys, argv):
@@ -554,8 +565,8 @@ class TestOversizedRequests:
         assert not out.exists()
 
     def test_largest_leakage_grid_reaches_the_scan(self, tmp_path, monkeypatch):
-        """79,840 points of 501 records fill the records cap without passing
-        it, so the whole grid reaches leakage_scan."""
+        """36,866 points of 501 records and 584 for the core's buffers fill
+        the cap without passing it, so the whole grid reaches leakage_scan."""
 
         class Reached(Exception):
             pass
@@ -567,10 +578,10 @@ class TestOversizedRequests:
             raise Reached
 
         monkeypatch.setattr(cli_module, "leakage_scan", reached)
-        argv = ["leakage", "--n-o", "1", "--n-op", "1", "--grid", "omega12:0:0.1:79840,omega13:0"]
+        argv = ["leakage", "--n-o", "1", "--n-op", "1", "--grid", "omega12:0:0.1:36866,omega13:0"]
         with pytest.raises(Reached):
             main([*argv, "--out", str(tmp_path / "out.csv")])
-        assert points == [79840]
+        assert points == [36866]
 
 
 class TestEnvOverride:

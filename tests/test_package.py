@@ -119,7 +119,7 @@ _LEAKAGE = ["leakage", "--n-o", "1", "--n-op", "1", "--grid"]
                  "period 2 pi / omega is not finite for omega = 1e-308", id="cli-leakage-period-inf"),
     pytest.param(["trace", "--alpha", "1e200", "--area", "1", "--steps-per-period", "100"],
                  "norm drift nan exceeds 1e-06; reduce the step", id="cli-trace-drift-nan"),
-    pytest.param(["kick", "--alpha", "0", "--area", "1", "--widths", "0.1,0"], "kick widths must be positive",
+    pytest.param(["kick", "--alpha", "0", "--area", "1", "--widths", "0.1,0"], "gaussian kick requires a positive width",
                  id="cli-kick-width-0"),
     pytest.param(["kick", "--alpha", "0", "--area", "1", "--widths", "1e-310"],
                  "gaussian kick peak |area| / (width sqrt(2 pi)) is not finite for area 1.0 and width 1e-310",

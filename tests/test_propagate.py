@@ -496,8 +496,9 @@ class TestBatchedCore:
         over 40, at 1, 17 and 300 runs, each run on its own drive; with a
         drive block of one chunk, the drive samples are the same size at
         both lengths.  At the default block, 40 chunks stay under the figure
-        of the MAX_RUN_RECORDS comment for a batch beyond its records: 0.8 MB
-        plus 9.9 KB a run, and 4.1 KB for each distinct drive."""
+        of the MAX_RUN_RECORDS comment for a batch beyond its records, the
+        bytes the cap counts: 0.8 MB plus the buffers of a run and of each
+        distinct drive."""
 
         def drained_peak(n_runs, n_chunks, block):
             chunk, _ = propagate._chunk_sizes(n_runs, 2**53)
@@ -517,7 +518,7 @@ class TestBatchedCore:
         for n_runs in (1, 17, 300):
             short, long = (drained_peak(n_runs, n_chunks, 1) for n_chunks in (4, 40))
             assert abs(long - short) < 1e3, (n_runs, short, long)
-            assert drained_peak(n_runs, 40, propagate._DRIVE_BLOCK_STEPS) < 0.8e6 + n_runs * (9.9e3 + 4.1e3)
+            assert drained_peak(n_runs, 40, propagate._DRIVE_BLOCK_STEPS) < 0.8e6 + n_runs * (propagate._RUN_BYTES + propagate._DRIVE_BYTES)
 
     @staticmethod
     def _drive_calls(monkeypatch, drives):
@@ -675,22 +676,40 @@ class TestBatchedCore:
 
     def test_records_past_the_cap_are_refused(self, monkeypatch):
         """Runs x records, counted with the final record of a stride that
-        does not divide the step count, may reach the cap but not pass it."""
+        does not divide the step count, may reach the cap but not pass it
+        (here the core's buffers are counted as no bytes)."""
         monkeypatch.setattr(propagate, "MAX_RUN_RECORDS", 12)
+        monkeypatch.setattr(propagate, "_RUN_BYTES", 0)
+        monkeypatch.setattr(propagate, "_DRIVE_BYTES", 0)
         k = RATIOS_33.coupling_matrix()
         run = (k, DEGENERATE, Pulse.constant(1.0), 1.0)
         even = IntegratorConfig(steps_per_period=20)  # records at 0, 10 and 20
         odd = IntegratorConfig(steps_per_period=21)  # 0, 10, 20 and 21
         assert [len(t.times) for t in integrate_batch([run] * 4, even)] == [3] * 4
-        with pytest.raises(InvalidInputError, match="make 15 records"):
+        with pytest.raises(InvalidInputError, match="5 runs of 20 steps, recorded every 10, are past the cap of 4 "):
             integrate_batch([run] * 5, even)
-        with pytest.raises(InvalidInputError, match="make 16 records"):
+        with pytest.raises(InvalidInputError, match="4 runs of 21 steps, recorded every 10, are past the cap of 3 "):
             integrate_batch([run] * 4, odd)
+
+    def test_core_buffers_count_against_the_cap(self, monkeypatch):
+        """Each run costs its records and the core's buffers of a run on its
+        own drive, 14,000 bytes or 584 records: at a cap of 3 x (2 + 584)
+        records, 3 two-record runs pass and a fourth is refused, before the
+        batch is integrated, where records alone would admit 879."""
+        monkeypatch.setattr(propagate, "MAX_RUN_RECORDS", 3 * (2 + 584))
+        run = (RATIOS_33.coupling_matrix(), DEGENERATE, Pulse.constant(1.0), 1.0)
+        config = IntegratorConfig(steps_per_period=10)  # records at 0 and 10
+        assert config.max_runs(Pulse.constant(1.0), 1.0) == 3
+        assert [len(t.times) for t in integrate_batch([run] * 3, config)] == [2] * 3
+        with patch.object(propagate, "_rk4", side_effect=AssertionError("integrated")):
+            with pytest.raises(InvalidInputError, match="4 runs of 10 steps, recorded every 10, are past the cap of 3 "):
+                integrate_batch([run] * 4, config)
 
     def test_cli_sized_batches_pass_the_cap(self, monkeypatch):
         """verify and leakage put every member or grid point in one batch of
         501 records at the default step: 4,500 of each pass the cap and reach
-        the integrator, as does a single run of exactly MAX_RUN_RECORDS."""
+        the integrator, as does a single run whose records and core buffers
+        (584 records) come to exactly MAX_RUN_RECORDS."""
 
         class Reached(Exception):
             pass
@@ -705,7 +724,7 @@ class TestBatchedCore:
         with pytest.raises(Reached):
             leakage_scan(cond, [(0.01 * i, 0.02 * i) for i in range(1, 4001)])
         run = (RATIOS_33.coupling_matrix(), DEGENERATE, Pulse.constant(1.0), 1.0)
-        at_cap = (propagate.MAX_RUN_RECORDS - 1) * propagate.RECORD_EVERY  # steps, so records 0 .. at_cap
+        at_cap = (propagate.MAX_RUN_RECORDS - 585) * propagate.RECORD_EVERY  # steps, so records 0 .. at_cap
         with pytest.raises(Reached):
             integrate_batch([run], IntegratorConfig(steps_per_period=at_cap))
         with pytest.raises(InvalidInputError, match="past the cap"):

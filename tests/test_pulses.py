@@ -290,6 +290,7 @@ def huge_pulses(draw) -> Pulse:
 @example(Pulse.harmonic(1.0, 1e300), 1e300)
 @example(Pulse.gaussian_kick(1.0, 0.0, 1e-300), 1.0)
 @example(Pulse.gaussian_kick(1.0, -1e308, 1.0), 1e308)
+@example(Pulse.gaussian_kick(1.0, -1e308, 1e307), 1e308)
 @example(Pulse.gaussian_kick(1.0, 0.0, 1e-308), 1e10)
 @example(Pulse.gaussian_kick(1.0, np.float64(0.0), 1e-300), 1.0)
 @example(Pulse.gaussian_kick(1.0, np.float64(1e10), 1e-300), 5.0)
