@@ -76,15 +76,17 @@ from .pulses import Pulse
 DEFAULT_STEPS_PER_PERIOD = 20000
 RECORD_EVERY = 10  # the trace stride: 2,000 samples per drive period at the default step
 NORM_DRIFT_LIMIT = 1e-6
-# What one batch may hold, counted in records of three float64 populations:
-# 4e7 records are 960 MB, about the memory the table cap allows.  Beyond its
-# records a batch holds at most 0.8 MB, plus the core's buffers of 9.9 KB a
-# run and 4.1 KB a distinct drive; ``IntegratorConfig.max_runs`` counts each
-# run as its records and both buffers, rounded up to whole records.
-MAX_RUN_RECORDS = 40_000_000
-_RECORD_BYTES = 24
-_RUN_BYTES = 9_900
-_DRIVE_BYTES = 4_100
+# What one batch may hold, in bytes: about the memory the table cap allows.
+# ``IntegratorConfig.max_runs`` charges each run what ``integrate_batch``
+# holds for it, measured under tracemalloc.  A record costs 40 bytes: its
+# three float64 populations 24, its time 8, and the batch's record step 8,
+# charged to every run so that a single run is covered.  A run costs 14,000
+# bytes more for the core's buffers, 9.9 KB a run and 4.1 KB a distinct
+# drive, as if each run had a drive of its own.  Beyond these a batch holds
+# at most 0.8 MB.
+MAX_BATCH_BYTES = 960_000_000
+_RECORD_BYTES = 40
+_RUN_BYTES = 14_000
 
 _log = logging.getLogger("tripop")
 
@@ -146,11 +148,10 @@ class IntegratorConfig:
         return max(1, nearest if abs(ratio - nearest) <= 1e-12 * ratio else math.ceil(ratio))
 
     def max_runs(self, pulse: Pulse, t_end: float) -> int:
-        """Runs of ``pulse`` to ``t_end`` that one batch may hold.  Each costs
-        its records and, as if it had a drive of its own, the core's buffers,
-        rounded up to whole records; a batch holds ``MAX_RUN_RECORDS``."""
-        buffers = -(-(_RUN_BYTES + _DRIVE_BYTES) // _RECORD_BYTES)
-        return MAX_RUN_RECORDS // (_record_count(self.step_count(pulse, t_end)) + buffers)
+        """Runs of ``pulse`` to ``t_end`` that one batch may hold: each is
+        charged ``_RECORD_BYTES`` a record and ``_RUN_BYTES`` for the core's
+        buffers, and a batch holds ``MAX_BATCH_BYTES``."""
+        return MAX_BATCH_BYTES // (_RECORD_BYTES * _record_count(self.step_count(pulse, t_end)) + _RUN_BYTES)
 
 
 def _record_count(n_steps: int) -> int:
@@ -214,8 +215,10 @@ def integrate_batch(
     them must come to the same number of steps.
 
     Refuses a batch of more runs than ``config.max_runs`` allows for run 0's
-    pulse and t_end, before it checks or integrates any run: each run counts
-    its records and the core's buffers against ``MAX_RUN_RECORDS``.
+    pulse and t_end, before it checks or integrates any run.  Besides the
+    core's buffers, it holds the populations and only three arrays of a
+    record per run: the drift, reduced in place, the record steps and each
+    trace's times; ``max_runs`` charges each run all of these.
 
     Returns one trace per run, in order.  When a run's norm drift exceeds
     NORM_DRIFT_LIMIT or is not finite, the whole batch is still integrated
@@ -264,8 +267,9 @@ def integrate_batch(
             np.abs(amplitudes, out=recorded)
             np.square(recorded, out=recorded)
             filled += len(amplitudes)
-    pops = pops.transpose(1, 0, 2)
-    drifts = np.max(np.abs(1.0 - pops.sum(axis=2)), axis=1)
+    drifts = pops.sum(axis=2)  # one record x run array, reused in place
+    np.abs(np.subtract(1.0, drifts, out=drifts), out=drifts)
+    drifts = np.max(drifts, axis=0)
     worst = int(np.argmax(drifts))  # a NaN drift counts as the worst
     _log.debug(
         "RK4 batch: %d runs x %d steps, record every %d, chunks of at most %d steps, "
@@ -280,7 +284,7 @@ def integrate_batch(
             0.1 * NORM_DRIFT_LIMIT, drifting, len(runs), drifts[worst], worst,
         )
     traces = [
-        PopulationTrace(times=record_steps * dt[i], populations=pops[i], norm_drift=float(drift))
+        PopulationTrace(times=record_steps * dt[i], populations=pops[:, i], norm_drift=float(drift))
         if drift <= NORM_DRIFT_LIMIT else None
         for i, drift in enumerate(drifts)
     ]

@@ -19,11 +19,12 @@ from .conditions import (
     TransferCondition,
     classify_cases,
     enumerate_conditions,
+    family_integers,
     populations_closed_form_array,
 )
-from .errors import NormDriftExceededError
+from .errors import InvalidInputError, NormDriftExceededError
 from .propagate import IntegratorConfig, LevelEnergies, integrate_batch
-from .pulses import harmonic_for_condition
+from .pulses import Pulse
 
 ANALYTIC_TOL = 1e-12
 ODE_TOL = 1e-6
@@ -57,31 +58,40 @@ def check_condition(cond: TransferCondition, config: IntegratorConfig = Integrat
 
 
 def verify_conditions(max_product: int, config: IntegratorConfig = IntegratorConfig()) -> list[ConditionCheck]:
-    """Check every family member with n1*n2 <= max_product, every RK4 run at ``config``'s step."""
+    """Check every family member with n1*n2 <= max_product, every RK4 run at
+    ``config``'s step.  A family of more members than ``config.max_runs``
+    admits in one batch is refused before any member is built."""
+    members = len(family_integers(max_product)[0])
+    if members > (cap := config.max_runs(*_drive(1.0))):  # every action's drive has the same steps
+        raise InvalidInputError(f"family of {members} members is past the cap of {cap} for this run length")
     return _check_conditions(enumerate_conditions(max_product), config)
+
+
+def _drive(action_t0: float) -> tuple[Pulse, float]:
+    """The harmonic drive at omega = 1 whose action reaches ``action_t0`` at
+    t0 = T/4, a quarter of its period, and t0, where its RK4 run ends."""
+    pulse = Pulse.harmonic(v0=action_t0, omega=1.0)  # A(T/4) = v0 / omega
+    return pulse, pulse.period / 4
 
 
 def _check_conditions(conds: list[TransferCondition], config: IntegratorConfig) -> list[ConditionCheck]:
     """The check battery for each condition, with every RK4 run in one batch.
 
-    Each condition is driven at omega = 1 up to t0 = T/4, a quarter of the
-    drive period, which ``config`` divides into ``steps_per_period`` steps,
-    so the runs share a step count.  When runs drift past the limit, the
-    batch's error carries the other runs' traces: a drifting run fails only
-    its own check, with an infinite ODE deviation.
+    Each condition is driven by ``_drive`` up to a quarter of a drive period
+    that ``config`` divides into ``steps_per_period`` steps, so the runs
+    share a step count.  When runs drift past the limit, the batch's error
+    carries the other runs' traces: a drifting run fails only its own
+    check, with an infinite ODE deviation.
     """
-    pulses = [harmonic_for_condition(cond, 1.0) for cond in conds]
-    runs = [
-        (cond.ratios().coupling_matrix(), LevelEnergies.degenerate(), pulse, pulse.period / 4)
-        for cond, pulse in zip(conds, pulses)
-    ]
+    drives = [_drive(cond.action_t0) for cond in conds]
+    runs = [(cond.ratios().coupling_matrix(), LevelEnergies.degenerate(), *drive) for cond, drive in zip(conds, drives)]
     try:
         traces = integrate_batch(runs, config)
     except NormDriftExceededError as exc:
         traces = exc.traces
 
     checks = []
-    for cond, pulse, trace in zip(conds, pulses, traces):
+    for cond, (pulse, _), trace in zip(conds, drives, traces):
         at_transfer = populations_closed_form_array(cond, cond.action_t0)[0]
         analytic_error = float(np.max(np.abs(at_transfer - np.eye(3)[cond.target - 1])))
         cases_ok = all(

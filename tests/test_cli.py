@@ -540,11 +540,14 @@ class TestOversizedRequests:
             ["leakage", "--n-o", "1", "--n-op", "1", "--grid", "omega12:0:1:100000,omega13:0:1:100000"],
             # 20,005,000 points: past the cap at any step, since each run holds two records at least
             ["leakage", "--n-o", "1", "--n-op", "1", "--grid", "omega12:0:1:5000,omega13:0:1:4001"],
-            # one point past the cap at the default step, where each run costs 501 records and 584 for the core
-            ["leakage", "--n-o", "1", "--n-op", "1", "--grid", "omega12:0:0.1:36867,omega13:0"],
+            # one point past the cap at the default step, where each run is charged 501 records of 40 bytes
+            # and 14,000 bytes for the core
+            ["leakage", "--n-o", "1", "--n-op", "1", "--grid", "omega12:0:0.1:28203,omega13:0"],
             # 20,000,000 runs of 2 records: within a cap of records alone, but 200 GB of core buffers
             ["leakage", "--n-o", "1", "--n-op", "1", "--steps-per-period", "40",
              "--grid", "omega12:0:1:5000,omega13:0:1:4000"],
+            # 108,781 members past the cap of 28,202 runs at the default step, refused before one is built
+            ["verify", "--max-product", "100000"],
         ],
     )
     def test_refused_before_allocating(self, tmp_path, capsys, argv):
@@ -565,8 +568,9 @@ class TestOversizedRequests:
         assert not out.exists()
 
     def test_largest_leakage_grid_reaches_the_scan(self, tmp_path, monkeypatch):
-        """36,866 points of 501 records and 584 for the core's buffers fill
-        the cap without passing it, so the whole grid reaches leakage_scan."""
+        """28,202 points, each charged 501 records of 40 bytes and 14,000
+        bytes for the core's buffers, fill the cap without passing it, so
+        the whole grid reaches leakage_scan."""
 
         class Reached(Exception):
             pass
@@ -578,10 +582,10 @@ class TestOversizedRequests:
             raise Reached
 
         monkeypatch.setattr(cli_module, "leakage_scan", reached)
-        argv = ["leakage", "--n-o", "1", "--n-op", "1", "--grid", "omega12:0:0.1:36866,omega13:0"]
+        argv = ["leakage", "--n-o", "1", "--n-op", "1", "--grid", "omega12:0:0.1:28202,omega13:0"]
         with pytest.raises(Reached):
             main([*argv, "--out", str(tmp_path / "out.csv")])
-        assert points == [36866]
+        assert points == [28202]
 
 
 class TestEnvOverride:

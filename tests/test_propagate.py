@@ -496,9 +496,9 @@ class TestBatchedCore:
         over 40, at 1, 17 and 300 runs, each run on its own drive; with a
         drive block of one chunk, the drive samples are the same size at
         both lengths.  At the default block, 40 chunks stay under the figure
-        of the MAX_RUN_RECORDS comment for a batch beyond its records, the
-        bytes the cap counts: 0.8 MB plus the buffers of a run and of each
-        distinct drive."""
+        of the MAX_BATCH_BYTES comment for a batch beyond its records, the
+        bytes the cap charges: 0.8 MB plus _RUN_BYTES a run, the buffers of a
+        run and of a distinct drive."""
 
         def drained_peak(n_runs, n_chunks, block):
             chunk, _ = propagate._chunk_sizes(n_runs, 2**53)
@@ -518,7 +518,7 @@ class TestBatchedCore:
         for n_runs in (1, 17, 300):
             short, long = (drained_peak(n_runs, n_chunks, 1) for n_chunks in (4, 40))
             assert abs(long - short) < 1e3, (n_runs, short, long)
-            assert drained_peak(n_runs, 40, propagate._DRIVE_BLOCK_STEPS) < 0.8e6 + n_runs * (propagate._RUN_BYTES + propagate._DRIVE_BYTES)
+            assert drained_peak(n_runs, 40, propagate._DRIVE_BLOCK_STEPS) < 0.8e6 + n_runs * propagate._RUN_BYTES
 
     @staticmethod
     def _drive_calls(monkeypatch, drives):
@@ -576,6 +576,44 @@ class TestBatchedCore:
             buffers = max(1024, n_runs * propagate.RECORD_EVERY) * (12 + 36) * 8  # monomials and step matrices
             drive = n_drives * (2 * 256 + 1) * 8  # one block of half-step samples per distinct drive
             assert peak < records + coefficients + 2 * buffers + drive, (n_runs, n_drives)
+
+    def test_batch_holds_what_it_is_charged(self, monkeypatch):
+        """integrate_batch peaks within what max_runs charges: _RECORD_BYTES
+        a record and _RUN_BYTES a run, plus the 0.8 MB floor.  800 short
+        runs on distinct drives peak in the chunk loop and take the real
+        core.  Long runs peak in the drift pass, once the core's buffers are
+        freed, so one run of 200,001 records and four of 100,001 take a
+        stand-in core that yields unit amplitudes from a block made before
+        tracing.  One run holds 40 bytes a record; a drift pass that holds
+        two record x run arrays at once takes it to 48."""
+
+        def peak(n_runs, n_records):
+            runs = [(RATIOS_33.coupling_matrix(), DEGENERATE, Pulse.constant(1.0 + i / n_runs), 1.0)
+                    for i in range(n_runs)]
+            config = IntegratorConfig(steps_per_period=(n_records - 1) * propagate.RECORD_EVERY)
+            integrate_batch(runs[:1], IntegratorConfig(steps_per_period=100))  # first-call imports and caches
+            tracemalloc.start()
+            try:
+                traces = integrate_batch(runs, config)
+                held = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(traces) == n_runs and len(traces[0].times) == n_records
+            charged = n_runs * (propagate._RECORD_BYTES * n_records + propagate._RUN_BYTES)
+            assert held < charged + 0.8e6, (n_runs, n_records)
+
+        unit_block = np.zeros((1000, 4, 3), dtype=complex)
+        unit_block[..., 0] = 1.0
+
+        def unit_core(k, e, pulses, dt, n_steps):
+            n_records = propagate._record_count(n_steps)
+            for first in range(0, n_records, len(unit_block)):
+                yield unit_block[: n_records - first, : len(k)]
+
+        peak(800, 51)
+        monkeypatch.setattr(propagate, "_rk4", unit_core)
+        peak(1, 200_001)
+        peak(4, 100_001)
 
     def test_batch_is_logged(self, caplog):
         """One debug record per batch; a warning names the run whose drift
@@ -677,10 +715,10 @@ class TestBatchedCore:
     def test_records_past_the_cap_are_refused(self, monkeypatch):
         """Runs x records, counted with the final record of a stride that
         does not divide the step count, may reach the cap but not pass it
-        (here the core's buffers are counted as no bytes)."""
-        monkeypatch.setattr(propagate, "MAX_RUN_RECORDS", 12)
+        (here a batch holds 12 records, and the core's buffers are charged
+        no bytes)."""
+        monkeypatch.setattr(propagate, "MAX_BATCH_BYTES", 12 * propagate._RECORD_BYTES)
         monkeypatch.setattr(propagate, "_RUN_BYTES", 0)
-        monkeypatch.setattr(propagate, "_DRIVE_BYTES", 0)
         k = RATIOS_33.coupling_matrix()
         run = (k, DEGENERATE, Pulse.constant(1.0), 1.0)
         even = IntegratorConfig(steps_per_period=20)  # records at 0, 10 and 20
@@ -692,11 +730,11 @@ class TestBatchedCore:
             integrate_batch([run] * 4, odd)
 
     def test_core_buffers_count_against_the_cap(self, monkeypatch):
-        """Each run costs its records and the core's buffers of a run on its
-        own drive, 14,000 bytes or 584 records: at a cap of 3 x (2 + 584)
-        records, 3 two-record runs pass and a fourth is refused, before the
-        batch is integrated, where records alone would admit 879."""
-        monkeypatch.setattr(propagate, "MAX_RUN_RECORDS", 3 * (2 + 584))
+        """Each run is charged its records and the core's buffers of a run
+        on its own drive, 14,000 bytes: at a cap of 3 x (2 x 40 + 14,000)
+        bytes, 3 two-record runs pass and a fourth is refused, before the
+        batch is integrated, where records alone would admit 528."""
+        monkeypatch.setattr(propagate, "MAX_BATCH_BYTES", 3 * (2 * 40 + 14_000))
         run = (RATIOS_33.coupling_matrix(), DEGENERATE, Pulse.constant(1.0), 1.0)
         config = IntegratorConfig(steps_per_period=10)  # records at 0 and 10
         assert config.max_runs(Pulse.constant(1.0), 1.0) == 3
@@ -705,11 +743,20 @@ class TestBatchedCore:
             with pytest.raises(InvalidInputError, match="4 runs of 10 steps, recorded every 10, are past the cap of 3 "):
                 integrate_batch([run] * 4, config)
 
+    def test_verify_past_the_cap_builds_nothing(self):
+        """n1*n2 <= 100,000 holds 108,781 members, past the cap of 28,202
+        runs at the default step: verify_conditions refuses them, naming
+        both counts, before enumerate_conditions builds one condition."""
+        refusal = "^family of 108781 members is past the cap of 28202 for this run length$"
+        with patch.object(verification, "enumerate_conditions", side_effect=AssertionError("built")):
+            with pytest.raises(InvalidInputError, match=refusal):
+                verify_conditions(100000)
+
     def test_cli_sized_batches_pass_the_cap(self, monkeypatch):
         """verify and leakage put every member or grid point in one batch of
         501 records at the default step: 4,500 of each pass the cap and reach
-        the integrator, as does a single run whose records and core buffers
-        (584 records) come to exactly MAX_RUN_RECORDS."""
+        the integrator, as does the longest single run whose records and
+        core buffers fit in MAX_BATCH_BYTES."""
 
         class Reached(Exception):
             pass
@@ -724,7 +771,8 @@ class TestBatchedCore:
         with pytest.raises(Reached):
             leakage_scan(cond, [(0.01 * i, 0.02 * i) for i in range(1, 4001)])
         run = (RATIOS_33.coupling_matrix(), DEGENERATE, Pulse.constant(1.0), 1.0)
-        at_cap = (propagate.MAX_RUN_RECORDS - 585) * propagate.RECORD_EVERY  # steps, so records 0 .. at_cap
+        records = (propagate.MAX_BATCH_BYTES - propagate._RUN_BYTES) // propagate._RECORD_BYTES
+        at_cap = (records - 1) * propagate.RECORD_EVERY  # steps, so records 0 .. at_cap
         with pytest.raises(Reached):
             integrate_batch([run], IntegratorConfig(steps_per_period=at_cap))
         with pytest.raises(InvalidInputError, match="past the cap"):
