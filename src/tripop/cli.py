@@ -150,7 +150,7 @@ def cmd_trace(args) -> int:
     pulse = Pulse.harmonic(v0=args.area, omega=1.0)  # A(T/4) = v0/omega
     t_end = args.periods * pulse.period
     config = IntegratorConfig(steps_per_period=args.steps_per_period)
-    trace = integrate(ratios, LevelEnergies.degenerate(), pulse, t_end, config)
+    trace = integrate(ratios, LevelEnergies(), pulse, t_end, config)
     analytic = populations_general_array(basis, pulse.area(trace.times).a)
     header = ["t", "p1", "p2", "p3", "p1_num", "p2_num", "p3_num"]
     _write_rows(args, header, [trace.times, *analytic.T, *trace.populations.T])

@@ -120,7 +120,7 @@ def measured_delta_p2(
     """Dual-RK4 difference P2_degenerate(t) - P2_split(t); the estimate oracle."""
     k = ratios.coupling_matrix()
     runs = [
-        (k, LevelEnergies.degenerate(), pulse, t),
+        (k, LevelEnergies(), pulse, t),
         (k, LevelEnergies.from_splittings(omega12, omega13), pulse, t),
     ]
     deg, split = integrate_batch(runs, config)

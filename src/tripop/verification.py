@@ -24,12 +24,11 @@ from .conditions import (
 )
 from .errors import InvalidInputError, NormDriftExceededError
 from .propagate import IntegratorConfig, LevelEnergies, integrate_batch
-from .pulses import Pulse
+from .pulses import Pulse, harmonic_for_condition
 
 ANALYTIC_TOL = 1e-12
 ODE_TOL = 1e-6
-# Per case set i, ii and iii: the product of (k, k') that equals n1*n2, and
-# the parities (k % 2, k' % 2).
+# Per case set i, ii and iii: the product of (k, k') that equals n1*n2, and the parities (k % 2, k' % 2).
 _CASE_LAWS = (
     (lambda k, kp: (k - kp) * (2 * k + kp), (0, 1)),
     (lambda k, kp: (2 * k + kp) * (k + 2 * kp), (1, 1)),
@@ -62,36 +61,30 @@ def verify_conditions(max_product: int, config: IntegratorConfig = IntegratorCon
     ``config``'s step.  A family of more members than ``config.max_runs``
     admits in one batch is refused before any member is built."""
     members = len(family_integers(max_product)[0])
-    if members > (cap := config.max_runs(*_drive(1.0))):  # every action's drive has the same steps
+    pulse = Pulse.harmonic(v0=1.0, omega=1.0)  # every member's drive has this period, so these steps
+    if members > (cap := config.max_runs(pulse, pulse.period / 4)):
         raise InvalidInputError(f"family of {members} members is past the cap of {cap} for this run length")
     return _check_conditions(enumerate_conditions(max_product), config)
-
-
-def _drive(action_t0: float) -> tuple[Pulse, float]:
-    """The harmonic drive at omega = 1 whose action reaches ``action_t0`` at
-    t0 = T/4, a quarter of its period, and t0, where its RK4 run ends."""
-    pulse = Pulse.harmonic(v0=action_t0, omega=1.0)  # A(T/4) = v0 / omega
-    return pulse, pulse.period / 4
 
 
 def _check_conditions(conds: list[TransferCondition], config: IntegratorConfig) -> list[ConditionCheck]:
     """The check battery for each condition, with every RK4 run in one batch.
 
-    Each condition is driven by ``_drive`` up to a quarter of a drive period
-    that ``config`` divides into ``steps_per_period`` steps, so the runs
-    share a step count.  When runs drift past the limit, the batch's error
-    carries the other runs' traces: a drifting run fails only its own
-    check, with an infinite ODE deviation.
+    Each condition is driven by ``harmonic_for_condition`` at omega = 1 up
+    to t0 = T/4, a quarter of a period that ``config`` divides into
+    ``steps_per_period`` steps, so the runs share a step count.  When runs
+    drift past the limit, the batch's error carries the other runs' traces:
+    a drifting run fails only its own check, with an infinite ODE deviation.
     """
-    drives = [_drive(cond.action_t0) for cond in conds]
-    runs = [(cond.ratios().coupling_matrix(), LevelEnergies.degenerate(), *drive) for cond, drive in zip(conds, drives)]
+    pulses = [harmonic_for_condition(cond, 1.0) for cond in conds]
+    runs = [(cond.ratios().coupling_matrix(), LevelEnergies(), p, p.period / 4) for cond, p in zip(conds, pulses)]
     try:
         traces = integrate_batch(runs, config)
     except NormDriftExceededError as exc:
         traces = exc.traces
 
     checks = []
-    for cond, (pulse, _), trace in zip(conds, drives, traces):
+    for cond, pulse, trace in zip(conds, pulses, traces):
         at_transfer = populations_closed_form_array(cond, cond.action_t0)[0]
         analytic_error = float(np.max(np.abs(at_transfer - np.eye(3)[cond.target - 1])))
         cases_ok = all(

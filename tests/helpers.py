@@ -83,7 +83,7 @@ def compare_analytic_numeric(
     if ratios.eps != (0.0, 0.0, 0.0):
         raise InvalidInputError("analytic comparison requires eps = (0, 0, 0)")
     basis = build_dressed_basis(ratios)
-    trace = integrate(ratios, LevelEnergies.degenerate(), pulse, t_end, config)
+    trace = integrate(ratios, LevelEnergies(), pulse, t_end, config)
     actions = pulse.area(trace.times).a
     analytic = populations_general_array(basis, actions)
     return float(np.max(np.abs(analytic - trace.populations)))

@@ -136,7 +136,7 @@ def test_criterion_03_ode_oracle_matches_figures():
         ratios = CouplingRatios(alpha=alpha, beta=1.0)
         pulse = Pulse.harmonic(v0=area, omega=1.0)
         worst_dev = max(worst_dev, compare_analytic_numeric(ratios, pulse, T, config))
-        trace = integrate(ratios, LevelEnergies.degenerate(), pulse, T, config)
+        trace = integrate(ratios, LevelEnergies(), pulse, T, config)
         worst_drift = max(worst_drift, trace.norm_drift)
     elapsed = time.perf_counter() - start
     ok = worst_dev < 1e-6 and worst_drift < 1e-8 and elapsed < 10.0
@@ -159,7 +159,7 @@ def test_criterion_04_negative_control():
     pulse = Pulse.harmonic(1.5, 1.0)
     trace = integrate(
         ratios,
-        LevelEnergies.degenerate(),
+        LevelEnergies(),
         pulse,
         T,
         IntegratorConfig(steps_per_period=20000),

@@ -51,7 +51,7 @@ RNG = np.random.default_rng(19)
 
 T = 2.0 * math.pi  # one drive period at omega = 1
 RATIOS_33 = CouplingRatios(alpha=0.0, beta=1.0)
-DEGENERATE = LevelEnergies.degenerate()
+DEGENERATE = LevelEnergies()
 
 
 class TestIntegrate:
@@ -693,6 +693,27 @@ class TestBatchedCore:
                 check = check_condition(condition_from_odd_pair(member.pair, sign, beta, target))
                 assert check.passed, check
                 assert check.analytic_error < 1e-12 and check.ode_deviation < 1e-7
+
+    def test_each_member_runs_on_its_public_drive(self, monkeypatch):
+        """``verify`` runs each member on its own coupling and degenerate
+        levels, driven by ``harmonic_for_condition`` at omega = 1 up to a
+        quarter of that pulse's period."""
+        batches = []
+
+        def recording(runs, config):
+            batches.append(runs)
+            return integrate_batch(runs, config)
+
+        monkeypatch.setattr(verification, "integrate_batch", recording)
+        checks = verify_conditions(35)
+        (runs,) = batches
+        assert len(runs) == len(checks) == 17
+        for check, (k, energies, pulse, t_end) in zip(checks, runs):
+            cond = check.condition
+            np.testing.assert_array_equal(k, cond.ratios().coupling_matrix())
+            assert energies == LevelEnergies()
+            assert pulse == harmonic_for_condition(cond, 1.0)
+            assert t_end == pulse.period / 4
 
     @pytest.mark.parametrize("case", [0, 1, 2])
     def test_a_wrong_case_set_fails_the_row(self, monkeypatch, cond_15, case):
