@@ -53,9 +53,9 @@ products are grouped: results at other budgets differ in rounding alone.
 Every level of that work is written into buffers made once per batch, so
 the chunk loop allocates no array but a gather of its drive samples, and no
 step-sized array is mapped afresh however the allocator is tuned.  At the
-RECORD_EVERY stride they take 595 bytes a configuration-step of a chunk:
-monomials 96, step matrices 288, the tree's first level 144, the scan 58,
-states and amplitudes 10.
+RECORD_EVERY stride they take 442 bytes a configuration-step of a chunk:
+monomials then the tree's first level 144, step matrices 288, states and
+amplitudes 10; the tree and the scan reuse the first two as each is spent.
 """
 
 from __future__ import annotations
@@ -81,9 +81,9 @@ NORM_DRIFT_LIMIT = 1e-6
 # holds for it, measured under tracemalloc.  A record costs 40 bytes: its
 # three float64 populations 24, its time 8, and the batch's record step 8,
 # charged to every run so that a single run is covered.  A run costs 14,000
-# bytes more for the core's buffers, 9.9 KB a run and 4.1 KB a distinct
-# drive, as if each run had a drive of its own.  Beyond these a batch holds
-# at most 0.8 MB.
+# bytes more for the core's buffers, as if each run had a drive of its own:
+# 1.5 KB more than the core holds, 8.4 KB a run and 4.1 KB a distinct drive.
+# Beyond these a batch holds at most 0.8 MB.
 MAX_BATCH_BYTES = 960_000_000
 _RECORD_BYTES = 40
 _RUN_BYTES = 14_000
@@ -343,11 +343,9 @@ def _rk4(
     # one row of samples per drive, made before the coefficients: after them it left the peak RSS higher
     drive_buffer = np.empty((len(drives), 2 * block + 1))
     coefficients = _step_coefficients(k, e * dt[:, None]).reshape(n_runs, n_mono, n_entries)
-    # made once the coefficients' temporaries are freed, so the two never add up
-    mono_buffer = np.empty(n_mono * n_runs * chunk)
+    # made once the coefficients' temporaries are freed, so the two never add up; monomials, then the tree's level 1
+    mono_buffer = np.empty(max(n_mono * chunk, n_intervals * -(-stride // 2) * n_entries) * n_runs)
     step_buffer = np.empty(n_runs * chunk * n_entries)
-    level_buffer = np.empty(n_runs * n_intervals * -(-stride // 2) * n_entries)
-    scan_buffers = np.empty((2, n_intervals * n_runs * n_entries))
     state_buffer = np.empty((n_intervals, n_runs, 2 * n, 1))
     amplitude_buffer = np.empty((n_intervals, n_runs, n), dtype=complex)
     amplitude_buffer[0] = np.eye(n)[0]
@@ -378,8 +376,8 @@ def _rk4(
         for diagonal in range(0, n_entries, 2 * n + 1):  # I, one strided pass per entry
             steps[diagonal::n_entries] += 1.0
         intervals = steps.reshape(-1, min(RECORD_EVERY, length), 2 * n, 2 * n)
-        products = _tree_products(intervals, level_buffer, step_buffer)
-        products = _prefix_products(products.reshape(n_runs, -1, 2 * n, 2 * n).swapaxes(0, 1), scan_buffers)
+        products, free, held = _tree_products(intervals, mono_buffer, step_buffer)
+        products = _prefix_products(products.reshape(n_runs, -1, 2 * n, 2 * n).swapaxes(0, 1), free, held)
         states = state_buffer[: len(products)]
         np.matmul(products, a, out=states)  # [intervals, N, 2 n, 1]
         a[...] = states[-1]  # a copy: the next chunk writes over the states
@@ -438,13 +436,14 @@ def _step_coefficients(k: np.ndarray, he: np.ndarray) -> np.ndarray:
     return m
 
 
-def _tree_products(p: np.ndarray, level: np.ndarray, spare: np.ndarray) -> np.ndarray:
+def _tree_products(p: np.ndarray, level: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """p[:, L-1] @ ... @ p[:, 0] for each row of p [M, L, ...], multiplied pairwise.
 
     Level 1 is written into the flat buffer ``level``, and later levels
     alternately into ``spare`` and ``level``, so ``spare`` may hold p itself,
     spent once level 1 is written.  An odd leftover is copied into the last
-    slot of its level.  Returns a view into one of the two buffers.
+    slot of its level.  Returns the product, the buffer it leaves free and
+    the buffer that holds the product.
     """
     while p.shape[1] > 1:
         width = p.shape[1]
@@ -455,21 +454,22 @@ def _tree_products(p: np.ndarray, level: np.ndarray, spare: np.ndarray) -> np.nd
         if even < width:
             out[:, -1] = p[:, -1]
         p, level, spare = out, spare, level
-    return p[:, 0]
+    return p[:, 0], level, spare
 
 
-def _prefix_products(q: np.ndarray, buffers: np.ndarray) -> np.ndarray:
+def _prefix_products(q: np.ndarray, free: np.ndarray, held: np.ndarray) -> np.ndarray:
     """s[j] = q[j] @ ... @ q[0] along the first axis, by a log-depth scan.
 
-    Each level is written into one of the two flat ``buffers`` [2, >= q.size]
-    in turn; the result is q itself or a view into one of them.
+    Levels are written into the flat buffers ``free`` and ``held`` in turn,
+    each of at least q.size floats, so q may be a view into ``held``.  The
+    result is q itself or a view into one of them, which leaves the other free.
     """
-    span, target = 1, 0
+    span = 1
     while span < len(q):
-        out = buffers[target, : q.size].reshape(q.shape)
+        out = free[: q.size].reshape(q.shape)
         out[:span] = q[:span]
         np.matmul(q[span:], q[:-span], out=out[span:])
-        q, span, target = out, 2 * span, 1 - target
+        q, span, free, held = out, 2 * span, held, free
     return q
 
 

@@ -439,7 +439,8 @@ class TestBatchedCore:
     @staticmethod
     def _tree(p):
         """_tree_products on p [M, L, 6, 6] held, as in the core, in the
-        flat buffer it may spend, with a first-level buffer of its own."""
+        flat buffer it may spend, with a first-level buffer of its own: the
+        product, the buffer left free and the one holding the product."""
         steps = np.empty(p.size)
         steps.reshape(p.shape)[...] = p
         level = np.empty(len(p) * -(-p.shape[1] // 2) * 36)
@@ -447,15 +448,20 @@ class TestBatchedCore:
 
     @staticmethod
     def _scan(q):
-        """_prefix_products on q with its two level buffers."""
-        return propagate._prefix_products(q, np.empty((2, q.size)))
+        """_prefix_products on q [L, M, 6, 6] handed over as in the core: a
+        view, interval-major, into a run-major flat buffer it may spend, with
+        a free buffer of the same size."""
+        held = np.empty(q.size)
+        view = held.reshape(q.shape[1], q.shape[0], *q.shape[2:]).swapaxes(0, 1)
+        view[...] = q
+        return propagate._prefix_products(view, np.empty(q.size), held)
 
     @pytest.mark.parametrize("length", [1, 2, 3, 6, 7, 16])
     def test_tree_products_multiply_in_order(self, length):
         """Each row's product is p[L-1] @ ... @ p[0], for odd and even L."""
         p = np.eye(6) + 0.3 * np.random.default_rng(length).normal(size=(4, length, 6, 6))
         expected = [functools.reduce(lambda acc, x: x @ acc, row) for row in p]
-        np.testing.assert_allclose(self._tree(p), expected, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(self._tree(p)[0], expected, rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("length", range(1, 18))
     def test_prefix_products_are_running_products(self, length):
@@ -475,9 +481,22 @@ class TestBatchedCore:
         rng = np.random.default_rng(length)
         for rows in (1, 2, 17, 300):
             p = np.eye(6) + 0.3 * rng.normal(size=(rows, length, 6, 6))
-            np.testing.assert_array_equal(self._tree(p), tree_products_reference(p))
+            np.testing.assert_array_equal(self._tree(p)[0], tree_products_reference(p))
             q = p.swapaxes(0, 1)
             np.testing.assert_array_equal(self._scan(q), prefix_products_reference(q))
+
+    @pytest.mark.parametrize("length", range(1, 18))
+    def test_tree_hands_the_scan_its_buffers(self, length):
+        """The tree returns its product with the buffer it leaves free and
+        the one it holds the product in.  The scan, handed both as in the
+        core, writes over the product it reads and still gives the
+        references' bits, for 3 runs of 4 intervals of ``length`` steps."""
+        p = np.eye(6) + 0.3 * np.random.default_rng(length).normal(size=(12, length, 6, 6))
+        product, free, held = self._tree(p)
+        assert np.shares_memory(product, held) and not np.shares_memory(product, free)
+        scan = propagate._prefix_products(product.reshape(3, 4, 6, 6).swapaxes(0, 1), free, held)
+        expected = prefix_products_reference(tree_products_reference(p).reshape(3, 4, 6, 6).swapaxes(0, 1))
+        np.testing.assert_array_equal(scan, expected)
 
     def test_no_state_is_carried_between_batches(self):
         """17 runs of 60-step chunks give the same bits before and after a
@@ -498,7 +517,9 @@ class TestBatchedCore:
         both lengths.  At the default block, 40 chunks stay under the figure
         of the MAX_BATCH_BYTES comment for a batch beyond its records, the
         bytes the cap charges: 0.8 MB plus _RUN_BYTES a run, the buffers of a
-        run and of a distinct drive."""
+        run and of a distinct drive.  Beyond its step coefficients and drive
+        samples, the core holds under 600 bytes a configuration-step of a
+        chunk: the tree and the scan take no buffers of their own."""
 
         def drained_peak(n_runs, n_chunks, block):
             chunk, _ = propagate._chunk_sizes(n_runs, 2**53)
@@ -518,6 +539,9 @@ class TestBatchedCore:
         for n_runs in (1, 17, 300):
             short, long = (drained_peak(n_runs, n_chunks, 1) for n_chunks in (4, 40))
             assert abs(long - short) < 1e3, (n_runs, short, long)
+            chunk, _ = propagate._chunk_sizes(n_runs, 2**53)
+            held = long - n_runs * (12 * 36 + 2 * chunk + 1) * 8  # less the coefficients and a chunk of samples
+            assert held < 600 * n_runs * chunk, (n_runs, held / (n_runs * chunk))
             assert drained_peak(n_runs, 40, propagate._DRIVE_BLOCK_STEPS) < 0.8e6 + n_runs * propagate._RUN_BYTES
 
     @staticmethod
